@@ -136,6 +136,20 @@ def _load_input(path: Optional[str]) -> dict:
     return {"vertices": clean, "tol": tol}
 
 
+def _tolerance(args, data: dict) -> float:
+    """Classification tolerance: --tol, else the input's "tol", else 1e-9.
+
+    Only an absent value means the default; a tolerance that is not a
+    finite positive number is a parse error.
+    """
+    tol = args.tol if args.tol is not None else data["tol"]
+    if tol is None:
+        return 1e-9
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParseError(f"tol must be a finite positive number, got {tol!r}")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # report blocks
 # ---------------------------------------------------------------------------
@@ -377,7 +391,7 @@ def _error_object(code: str, message: str) -> dict:
 
 def _cmd_classify(args) -> int:
     data = _load_input(args.input)
-    tol = args.tol if args.tol is not None else (data["tol"] or 1e-9)
+    tol = _tolerance(args, data)
     cq = canonicalize(data["vertices"], tol=tol)
     report = {
         "input": {"vertices": [list(v) for v in data["vertices"]]},
@@ -391,7 +405,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_family(args) -> int:
     data = _load_input(args.input)
-    tol = args.tol if args.tol is not None else (data["tol"] or 1e-9)
+    tol = _tolerance(args, data)
     cq = canonicalize(data["vertices"], tol=tol)
     lo, hi = cq.interval
     if args.h is not None:
@@ -418,8 +432,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_minimal(args, *, force_verify: bool = False) -> int:
     data = _load_input(args.input)
-    tol = args.tol if args.tol is not None else (data["tol"] or 1e-9)
-    raw_cw = validate(data["vertices"])
+    tol = _tolerance(args, data)
     cq = canonicalize(data["vertices"], tol=tol)
     res = minecc.solve(cq, tol=tol)
     report = {
@@ -437,7 +450,8 @@ def _cmd_minimal(args, *, force_verify: bool = False) -> int:
         failed = not all(r.passed for r in battery)
     svg = getattr(args, "svg", None)
     if svg:
-        _render_svg(svg, raw_cw, cq, res)
+        # the figure draws the input cycle; canonicalize keeps only the pose
+        _render_svg(svg, validate(data["vertices"]), cq, res)
     _emit(report)
     return EXIT_VERIFY if failed else EXIT_OK
 

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .errors import NotAnEllipse, NotOnConic, SingularPoint
 from .quad import Isometry2, Point2, PointLike
 
@@ -131,11 +129,12 @@ def is_ellipse(c: Conic) -> EllipseCheck:
 def geometry(c: Conic) -> EllipseGeometry:
     """Center, semi-axes, eccentricity, and axis orientation of an ellipse.
 
-    The axis direction comes from the eigen-decomposition of the quadratic
-    form [[A, B/2], [B/2, C]] (the eigenvector of the smaller eigenvalue is
-    the major axis); a half-angle arctangent would get quadrants wrong.
-    The angle is reported in (-pi/2, pi/2] and is None when the ellipse is
-    a circle to machine precision.
+    The eigenvector of the larger eigenvalue of the quadratic form
+    [[A, B/2], [B/2, C]] makes the angle 1/2 atan2(B, A - C) with the x
+    axis; the major axis is perpendicular to it.  The two-argument
+    arctangent keeps the quadrant, so the angle is exact up to rounding
+    for every orientation.  It is reported in (-pi/2, pi/2] and is None
+    when the ellipse is a circle to machine precision.
     """
     check = is_ellipse(c)
     if not check:
@@ -154,12 +153,8 @@ def geometry(c: Conic) -> EllipseGeometry:
     if gap * gap <= 1e-24 * trace * trace:
         angle = None
     else:
-        vals, vecs = np.linalg.eigh(np.array([[A, B / 2.0], [B / 2.0, C]]))
-        vec = vecs[:, 0]          # eigenvector of the smaller eigenvalue
-        angle = math.atan2(float(vec[1]), float(vec[0]))
-        if angle <= -math.pi / 2.0:
-            angle += math.pi
-        elif angle > math.pi / 2.0:
+        angle = 0.5 * math.atan2(B, A - C) + math.pi / 2.0
+        if angle > math.pi / 2.0:
             angle -= math.pi
     return EllipseGeometry(Point2(cx, cy), math.sqrt(a_sq), math.sqrt(b_sq),
                            ecc, angle, delta)
@@ -237,19 +232,18 @@ def pullback(c: Conic, iso: Isometry2) -> Conic:
     describes the same curve in the source frame: the zero set of the
     returned conic is the iso-preimage of the zero set of ``c``.
     """
-    th = iso.angle
-    ct, st = math.cos(th), math.sin(th)
-    n = np.array([[ct, -st], [st, ct]])
-    if iso.reflect:
-        n = n @ np.array([[1.0, 0.0], [0.0, -1.0]])
-    tvec = np.array([iso.translation.x, iso.translation.y])
-    m = np.array([[c.A, c.B / 2.0], [c.B / 2.0, c.C]])
-    lin = np.array([c.D, c.E])
-    mp = n.T @ m @ n
-    lp = 2.0 * (n.T @ (m @ tvec)) + n.T @ lin
-    fp = float(tvec @ m @ tvec + lin @ tvec + c.F)
-    return Conic(float(mp[0, 0]), float(2.0 * mp[0, 1]), float(mp[1, 1]),
-                 float(lp[0]), float(lp[1]), fp)
+    ct, st = math.cos(iso.angle), math.sin(iso.angle)
+    r = -1.0 if iso.reflect else 1.0
+    tx, ty = iso.translation
+    # columns of the linear part R(angle) F: (ct, st) and r (-st, ct)
+    A, B, C = c.A, c.B, c.C
+    gx, gy = c.gradient(tx, ty)
+    return Conic(A * ct * ct + B * ct * st + C * st * st,
+                 r * (2.0 * (C - A) * ct * st + B * (ct * ct - st * st)),
+                 A * st * st - B * ct * st + C * ct * ct,
+                 ct * gx + st * gy,
+                 r * (ct * gy - st * gx),
+                 c(tx, ty))
 
 
 def pushforward(c: Conic, iso: Isometry2) -> Conic:

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .conic import Conic
 from .errors import CircularPoint, HOutOfRange
 from .quad import CanonicalQuad, Point2
@@ -208,18 +206,35 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
 def ratio_sq_function(cq: CanonicalQuad) -> Callable:
     """Fast callable h -> squared axis ratio (b/a)^2 of the member at h.
 
-    Accepts scalars or numpy arrays and performs no interval validation;
-    callers control the evaluation range.
+    Evaluated as 16 u (s-v)^2 cubic / (trace + gap)^2: the identity
+    trace^2 - gap_sq = 16 u (s-v)^2 cubic turns (trace - gap) / (trace + gap)
+    into a quotient of products, so a thin member ((b/a)^2 near 0) keeps
+    full relative precision instead of the cancellation of trace - gap.
+    Accepts scalars or numpy arrays, needs no numpy import, and performs no
+    interval validation; callers control the evaluation range.
     """
     (a2, a1, a0), (b2, b1, b0), c2 = _abc_quadratics(cq)
+    s, t, u, v, w = cq.params
+    k = 16.0 * u * (s - v) ** 2
+    l1, l0 = 2.0 * (v * (t - u) - w * s), u * v * s        # l5 = l1 h + l0
 
     def ratio_sq(h):
         a = (a2 * h + a1) * h + a0
         b = (b2 * h + b1) * h + b0
         c = c2 * h * h
-        trace = a + c
-        gap = np.sqrt((a - c) ** 2 + b * b)
-        return (trace - gap) / (trace + gap)
+        # augmented assignments reuse the arrays of a long sweep (scalars
+        # just rebind), so the product form costs no more than the quotient
+        den = a - c
+        den *= den
+        den += b * b
+        den **= 0.5               # gap
+        den += a + c
+        den *= den                # (trace + gap)^2
+        num = (s - 2.0 * h) * (2.0 * h - v)
+        num *= l1 * h + l0
+        num *= k                  # 16 u (s-v)^2 cubic
+        num /= den
+        return num
 
     return ratio_sq
 

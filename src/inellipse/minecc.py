@@ -1,11 +1,19 @@
 """Minimal-eccentricity inscribed ellipse.
 
 Minimizing eccentricity over the inscribed family is equivalent to
-maximizing the squared axis ratio (b/a)^2 over the center abscissa.  For a
-type-1 midpoint-diagonal quadrilateral the maximizer is the root inside
-the center interval of an explicit quadratic, so the solution is closed
-form; every supported quadrilateral can also be solved by bracketing
-numeric maximization, and the two routes cross-validate each other.
+maximizing the squared axis ratio
+
+    (b/a)^2 = (T - sqrt(G)) / (T + sqrt(G)),   T = A + C,  G = (A - C)^2 + B^2,
+
+over the center abscissa h, where A, B, C are quadratics in h.  The sign
+of its h-derivative is the sign of the stationarity quartic
+p = 2 T' G - T G', which is positive at the left end of the center
+interval, negative at the right, and changes sign exactly once between;
+the maximizer is that root.  For a type-1 midpoint-diagonal quadrilateral
+the root is the paper's closed form (the root of an explicit quadratic
+that divides p), type-2 quads are relabeled to type 1 when a valid
+relabeling exists, and every other quad gets the root of p by bracketed,
+safeguarded Newton.  No path searches over values of the ratio.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -16,15 +24,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from . import family
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry, pullback
-from .errors import CircularPoint, NotType1
+from .errors import NotType1
 from .quad import (CanonicalQuad, Point2, QuadKind, classify, diagonal_angle,
-                   diagonal_swapped_labelings, newton_segment)
+                   diagonal_swapped_labelings)
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +68,7 @@ class MinEccResult:
     alpha: float            # angle between the diagonals
     ratio_sq: float         # (b/a)^2 at the solution
     method: str             # CLOSED_FORM or NUMERIC
-    iterations: int
+    iterations: int         # root-search steps (0 for the closed form)
     residual: float         # |gamma - alpha|
 
 
@@ -73,10 +80,12 @@ def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
     return CenterQuadratic(-2.0 * st2 * (s - v), -2.0 * k, s * k, k, p1)
 
 
-def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
-    """Exact maximizing abscissa for a type-1 midpoint-diagonal quad."""
+def _require_type1(cq: CanonicalQuad, tol: float) -> None:
     if classify(cq, tol=tol).kind is not QuadKind.MDQ_TYPE1:
         raise NotType1("closed form requires a type-1 midpoint-diagonal quadrilateral")
+
+
+def _closed_form_root(cq: CanonicalQuad) -> float:
     s, t, v = cq.s, cq.t, cq.v
     st2 = s * s + t * t
     sv = s - v
@@ -85,10 +94,15 @@ def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
     return rk * (-rk + math.sqrt(2.0 * st2 * s * sv + k)) / (2.0 * st2 * sv)
 
 
+def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
+    """Exact maximizing abscissa for a type-1 midpoint-diagonal quad."""
+    _require_type1(cq, tol)
+    return _closed_form_root(cq)
+
+
 def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
     """Closed-form maximal squared axis ratio for a type-1 MDQ."""
-    if classify(cq, tol=tol).kind is not QuadKind.MDQ_TYPE1:
-        raise NotType1("closed form requires a type-1 midpoint-diagonal quadrilateral")
+    _require_type1(cq, tol)
     s, t, v, w = cq.s, cq.t, cq.v, cq.w
     st2 = s * s + t * t
     p1 = center_quadratic(cq).p1
@@ -98,140 +112,91 @@ def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numeric maximization
+# stationarity root
 # ---------------------------------------------------------------------------
 
-_GOLDEN = 0.3819660112501051
 
+def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
+    """Callable h -> (p(h), p'(h)) for the stationarity quartic
+    p = 2 T' G - T G'.
 
-def _brent_max(f, a: float, b: float, xatol: float, max_iter: int):
-    """Golden-section maximization refined by parabolic interpolation."""
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    for it in range(1, max_iter + 1):
-        m = 0.5 * (a + b)
-        tol1 = 0.5 * xatol
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, it, True
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            etemp = e
-            e = d
-            if abs(p) >= abs(0.5 * q * etemp) or p <= q * (a - x) or p >= q * (b - x):
-                e = (a - x) if x >= m else (b - x)
-                d = _GOLDEN * e
-            else:
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if m > x else -tol1
-        else:
-            e = (a - x) if x >= m else (b - x)
-            d = _GOLDEN * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = f(u)
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, max_iter, False
-
-
-def _slope_bisect(cq: CanonicalQuad, f, x0: float, a: float, b: float, width: float):
-    """Polish a bracketing maximizer by bisecting the slope's sign change.
-
-    A parabolic/golden maximizer alone cannot place a smooth maximum better
-    than about sqrt(machine-eps) of the interval because the function is
-    flat there; the slope's sign change survives to far finer resolution.
-    The slope is the exact-polynomial derivative of the axis ratio (which
-    shares nothing with the closed-form root formulas this polish is
-    cross-validated against); at circular family members, where that
-    formula degenerates, a central-difference slope takes over and still
-    pins the kink of the ratio curve.
+    p has the sign of d(b/a)^2/dh without dividing by the eigenvalue gap,
+    so a circular member (a double root of G) is a simple root of p.  A
+    and B are expanded in e = h - s/2, where each coefficient is a product
+    of pose parameters and powers of s - v; in h-monomials
+    (``family._abc_quadratics``) they are O(1) terms summing to
+    O((s - v)^2), which buries the root of p in rounding noise on
+    near-trapezoids.  An exact power-of-two scale keeps p in range.
     """
-    step = 4e-6 * width
+    s, t, u, v, w = cq.params
+    sv = s - v
+    k = u + w - t
+    c2 = 4.0 * sv * sv
+    scale = math.ldexp(1.0, -math.frexp(c2)[1])
+    a2, a1, a0, b2, b1, b0, c2 = (scale * x for x in (
+        4.0 * k * k, 4.0 * sv * (2.0 * w * u - t * k), (sv * t) ** 2,
+        8.0 * sv * k, 4.0 * sv * (s * (u + w) - 2.0 * s * t + v * t - 2.0 * u * v),
+        -2.0 * s * t * sv * sv, c2))
+    half_s = s / 2.0
+    tpp = 2.0 * (a2 + c2)         # T''
+    dpp = 2.0 * (a2 - c2)         # (A - C)''
 
-    def slope(h: float) -> float:
-        try:
-            return family.ratio_sq_prime(cq, h)
-        except CircularPoint:
-            return f(h + step) - f(h - step)
+    def p(h: float) -> tuple[float, float]:
+        e = h - half_s
+        a = (a2 * e + a1) * e + a0
+        b = (b2 * e + b1) * e + b0
+        c = c2 * h * h
+        ap = 2.0 * a2 * e + a1
+        bp = 2.0 * b2 * e + b1
+        cp = 2.0 * c2 * h
+        d, dp = a - c, ap - cp
+        t, tp = a + c, ap + cp
+        g = d * d + b * b
+        gp = 2.0 * (d * dp + b * bp)
+        gpp = 2.0 * (dp * dp + d * dpp + bp * bp + 2.0 * b * b2)
+        return 2.0 * tp * g - t * gp, 2.0 * tpp * g + tp * gp - t * gpp
 
-    lo_lim, hi_lim = a + step, b - step
-    sigma = 3e-5 * width
-    left = right = None
-    for _ in range(6):
-        cl = max(lo_lim, x0 - sigma)
-        cr = min(hi_lim, x0 + sigma)
-        if cl < cr and slope(cl) > 0.0 > slope(cr):
-            left, right = cl, cr
-            break
-        sigma *= 8.0
-    if left is None:
-        return x0, 0
-    iters = 0
-    while right - left > 1e-13 * width and iters < 64:
-        mid = 0.5 * (left + right)
-        if slope(mid) > 0.0:
-            left = mid
-        else:
-            right = mid
-        iters += 1
-    return 0.5 * (left + right), iters
+    return p
 
 
 def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
                       max_iter: int = 200) -> tuple[float, int]:
-    """Numerically maximize the squared axis ratio over the center interval.
+    """Maximize the squared axis ratio: the root of the stationarity quartic.
 
-    A coarse scan brackets the global maximum, a value-only
-    golden-section/parabolic pass narrows it, and a slope-sign bisection
-    polishes the result well below the flatness floor of value-only
-    maximization.  The ratio is positive on the interior and vanishes at
-    the endpoints, so an interior maximum always exists.  Never consults
-    the closed-form root formulas.
+    p is positive left of the root and negative right of it, so the guarded
+    ends of the center interval bracket it.  Safeguarded Newton: the sign
+    of p at each iterate shrinks the bracket; the Newton step is taken when
+    it stays inside and at least halves the step before last, else the
+    bracket is bisected.  Returns (h, steps) once a step is below ``tol``
+    of the width; after ``max_iter`` steps it logs a warning and returns
+    the last iterate with ``max_iter``.  Never uses the closed form.
     """
     lo, hi = cq.interval
     width = hi - lo
     guard = family.RELATIVE_ENDPOINT_GUARD * width
     a, b = lo + guard, hi - guard
-    f = family.ratio_sq_function(cq)
-
-    n_scan = 33
-    hs = np.linspace(a, b, n_scan)
-    vals = f(hs)
-    i = int(np.argmax(vals))
-    bl = float(hs[max(i - 1, 0)])
-    br = float(hs[min(i + 1, n_scan - 1)])
-
-    x, iters, converged = _brent_max(f, bl, br, tol * width, max_iter)
-    if not converged:
-        log.warning("bracketing maximization did not converge in %d iterations", max_iter)
-        return float(x), max_iter
-    x2, extra = _slope_bisect(cq, f, float(x), a, b, width)
-    return x2, iters + extra
+    p = stationarity(cq)
+    x = 0.5 * (a + b)
+    step = step_old = b - a
+    for it in range(1, max_iter + 1):
+        px, dpx = p(x)
+        if px > 0.0:
+            a = x
+        elif px < 0.0:
+            b = x
+        else:
+            return x, it
+        newton = px / dpx if dpx else math.inf
+        if abs(newton) <= tol * width:
+            return x - newton, it
+        if not a < x - newton < b or abs(2.0 * newton) > abs(step_old):
+            newton = x - 0.5 * (a + b)
+        step_old, step = step, newton
+        x -= step
+        if abs(step) <= tol * width:
+            return x, it
+    log.warning("stationarity root search did not converge in %d iterations", max_iter)
+    return x, max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -239,62 +204,55 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_via_relabel(cq: CanonicalQuad, tol: float):
-    """Try to solve a type-2 quad by relabeling so its MDQ diagonal is D1."""
-    for alt in diagonal_swapped_labelings(cq):
-        if classify(alt, tol=tol).kind is not QuadKind.MDQ_TYPE1:
-            continue
-        h_alt = closed_form_h(alt, tol=tol)
-        conic = pullback(family.coefficients(alt, h_alt), alt.iso)
-        return conic
-    return None
+def _type1_relabeling(cq: CanonicalQuad, tol: float) -> Optional[CanonicalQuad]:
+    """A relabeling of a type-2 quad that makes its MDQ diagonal D1, if any."""
+    return next((alt for alt in diagonal_swapped_labelings(cq)
+                 if classify(alt, tol=tol).kind is QuadKind.MDQ_TYPE1), None)
 
 
 def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     """Minimal-eccentricity inscribed ellipse of a canonical quadrilateral.
 
-    Type-1 midpoint-diagonal quads are solved in closed form (a numeric
-    cross-check is logged at debug level); type-2 quads are relabeled to
-    type 1 when a valid relabeling exists, otherwise solved numerically;
-    everything else is numeric.  Tangential midpoint-diagonal quads are the
-    inscribed circle exactly, reported with eccentricity 0 and a
-    conjugate-diameter angle of pi/2.
+    The quad is classified once.  Type-1 midpoint-diagonal quads are solved
+    in closed form; type-2 quads are relabeled to type 1 when a valid
+    relabeling exists and the solution is mapped back; everything else is
+    the root of the stationarity quartic (:func:`maximize_ratio_sq`).  The
+    reported center is (h*, y(h*)) on the segment of admissible centers.
+    Tangential midpoint-diagonal quads are the inscribed circle exactly,
+    reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
     """
     qc = classify(cq, tol=tol)
-    alpha = diagonal_angle(cq)
-    method = NUMERIC
-    iterations = 0
-
-    if qc.kind is QuadKind.MDQ_TYPE1:
-        h = closed_form_h(cq, tol=tol)
-        conic = family.coefficients(cq, h)
-        method = CLOSED_FORM
-        h_num, _ = maximize_ratio_sq(cq)
-        log.debug("closed-form h=%.17g, numeric cross-check %.17g, gap %.3e of interval",
-                  h, h_num, abs(h - h_num) / (cq.interval[1] - cq.interval[0]))
+    frame: Optional[CanonicalQuad] = cq       # the quad whose family is solved
+    if qc.kind is QuadKind.MDQ_TYPE2:
+        frame = _type1_relabeling(cq, tol)
+    if qc.kind is QuadKind.GENERAL or frame is None:
+        frame, method = cq, NUMERIC
+        h, iterations = maximize_ratio_sq(cq)
     else:
-        conic = None
-        if qc.kind is QuadKind.MDQ_TYPE2:
-            conic = _closed_form_via_relabel(cq, tol)
-            if conic is not None:
-                method = CLOSED_FORM
-                h = geometry(conic).center.x
-        if conic is None:
-            h, iterations = maximize_ratio_sq(cq)
-            conic = family.coefficients(cq, h)
+        method, iterations = CLOSED_FORM, 0
+        h = _closed_form_root(frame)
 
-    geom = geometry(conic)
-    ratio_sq = family.spectral(cq, h).ratio_sq
+    conic = family.coefficients(frame, h)
+    center = Point2(h, family.center_y(frame, h))
+    # family.spectral's ratio, taken from the conic in hand
+    trace = conic.A + conic.C
+    gap = math.hypot(conic.A - conic.C, conic.B)
+    ratio_sq = (trace - gap) / (trace + gap)
+    if frame is not cq:
+        # the relabeled quad's raw frame is the canonical frame of cq
+        conic = pullback(conic, frame.iso)
+        center = frame.iso.inverse().apply(center)
+        h = center.x
+    geom = replace(geometry(conic), center=center)
 
     if qc.tangential and qc.kind is not QuadKind.GENERAL:
         # Tangential MDQ: the optimum is the inscribed circle.  Report the
         # exact circle (the computed conic is that circle up to roundoff);
         # the center's distance to the side on the y axis is its abscissa.
-        cy = newton_segment(cq).y_at(h)
-        geom = EllipseGeometry(Point2(h, cy), h, h, 0.0, None, geom.delta)
+        geom = EllipseGeometry(center, h, h, 0.0, None, geom.delta)
         gamma = math.pi / 2.0
     else:
         gamma = conjugate_diameter_angle(geom)
-
+    alpha = diagonal_angle(cq)
     return MinEccResult(h, conic, geom, gamma, alpha, ratio_sq,
                         method, iterations, abs(gamma - alpha))

@@ -5,7 +5,8 @@ checks: the finite-difference slope never calls the analytic derivative,
 the grid argmax never calls the closed form, and the incircle is built
 from angle bisectors rather than family coefficients.  Oracle tolerances
 are deliberately looser than the claims they validate, so a failing oracle
-indicates a real defect rather than noise.
+indicates a real defect rather than noise.  The sampling oracles import
+numpy when called, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .conic import Conic, geometry
 from .errors import NotTangential
@@ -42,6 +41,8 @@ def grid_argmax(f: Callable, interval: tuple[float, float], n: int = 100_000
     Vectorizes through f when it accepts numpy arrays, otherwise falls back
     to a scalar loop.
     """
+    import numpy as np
+
     if n < 3:
         raise ValueError("need at least 3 samples")
     lo, hi = interval
@@ -81,6 +82,8 @@ def containment(conic: Conic, cq: CanonicalQuad, n: int = 256, *,
     The residual is how far the worst sample pokes outside (zero when the
     whole trace is inside); pass means residual <= tol * diameter.
     """
+    import numpy as np
+
     g = geometry(conic)
     ang = g.major_axis_angle or 0.0
     ca, sa = math.cos(ang), math.sin(ang)

@@ -229,7 +229,8 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     The returned cycle starts at the first input vertex.  Raises
     :class:`Degenerate` for repeated/collinear/non-finite input and
     :class:`NotConvex` when one vertex falls inside the triangle of the
-    other three.
+    other three.  Every test runs on coordinates relative to the first
+    vertex, so a quad far from the origin is judged by its shape alone.
     """
     if len(vertices) != 4:
         raise Degenerate("exactly four vertices are required")
@@ -239,34 +240,37 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise Degenerate("non-finite vertex coordinate")
         pts.append(Point2(x, y))
+    x0, y0 = pts[0]
+    rel = [Point2(p.x - x0, p.y - y0) for p in pts]
 
     diam = max(math.hypot(q.x - p.x, q.y - p.y)
-               for i, p in enumerate(pts) for q in pts[i + 1:])
+               for i, p in enumerate(rel) for q in rel[i + 1:])
     if diam == 0.0:
         raise Degenerate("all vertices coincide")
     for i in range(4):
         for j in range(i + 1, 4):
-            if math.hypot(pts[j].x - pts[i].x, pts[j].y - pts[i].y) <= 1e-12 * diam:
+            if math.hypot(rel[j].x - rel[i].x, rel[j].y - rel[i].y) <= 1e-12 * diam:
                 raise Degenerate("repeated vertex")
     area_eps = 1e-12 * diam * diam
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                if abs(_cross(pts[i], pts[j], pts[k])) <= area_eps:
+                if abs(_cross(rel[i], rel[j], rel[k])) <= area_eps:
                     raise Degenerate("three vertices are collinear")
     for i in range(4):
-        others = [pts[j] for j in range(4) if j != i]
-        if _strictly_inside_triangle(pts[i], others, area_eps):
+        others = [rel[j] for j in range(4) if j != i]
+        if _strictly_inside_triangle(rel[i], others, area_eps):
             raise NotConvex("a vertex lies inside the triangle of the other three")
 
     # Order around the centroid (counterclockwise), then flip to clockwise and
     # anchor at the original first vertex.
-    cx = sum(p.x for p in pts) / 4.0
-    cy = sum(p.y for p in pts) / 4.0
-    cycle = sorted(pts, key=lambda p: math.atan2(p.y - cy, p.x - cx))
-    cycle.reverse()
-    k = cycle.index(pts[0])
-    cycle = cycle[k:] + cycle[:k]
+    cx = sum(p.x for p in rel) / 4.0
+    cy = sum(p.y for p in rel) / 4.0
+    order = sorted(range(4), key=lambda i: math.atan2(rel[i].y - cy, rel[i].x - cx))
+    order.reverse()
+    k = order.index(0)
+    order = order[k:] + order[:k]
+    cycle = [rel[i] for i in order]
 
     if _signed_area(cycle) >= 0.0:
         raise NotConvex("vertices do not bound a clockwise convex cycle")
@@ -274,7 +278,7 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
         c = _cross(cycle[i], cycle[(i + 1) % 4], cycle[(i + 2) % 4])
         if c >= -area_eps:
             raise NotConvex("boundary turns are not uniformly clockwise")
-    return cycle
+    return [pts[i] for i in order]
 
 
 def _reject_trapezoid(cw: Sequence[Point2], tol: float) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from inellipse import CanonicalQuad, Isometry2, Point2
@@ -107,3 +108,23 @@ def interior_points(cq: CanonicalQuad, n: int, trim: float = 0.05) -> list[float
 def random_h(cq: CanonicalQuad, rng, trim: float = 0.05) -> float:
     lo, hi = cq.interval
     return float(lo + (hi - lo) * rng.uniform(trim, 1.0 - trim))
+
+
+def mp_family(cq: CanonicalQuad):
+    """mpmath callables h -> (b/a)^2 and h -> y(h) of the inscribed family,
+    built from the defining coefficient formulas in the pose parameters.
+    Evaluate them inside ``mpmath.workdps``."""
+    s, t, u, v, w = (mpmath.mpf(x) for x in cq.params)
+    sv = s - v
+
+    def y(h):
+        return t / 2 + (w + u - t) / (v - s) * (h - s / 2)
+
+    def ratio(h):
+        a = 4 * sv * sv * (y(h) ** 2 + w * u * (2 * h - s) / sv)
+        b = 4 * sv * (2 * (u + w - t) * h * h + (v * (t - 2 * u) - s * (u + w)) * h + u * v * s)
+        c = 4 * sv * sv * h * h
+        gap = mpmath.sqrt((a - c) ** 2 + b * b)
+        return (a + c - gap) / (a + c + gap)
+
+    return ratio, y

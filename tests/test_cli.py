@@ -182,6 +182,90 @@ class TestVerifySubcommand:
         assert all(o["passed"] for o in report["oracles"])
 
 
+class TestTolerance:
+    def write(self, tmp_path, tol):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({"vertices": [list(v) for v in Q5_VERTICES],
+                                    "tol": tol}))
+        return str(path)
+
+    @pytest.mark.parametrize("tol", [0, -1e-9])
+    def test_non_positive_json_tol_is_a_parse_error(self, tmp_path, capsys, tol):
+        code, out = run_cli(capsys, "classify", "--input", self.write(tmp_path, tol))
+        assert code == EXIT_PARSE
+        assert "tol" in json.loads(out)["error"]["message"]
+
+    def test_nan_json_tol_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"vertices": [[0,0],[0,2],[4,6],[2,1]], "tol": NaN}')
+        code, _ = run_cli(capsys, "minimal", "--input", str(path))
+        assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_bad_flag_tol_is_a_parse_error(self, tmp_path, capsys, tol):
+        code, out = run_cli(capsys, "minimal", "--tol", tol, "--input",
+                            write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_PARSE
+        assert json.loads(out)["error"]["code"] == "parse"
+
+    def test_null_tol_means_the_default(self, tmp_path, capsys):
+        _, default = run_cli(capsys, "classify", "--input",
+                             write_input(tmp_path, Q5_VERTICES))
+        code, out = run_cli(capsys, "classify", "--input", self.write(tmp_path, None))
+        assert code == EXIT_OK and out == default
+
+    def test_json_tol_is_used(self, tmp_path, capsys):
+        # a loose tolerance makes this near-MDQ a type-1 quad
+        vertices = [(0, 0), (0, 2 * (1 + 1e-6)), (4, 6), (2, 1)]
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({"vertices": vertices, "tol": 1e-3}))
+        _, out = run_cli(capsys, "classify", "--input", str(path))
+        assert json.loads(out)["classification"]["kind"] == "mdq_type1"
+        _, out = run_cli(capsys, "classify", "--input", write_input(tmp_path, vertices))
+        assert json.loads(out)["classification"]["kind"] == "general"
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from inellipse import cli, quad
+        seen = []
+
+        def counting(vertices):
+            seen.append(1)
+            return quad.validate(vertices)
+        monkeypatch.setattr(cli, "validate", counting)
+        return seen
+
+    def test_minimal_leaves_validation_to_canonicalize(self, tmp_path, capsys, calls):
+        code, _ = run_cli(capsys, "verify", "--input", write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_OK and calls == []
+
+    def test_svg_validates_the_input_cycle(self, tmp_path, capsys, calls):
+        code, _ = run_cli(capsys, "minimal", "--svg", str(tmp_path / "f.svg"),
+                          "--input", write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_OK and calls == [1]
+
+
+class TestThinOptima:
+    # Quads whose minimal member has (b/a)^2 near 1e-5: the stationarity
+    # oracle's central difference used to drown in the rounding of the
+    # ratio and fail (exit 4) depending on the last bits of h*.
+    @pytest.mark.parametrize("vertices", [
+        [(-8.217929138545804, -16.919672832578552), (-3.64189980652165, -19.925107357374493),
+         (-3.650858566578352, -19.929631255792305), (-10.90796386040008, -15.16941150968211)],
+        [(2.022854291048981, 2.8828995385693053), (-5.823906703907173, 4.1624560500265115),
+         (-5.023432940125692, 4.060551571317096), (2.030812566257694, 2.9134488536780907)],
+        [(-17.838429416917094, 3.3694747497702444), (-12.584073795627008, 4.9566544372300205),
+         (-13.866967269643457, 4.584435825964986), (-17.85617448039283, 3.384293964226856)],
+    ])
+    def test_verify_passes(self, tmp_path, capsys, vertices):
+        code, out = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
+        report = json.loads(out)
+        assert report["result"]["axis_ratio_sq"] < 1e-4
+        assert code == EXIT_OK, [o for o in report["oracles"] if not o["passed"]]
+
+
 class TestJsonEmitter:
     def test_seventeen_digit_floats(self):
         x = 0.1 + 0.2

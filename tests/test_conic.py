@@ -234,3 +234,63 @@ class TestPullback:
         for th in np.linspace(0, 2 * math.pi, 16, endpoint=False):
             p = iso.apply((math.cos(th), math.sin(th)))
             assert abs(moved(p.x, p.y)) <= 1e-12 * moved.norm
+
+
+def numpy_pullback(c, iso):
+    """Reference pullback by 2x2 matrix products."""
+    ct, st = math.cos(iso.angle), math.sin(iso.angle)
+    n = np.array([[ct, -st], [st, ct]])
+    if iso.reflect:
+        n = n @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    tvec = np.array([iso.translation.x, iso.translation.y])
+    m = np.array([[c.A, c.B / 2.0], [c.B / 2.0, c.C]])
+    lin = np.array([c.D, c.E])
+    mp = n.T @ m @ n
+    lp = 2.0 * (n.T @ (m @ tvec)) + n.T @ lin
+    fp = tvec @ m @ tvec + lin @ tvec + c.F
+    return Conic(mp[0, 0], 2.0 * mp[0, 1], mp[1, 1], lp[0], lp[1], fp)
+
+
+def numpy_major_axis_angle(c):
+    """Reference axis angle: eigenvector of the smaller eigenvalue, in (-pi/2, pi/2]."""
+    A, B, C = c.oriented()[:3]
+    _, vecs = np.linalg.eigh(np.array([[A, B / 2.0], [B / 2.0, C]]))
+    angle = math.atan2(vecs[1, 0], vecs[0, 0])
+    if angle <= -math.pi / 2.0:
+        angle += math.pi
+    elif angle > math.pi / 2.0:
+        angle -= math.pi
+    return angle
+
+
+class TestAgainstNumpyReference:
+    def test_pullback(self):
+        rng = np.random.default_rng(207)
+        for _ in range(200):
+            c = Conic(*rng.uniform(-5, 5, 6))
+            iso = Isometry2(float(rng.uniform(-math.pi, math.pi)),
+                            Point2(*rng.uniform(-5, 5, 2)),
+                            bool(rng.integers(0, 2)))
+            got, ref = pullback(c, iso), numpy_pullback(c, iso)
+            scale = max(abs(x) for x in ref)
+            assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * scale
+
+    def test_axis_angle(self):
+        rng = np.random.default_rng(208)
+        checked = 0
+        for _ in range(400):
+            cq = random_general(rng)
+            base = coefficients(cq, random_h(cq, rng))
+            iso = Isometry2(float(rng.uniform(-math.pi, math.pi)), Point2(0.0, 0.0),
+                            bool(rng.integers(0, 2)))
+            c = pullback(base, iso)
+            angle = geometry(c).major_axis_angle
+            if angle is None:
+                continue
+            ref = numpy_major_axis_angle(c)
+            # both lie in (-pi/2, pi/2]; compare as axis directions (mod pi)
+            diff = (angle - ref + math.pi / 2.0) % math.pi - math.pi / 2.0
+            assert abs(diff) <= 1e-12
+            assert -math.pi / 2.0 < angle <= math.pi / 2.0
+            checked += 1
+        assert checked > 390

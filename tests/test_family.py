@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import interior_points, make_quad, random_general, random_h, random_type1
+from helpers import (interior_points, make_quad, mp_family, random_general, random_h,
+                     random_type1)
 from inellipse import (CircularPoint, Conic, HOutOfRange, LineConicRelation,
                        Line2, coefficients, containment, family_point,
                        geometry, is_ellipse, line_tangency, ratio_sq_function,
                        ratio_sq_prime, side_linears, spectral,
                        spectral_derivatives, tangency_points, tangent_slope)
+from inellipse import canonicalize
 from inellipse.family import center_y
 from inellipse.minecc import center_quadratic, closed_form_h
 
@@ -188,6 +191,20 @@ class TestSpectral:
         hp = closed_form_h(q5)
         expected = (33.0 - math.sqrt(65.0)) / 32.0
         assert abs(spectral(q5, hp).ratio_sq - expected) <= 1e-12 * expected
+
+    def test_ratio_function_keeps_precision_on_thin_members(self):
+        # (trace - gap) / (trace + gap) loses about 1e-11 relative for a
+        # member with (b/a)^2 near 1e-5; the product form loses nothing.
+        cq = canonicalize([(-8.217929138545804, -16.919672832578552),
+                           (-3.64189980652165, -19.925107357374493),
+                           (-3.650858566578352, -19.929631255792305),
+                           (-10.90796386040008, -15.16941150968211)])
+        f = ratio_sq_function(cq)
+        for h in interior_points(cq, 9):
+            with mpmath.workdps(50):
+                exact = mp_family(cq)[0](mpmath.mpf(h))
+            assert abs(f(h) - exact) <= 1e-13 * exact
+        assert f(closed_form_h(cq)) < 1e-4
 
     def test_positivity(self):
         rng = np.random.default_rng(309)

@@ -1,16 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import (canonical_vertices, make_quad, moved_vertices,
+from helpers import (canonical_vertices, make_quad, moved_vertices, mp_family,
                      random_general, random_isometry, random_kite,
                      random_type1, random_type2)
 from inellipse import (NotType1, QuadKind, canonicalize, classify,
-                       diagonal_angle, geometry, grid_argmax,
-                       maximize_ratio_sq, ratio_sq_closed_form,
+                       diagonal_angle, geometry, grid_argmax, incircle,
+                       maximize_ratio_sq, newton_segment, ratio_sq_closed_form,
                        ratio_sq_function, solve, spectral)
-from inellipse.minecc import CLOSED_FORM, NUMERIC, center_quadratic, closed_form_h
+from inellipse.family import RELATIVE_ENDPOINT_GUARD
+from inellipse.minecc import (CLOSED_FORM, NUMERIC, center_quadratic, closed_form_h,
+                              stationarity)
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -268,3 +271,123 @@ class TestSolve:
                 assert abs(res.geom.eccentricity - base.geom.eccentricity) <= 1e-9
                 assert abs(res.gamma - base.gamma) <= 1e-9
                 assert abs(res.alpha - base.alpha) <= 1e-9
+
+
+def mp_argmax(cq, dps=50):
+    """dps-digit maximizer of the squared axis ratio and its center ordinate.
+
+    The ratio is maximized by bisecting the sign of its numerical
+    derivative, so the reference shares neither the stationarity quartic
+    nor the closed form.
+    """
+    with mpmath.workdps(dps):
+        ratio, y = mp_family(cq)
+        lo, hi = sorted((mpmath.mpf(cq.s) / 2, mpmath.mpf(cq.v) / 2))
+        for _ in range(3 * dps + 10):
+            mid = (lo + hi) / 2
+            if mpmath.diff(ratio, mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        h = (lo + hi) / 2
+        return h, y(h)
+
+
+def tangential_general_quad():
+    """Convex quad circumscribing the unit circle, neither a kite nor an MDQ."""
+    normals = [0.3, 1.9, 3.2, 4.6]
+    pts = []
+    for f, g in zip(normals, normals[1:] + normals[:1]):
+        # intersection of x cos f + y sin f = 1 and x cos g + y sin g = 1
+        det = math.sin(g - f)
+        pts.append(((math.sin(g) - math.sin(f)) / det, (math.cos(f) - math.cos(g)) / det))
+    return canonicalize(pts)
+
+
+class TestStationarityRoot:
+    def test_matches_closed_form_on_type1(self):
+        rng = np.random.default_rng(420)
+        for _ in range(500):
+            cq = random_type1(rng)
+            lo, hi = cq.interval
+            h, _ = maximize_ratio_sq(cq)
+            assert abs(h - closed_form_h(cq)) <= 1e-9 * (hi - lo)
+
+    def test_matches_grid_argmax_on_general_quads(self):
+        rng = np.random.default_rng(421)
+        n = 100_000
+        for _ in range(20):
+            cq = random_general(rng)
+            lo, hi = cq.interval
+            h, iters = maximize_ratio_sq(cq)
+            hg, _ = grid_argmax(ratio_sq_function(cq), cq.interval, n)
+            assert abs(h - hg) <= 2.0 * (hi - lo) / n
+            assert 0 < iters < 200
+
+    def test_tangential_general_quad_lands_on_the_circle(self):
+        cq = tangential_general_quad()
+        qc = classify(cq)
+        assert qc.kind is QuadKind.GENERAL and qc.tangential
+        lo, hi = cq.interval
+        h, _ = maximize_ratio_sq(cq)
+        center, radius = incircle(cq)
+        assert abs(radius - 1.0) <= 1e-12
+        assert abs(h - center.x) <= 1e-9 * (hi - lo)
+        assert ratio_sq_function(cq)(h) >= 1.0 - 1e-9
+        res = solve(cq)
+        assert res.method == NUMERIC
+        assert math.hypot(res.geom.center.x - center.x,
+                          res.geom.center.y - center.y) <= 1e-9 * cq.diameter
+
+    def test_sign_change_at_the_guarded_ends(self):
+        rng = np.random.default_rng(422)
+        gens = [random_general, random_type1, random_type2, random_kite]
+        for i in range(400):
+            cq = gens[i % 4](rng)
+            lo, hi = cq.interval
+            guard = RELATIVE_ENDPOINT_GUARD * (hi - lo)
+            p = stationarity(cq)
+            assert p(lo + guard)[0] > 0.0 > p(hi - guard)[0]
+
+    def test_derivative_is_exact(self):
+        rng = np.random.default_rng(423)
+        for _ in range(50):
+            cq = random_general(rng)
+            p = stationarity(cq)
+            lo, hi = cq.interval
+            step = 1e-6 * (hi - lo)
+            for h in np.linspace(lo, hi, 7)[1:-1]:
+                fd = (p(h + step)[0] - p(h - step)[0]) / (2.0 * step)
+                scale = max(abs(p(x)[1]) for x in np.linspace(lo, hi, 7))
+                assert abs(p(h)[1] - fd) <= 1e-6 * scale
+
+    def test_circular_member_is_a_simple_root(self, kite):
+        h = math.sqrt(10.0) - 2.0
+        value, slope = stationarity(kite)(h)
+        assert abs(value) <= 1e-12 * abs(slope) and slope < 0.0
+
+    def test_thin_type1_center_on_the_newton_segment(self):
+        # A type-1 quad with a very thin optimum ((b/a)^2 about 9e-6): the
+        # center recovered from the conic coefficients was 1.7e-8 of the
+        # diameter off, although h* was accurate to 2e-14.
+        cq = canonicalize([(-4.905561219346353, -5.503782224884441),
+                           (-11.869614076376918, -15.603911846179672),
+                           (-11.818564359499646, -15.594717595119516),
+                           (-4.6744117533887035, -5.2350498311383316)])
+        res = solve(cq)
+        assert res.method == CLOSED_FORM and res.ratio_sq < 1e-5
+        h_ref, y_ref = mp_argmax(cq)
+        err = float(mpmath.hypot(res.geom.center.x - h_ref, res.geom.center.y - y_ref))
+        assert err <= 1e-12 * cq.diameter
+
+    def test_type2_center_maps_back_onto_the_newton_segment(self):
+        rng = np.random.default_rng(424)
+        for _ in range(50):
+            cq = random_type2(rng)
+            res = solve(cq)
+            assert res.method == CLOSED_FORM
+            cx, cy = res.geom.center
+            assert cx == res.h_star
+            assert abs(cy - newton_segment(cq).y_at(cx)) <= 1e-12 * cq.diameter
+            h_ref, y_ref = mp_argmax(cq, dps=30)
+            assert abs(cx - float(h_ref)) <= 1e-12 * cq.diameter

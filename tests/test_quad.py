@@ -47,6 +47,17 @@ class TestValidate:
         with pytest.raises(Degenerate):
             validate([(0, 0), (0, 2), (4, 6)])
 
+    def test_far_from_origin(self):
+        # Absolute-coordinate cross products cancel at a 1e9 offset; 111 of
+        # these 200 quads used to be rejected as NotConvex.
+        rng = np.random.default_rng(130)
+        for _ in range(200):
+            cq = random_general(rng)
+            near = [Point2(p.x + 1.0, p.y - 1.0) for p in cq.vertices]
+            far = [Point2(p.x + 1e9, p.y - 1e9) for p in cq.vertices]
+            order = [near.index(p) for p in validate(near)]
+            assert [far.index(p) for p in validate(far)] == order
+
 
 class TestIsometry:
     @given(angle=st.floats(-math.pi, math.pi),
