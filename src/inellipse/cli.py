@@ -24,12 +24,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import family, minecc, oracle
 from .conic import LineConicRelation, Line2, geometry, line_tangency
-from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
-                     NoValidLabeling, NotConvex, Trapezoid)
+from .errors import InscribedEllipseError
 from .minecc import CLOSED_FORM, MinEccResult
 from .oracle import OracleReport
 from .quad import (CanonicalQuad, Point2, QuadKind, canonicalize, classify,
@@ -68,11 +65,11 @@ def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
     sep = ("," + nl) if pretty else ", "
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -90,6 +87,10 @@ def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
             return "[" + ", ".join(to_json(v, 0, False) for v in obj) + "]"
         items = [pad_in + to_json(v, indent + 1, pretty) for v in obj]
         return "[" + nl + sep.join(items) + nl + pad + "]"
+    if callable(getattr(obj, "item", None)):
+        # numpy scalars (np.bool_, np.integer, np.float32, ...) without
+        # importing numpy
+        return to_json(obj.item(), indent, pretty)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -437,7 +438,7 @@ def _cmd_minimal(args, *, force_verify: bool = False) -> int:
     res = minecc.solve(cq, tol=tol)
     report = {
         "input": {"vertices": [list(v) for v in data["vertices"]]},
-        "classification": _classification_block(classify(cq, tol=tol)),
+        "classification": _classification_block(res.qclass),
         "canonical": _canonical_block(cq),
         "newton": _newton_block(cq),
         "result": _result_block(res),
@@ -510,9 +511,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         _emit(_error_object("parse", str(exc)))
         return EXIT_PARSE
-    except (Degenerate, NotConvex, Trapezoid, NoValidLabeling, HOutOfRange) as exc:
-        _emit(_error_object(type(exc).__name__, str(exc)))
-        return EXIT_GEOMETRY
     except InscribedEllipseError as exc:
         _emit(_error_object(type(exc).__name__, str(exc)))
         return EXIT_GEOMETRY

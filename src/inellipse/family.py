@@ -9,6 +9,7 @@ quantities of its quadratic form:
     trace    = A + C                  (> 0 on the interval)
     gap_sq   = (A - C)^2 + B^2        (squared eigenvalue gap)
     ratio_sq = (trace - gap) / (trace + gap) = (b/a)^2
+             = 16 u (s-v)^2 cubic / (trace + gap)^2
     cubic    = (s - 2h)(2h - v) l5(h) (> 0 on the interval; certifies
                                        the conic is a real ellipse)
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .conic import Conic
 from .errors import CircularPoint, HOutOfRange
@@ -157,14 +158,15 @@ def _abc_quadratics(cq: CanonicalQuad):
     return (a2, a1, a0), (b2, b1, b0), c2
 
 
-def spectral(cq: CanonicalQuad, h: float) -> Spectral:
-    """Spectral quantities of the family member at h."""
-    c = coefficients(cq, h)
+def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> Spectral:
+    """Spectral quantities of the family member at h (``conic``: its
+    coefficients, if at hand), the ratio in the product form."""
+    c = coefficients(cq, h) if conic is None else conic
+    s, t, u, v, w = cq.params
     trace = c.A + c.C
     gap = math.hypot(c.A - c.C, c.B)
-    l5 = side_linears(cq, h).l5
-    cubic = (cq.s - 2.0 * h) * (2.0 * h - cq.v) * l5
-    return Spectral(trace, gap * gap, (trace - gap) / (trace + gap), cubic)
+    cubic = (s - 2.0 * h) * (2.0 * h - v) * (2.0 * (v * (t - u) - w * s) * h + u * v * s)
+    return Spectral(trace, gap * gap, 16.0 * u * (s - v) ** 2 * cubic / (trace + gap) ** 2, cubic)
 
 
 def spectral_derivatives(cq: CanonicalQuad, h: float) -> SpectralDerivatives:
@@ -242,6 +244,6 @@ def ratio_sq_function(cq: CanonicalQuad) -> Callable:
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:
     """Assemble the full record of the family member at h."""
     conic = coefficients(cq, h)
-    sp = spectral(cq, h)
+    sp = spectral(cq, h, conic=conic)
     tang = tuple(tangency_points(cq, h))
     return FamilyPoint(h, conic, tang, *sp)

@@ -30,8 +30,8 @@ from typing import Callable, Optional
 from . import family
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry, pullback
 from .errors import NotType1
-from .quad import (CanonicalQuad, Point2, QuadKind, classify, diagonal_angle,
-                   diagonal_swapped_labelings)
+from .quad import (CanonicalQuad, Point2, QuadClass, QuadKind, classify,
+                   diagonal_angle, iter_diagonal_swaps)
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,7 @@ class MinEccResult:
     method: str             # CLOSED_FORM or NUMERIC
     iterations: int         # root-search steps (0 for the closed form)
     residual: float         # |gamma - alpha|
+    qclass: QuadClass       # classification of the solved quad at the caller's tol
 
 
 def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
@@ -205,8 +206,8 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
 
 
 def _type1_relabeling(cq: CanonicalQuad, tol: float) -> Optional[CanonicalQuad]:
-    """A relabeling of a type-2 quad that makes its MDQ diagonal D1, if any."""
-    return next((alt for alt in diagonal_swapped_labelings(cq)
+    """The first diagonal swap of a type-2 quad that classifies as type 1."""
+    return next((alt for alt in iter_diagonal_swaps(cq)
                  if classify(alt, tol=tol).kind is QuadKind.MDQ_TYPE1), None)
 
 
@@ -234,10 +235,7 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
 
     conic = family.coefficients(frame, h)
     center = Point2(h, family.center_y(frame, h))
-    # family.spectral's ratio, taken from the conic in hand
-    trace = conic.A + conic.C
-    gap = math.hypot(conic.A - conic.C, conic.B)
-    ratio_sq = (trace - gap) / (trace + gap)
+    ratio_sq = family.spectral(frame, h, conic=conic).ratio_sq
     if frame is not cq:
         # the relabeled quad's raw frame is the canonical frame of cq
         conic = pullback(conic, frame.iso)
@@ -255,4 +253,4 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
     return MinEccResult(h, conic, geom, gamma, alpha, ratio_sq,
-                        method, iterations, abs(gamma - alpha))
+                        method, iterations, abs(gamma - alpha), qc)

@@ -28,15 +28,26 @@ diagonal intersection coincides with the midpoint of at least one diagonal;
 type 1 puts D1 on the line through the diagonal midpoints, type 2 puts D2
 there.  Which type is reported depends on the labeling, and relabeling the
 starting vertex swaps the two types; see :func:`diagonal_swapped_labelings`.
+
+Of the eight dihedral labelings satisfying (R0), :func:`canonicalize` keeps
+the one anchoring the shortest side on the y axis (ties: larger s, then
+larger t - w, then lowest labeling index).  Both labelings of a side share
+u.  With e_k the clockwise edge vectors, the forward one has u s =
+-e_k x e_k+1, u v = -e_k-1 x e_k and u (t - w) = -e_k . e_k+2; the mirrored
+one swaps s and v.  So the anchor is the shortest side with a positive dot
+product, its larger turn picks the labeling, and only that labeling is
+mapped.  Sides of equal length, and signs or orders within rounding of
+the mapped values, are mapped and compared in full.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import Degenerate, NoValidLabeling, NotConvex, Trapezoid
 
@@ -109,9 +120,9 @@ class CanonicalQuad:
 
     def __post_init__(self) -> None:
         s, t, u, v, w = self.s, self.t, self.u, self.v, self.w
-        if not (s > 0 and v > 0 and u > 0 and t > w):
+        if not _pose_ok(s, t, u, v, w):
             raise ValueError("canonical parameters violate the pose constraints")
-        if not (v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0):
+        if not _convex(s, t, u, v, w):
             raise ValueError("canonical parameters describe a non-convex cycle")
         if s == v or w * s - v * (t - u) == 0:
             raise ValueError("parallel side pair: quadrilateral unsupported")
@@ -139,7 +150,9 @@ class CanonicalQuad:
 
     @property
     def side_lengths(self) -> list[float]:
-        return [math.hypot(q.x - p.x, q.y - p.y) for p, q in self.sides]
+        """Lengths of S1..S4."""
+        s, t, u, v, w = self.params
+        return [math.hypot(v, w), u, math.hypot(s, t - u), math.hypot(v - s, w - t)]
 
     @property
     def perimeter(self) -> float:
@@ -203,26 +216,6 @@ class TangentialResiduals(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def _signed_area(pts: Sequence[Point2]) -> float:
-    acc = 0.0
-    for i, p in enumerate(pts):
-        q = pts[(i + 1) % len(pts)]
-        acc += p.x * q.y - q.x * p.y
-    return 0.5 * acc
-
-
-def _strictly_inside_triangle(p: Point2, tri: Sequence[Point2], eps: float) -> bool:
-    a, b, c = tri
-    d1 = _cross(a, b, p)
-    d2 = _cross(b, c, p)
-    d3 = _cross(c, a, p)
-    return (d1 > eps and d2 > eps and d3 > eps) or (d1 < -eps and d2 < -eps and d3 < -eps)
-
-
 def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     """Check convexity and return the vertices in strict clockwise order.
 
@@ -231,6 +224,8 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     :class:`NotConvex` when one vertex falls inside the triangle of the
     other three.  Every test runs on coordinates relative to the first
     vertex, so a quad far from the origin is judged by its shape alone.
+    The signs of the four triangle orientations give both convexity and
+    the cyclic order (one sign pattern per vertex opposite the first).
     """
     if len(vertices) != 4:
         raise Degenerate("exactly four vertices are required")
@@ -241,122 +236,145 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
             raise Degenerate("non-finite vertex coordinate")
         pts.append(Point2(x, y))
     x0, y0 = pts[0]
-    rel = [Point2(p.x - x0, p.y - y0) for p in pts]
-
-    diam = max(math.hypot(q.x - p.x, q.y - p.y)
-               for i, p in enumerate(rel) for q in rel[i + 1:])
-    if diam == 0.0:
+    rel = [(0.0, 0.0)] + [(p.x - x0, p.y - y0) for p in pts[1:]]
+    dist2 = [(bx - ax) ** 2 + (by - ay) ** 2
+             for i, (ax, ay) in enumerate(rel) for bx, by in rel[i + 1:]]
+    diam2 = max(dist2)
+    if diam2 == 0.0:
         raise Degenerate("all vertices coincide")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if math.hypot(rel[j].x - rel[i].x, rel[j].y - rel[i].y) <= 1e-12 * diam:
-                raise Degenerate("repeated vertex")
-    area_eps = 1e-12 * diam * diam
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                if abs(_cross(rel[i], rel[j], rel[k])) <= area_eps:
-                    raise Degenerate("three vertices are collinear")
-    for i in range(4):
-        others = [rel[j] for j in range(4) if j != i]
-        if _strictly_inside_triangle(rel[i], others, area_eps):
-            raise NotConvex("a vertex lies inside the triangle of the other three")
-
-    # Order around the centroid (counterclockwise), then flip to clockwise and
-    # anchor at the original first vertex.
-    cx = sum(p.x for p in rel) / 4.0
-    cy = sum(p.y for p in rel) / 4.0
-    order = sorted(range(4), key=lambda i: math.atan2(rel[i].y - cy, rel[i].x - cx))
-    order.reverse()
-    k = order.index(0)
-    order = order[k:] + order[:k]
-    cycle = [rel[i] for i in order]
-
-    if _signed_area(cycle) >= 0.0:
-        raise NotConvex("vertices do not bound a clockwise convex cycle")
-    for i in range(4):
-        c = _cross(cycle[i], cycle[(i + 1) % 4], cycle[(i + 2) % 4])
-        if c >= -area_eps:
-            raise NotConvex("boundary turns are not uniformly clockwise")
+    if min(dist2) <= 1e-24 * diam2:
+        raise Degenerate("repeated vertex")
+    _, (x1, y1), (x2, y2), (x3, y3) = rel
+    o012 = x1 * y2 - y1 * x2
+    o013 = x1 * y3 - y1 * x3
+    o023 = x2 * y3 - y2 * x3
+    o123 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    if min(abs(o012), abs(o013), abs(o023), abs(o123)) <= 1e-12 * diam2:
+        raise Degenerate("three vertices are collinear")
+    a, b, c, d = o012 > 0.0, o013 > 0.0, o023 > 0.0, o123 > 0.0
+    if a == b == c == d:
+        order = [0, 1, 2, 3]
+    elif a == b != c == d:
+        order = [0, 1, 3, 2]
+    elif b == c != a == d:
+        order = [0, 2, 1, 3]
+    else:
+        raise NotConvex("a vertex lies inside the triangle of the other three")
+    if a == (order[1] == 1):      # first turn counterclockwise: reverse
+        order[1:] = order[:0:-1]
     return [pts[i] for i in order]
 
 
-def _reject_trapezoid(cw: Sequence[Point2], tol: float) -> None:
-    edges = []
-    for i in range(4):
-        p, q = cw[i], cw[(i + 1) % 4]
-        edges.append((q.x - p.x, q.y - p.y))
-    for i in (0, 1):
-        ax, ay = edges[i]
-        bx, by = edges[i + 2]
-        cross = ax * by - ay * bx
-        if abs(cross) <= tol * math.hypot(ax, ay) * math.hypot(bx, by):
-            raise Trapezoid("opposite sides are parallel within tolerance; "
-                            "trapezoids and parallelograms are unsupported")
-
-
-def _labeling(points: Sequence[Point2], start: int, reflect: bool
+def _labeling(points: Sequence[PointLike], start: int, reflect: bool
               ) -> tuple[tuple[float, float, float, float, float], Isometry2]:
     """Pose parameters for one dihedral labeling of a clockwise 4-cycle.
 
     ``reflect`` walks the cycle backwards and mirrors the plane, so the
     mapped cycle is clockwise again.
     """
-    if reflect:
-        order = [points[(start - i) % 4] for i in range(4)]
-    else:
-        order = [points[(start + i) % 4] for i in range(4)]
-    p0, p1, p2, p3 = order
-
-    def flip(p: Point2) -> Point2:
-        return Point2(p.x, -p.y) if reflect else p
-
-    q0, q1 = flip(p0), flip(p1)
-    dx, dy = q1.x - q0.x, q1.y - q0.y
+    step, f = (-1, -1.0) if reflect else (1, 1.0)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = (
+        (float(p[0]), f * float(p[1])) for p in (points[(start + step * i) % 4] for i in range(4)))
+    dx, dy = x1 - x0, y1 - y0
     theta = 0.5 * math.pi - math.atan2(dy, dx)
     c, sn = math.cos(theta), math.sin(theta)
     # + 0.0 normalizes a signed zero from negating an origin coordinate
-    iso = Isometry2(theta,
-                    Point2(-(c * q0.x - sn * q0.y) + 0.0,
-                           -(sn * q0.x + c * q0.y) + 0.0),
-                    reflect)
-    u = math.hypot(dx, dy)
-    st = iso.apply(p2)
-    vw = iso.apply(p3)
-    return (st.x, st.y, u, vw.x, vw.y), iso
+    tx, ty = -(c * x0 - sn * y0) + 0.0, -(sn * x0 + c * y0) + 0.0
+    return ((c * x2 - sn * y2 + tx, sn * x2 + c * y2 + ty, math.hypot(dx, dy),
+             c * x3 - sn * y3 + tx, sn * x3 + c * y3 + ty),
+            Isometry2(theta, Point2(tx, ty), reflect))
+
+
+def _pose_ok(s: float, t: float, u: float, v: float, w: float) -> bool:
+    """(R0) holds: the labeling admits the canonical pose."""
+    return s > 0 and v > 0 and u > 0 and t > w
+
+
+def _convex(s: float, t: float, u: float, v: float, w: float) -> bool:
+    """(R1) holds: the posed cycle is convex."""
+    return v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0
+
+
+def _margin(coords: Sequence[float], lengths: Sequence[float]) -> float:
+    """Bound on the gap between an edge product (u times s, v or t - w) and
+    u times the value :func:`_labeling` rounds it to: 256 ulp of the scales."""
+    scale = sum(lengths)
+    return 256.0 * sys.float_info.epsilon * (max(map(abs, coords)) + scale) * scale
 
 
 def canonicalize(vertices: Sequence[PointLike], *, tol: float = DEFAULT_TOL) -> CanonicalQuad:
     """Move a convex quadrilateral into canonical pose by an isometry.
 
-    All eight dihedral labelings are tried; among those satisfying (R0)
-    strictly, the one anchoring the shortest side on the y axis wins
-    (smallest u; ties: larger s, then larger t - w, then lowest labeling
-    index).  Raises :class:`Trapezoid` when a pair of opposite sides is
-    parallel within ``tol`` and :class:`NoValidLabeling` when no labeling
-    admits the canonical pose.
+    The labeling follows the anchor rule of the module docstring.  Raises
+    :class:`Trapezoid` when a pair of opposite sides is parallel within
+    ``tol`` and :class:`NoValidLabeling` when no labeling admits the
+    canonical pose.
     """
     cw = validate(vertices)
-    _reject_trapezoid(cw, tol)
-
-    best = None
-    best_key = None
-    for reflect in (False, True):
-        for start in range(4):
+    edges = [(q.x - p.x, q.y - p.y) for p, q in zip(cw, cw[1:] + cw[:1])]
+    lengths = [math.hypot(ex, ey) for ex, ey in edges]
+    for i in (0, 1):
+        (ax, ay), (bx, by) = edges[i], edges[i + 2]
+        if abs(ax * by - ay * bx) <= tol * lengths[i] * lengths[i + 2]:
+            raise Trapezoid("opposite sides are parallel within tolerance; "
+                            "trapezoids and parallelograms are unsupported")
+    margin = _margin([x for p in cw for x in p], lengths)
+    turns = [ey * fx - ex * fy for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1])]
+    cands = []      # (u, sure, start, reflect) of the labelings still in the running
+    for k, ((ex, ey), (fx, fy)) in enumerate(zip(edges, edges[2:] + edges[:2])):
+        dot, su, vu = -(ex * fx + ey * fy), turns[k], turns[k - 1]
+        if dot > margin and min(su, vu, abs(su - vu)) > margin:
+            cands.append((lengths[k], True, k, False) if su > vu
+                         else (lengths[k], True, (k + 1) % 4, True))
+        elif dot >= -margin:
+            cands += [(lengths[k], False, k, False), (lengths[k], False, (k + 1) % 4, True)]
+    cands.sort(key=lambda cand: cand[0])
+    while cands:
+        group = [cand for cand in cands if cand[0] == cands[0][0]]
+        del cands[:len(group)]
+        if len(group) == 1 and group[0][1]:
+            params, iso = _labeling(cw, group[0][2], group[0][3])
+            break
+        keyed = []
+        for _, _, start, reflect in group:
             params, iso = _labeling(cw, start, reflect)
-            s, t, u, v, w = params
-            if not (s > 0 and v > 0 and u > 0 and t > w):
-                continue
-            key = (-u, s, t - w, -start, -int(reflect))
-            if best_key is None or key > best_key:
-                best_key = key
-                best = (params, iso)
-    if best is None:
+            if _pose_ok(*params):
+                keyed.append(((params[0], params[1] - params[4], -start, -reflect), params, iso))
+        if keyed:
+            _, params, iso = max(keyed, key=lambda item: item[0])
+            break
+    else:
         raise NoValidLabeling("no dihedral labeling satisfies the pose constraints")
-    (s, t, u, v, w), iso = best
-    if not (v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0):
+    if not _convex(*params):
         raise NoValidLabeling("convexity constraints fail in the selected pose")
-    return CanonicalQuad(s, t, u, v, w, iso)
+    return CanonicalQuad(*params, iso)
+
+
+def iter_diagonal_swaps(cq: CanonicalQuad) -> Iterator[CanonicalQuad]:
+    """:func:`diagonal_swapped_labelings`, each mapped only when reached.
+
+    The four relabelings anchor one side each, so the edge products order
+    them by t - w before any mapping; if two lie within rounding of each
+    other, all four are mapped and sorted as mapped.
+    """
+    s, t, u, v, w = cq.params
+    lengths = (math.hypot(s, t - u), math.hypot(v, w), u, math.hypot(v - s, w - t))
+    margin = _margin(cq.params, lengths)
+    dots = (s * v + (t - u) * w,) * 2 + (u * (t - w),) * 2
+    labelings = ((1, False), (3, False), (1, True), (3, True))
+    keyed = sorted(((dot / n, margin / n, i) for i, (dot, n) in enumerate(zip(dots, lengths))
+                    if dot > -margin), reverse=True)
+
+    def mapped(order):
+        for start, reflect in order:
+            params, iso = _labeling(cq.vertices, start, reflect)
+            if _pose_ok(*params) and _convex(*params):
+                yield CanonicalQuad(*params, iso)
+
+    if all(a - da > b + db for (a, da, _), (b, db, _) in zip(keyed, keyed[1:])):
+        yield from mapped(labelings[i] for _, _, i in keyed)
+    else:
+        yield from sorted(mapped(labelings), key=lambda q: (q.t - q.w, q.s), reverse=True)
 
 
 def diagonal_swapped_labelings(cq: CanonicalQuad) -> list[CanonicalQuad]:
@@ -366,18 +384,7 @@ def diagonal_swapped_labelings(cq: CanonicalQuad) -> list[CanonicalQuad]:
     (so ``alt.iso`` maps cq-frame coordinates to alt-frame coordinates) and
     are sorted by decreasing t - w.  The list may be empty.
     """
-    pts = cq.vertices
-    out = []
-    for reflect in (False, True):
-        for start in (1, 3):
-            (s, t, u, v, w), iso = _labeling(pts, start, reflect)
-            if not (s > 0 and v > 0 and u > 0 and t > w):
-                continue
-            if not (v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0):
-                continue
-            out.append(CanonicalQuad(s, t, u, v, w, iso))
-    out.sort(key=lambda q: (q.t - q.w, q.s), reverse=True)
-    return out
+    return list(iter_diagonal_swaps(cq))
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +392,16 @@ def diagonal_swapped_labelings(cq: CanonicalQuad) -> list[CanonicalQuad]:
 # ---------------------------------------------------------------------------
 
 
-def _z_terms(s: float, t: float, u: float, v: float, w: float
-             ) -> tuple[float, float, float]:
-    """The two top-level terms of the tangentiality polynomial plus the
-    magnitude scale of the first term's addends (the addends can cancel
-    exactly, e.g. on kites, so the term value itself is no scale)."""
+def _z_terms(s: float, t: float, u: float, v: float, w: float) -> tuple[float, float]:
+    """The polynomial tangentiality quantity z = t1^2 - t2 and its magnitude
+    scale (the addends of t1 can cancel exactly, e.g. on kites, so the term
+    value itself is no scale)."""
     a1 = (v * v + w * w) * (s * s + (t - u) ** 2)
     a2 = (t * u - v * s - w * t) ** 2
     a3 = u * u * ((s - v) ** 2 + (t - w) ** 2)
-    t1 = a1 - a2 - a3
+    t1, scale = a1 - a2 - a3, a1 + a2 + a3
     t2 = 4.0 * (u * (t * u - v * s - w * t)) ** 2 * ((s - v) ** 2 + (t - w) ** 2)
-    return t1, t2, a1 + a2 + a3
+    return t1 * t1 - t2, scale * scale + abs(t2)
 
 
 def tangential_residuals(cq: CanonicalQuad) -> TangentialResiduals:
@@ -407,12 +413,11 @@ def tangential_residuals(cq: CanonicalQuad) -> TangentialResiduals:
     tangentiality conditions for type-1 and type-2 MDQs respectively.
     """
     s, t, u, v, w = cq.params
-    t1, t2, _ = _z_terms(s, t, u, v, w)
     sides = cq.side_lengths
     pitot = (sides[0] + sides[2]) - (sides[1] + sides[3])
     cond27 = v * (t * t - s * s) - 2.0 * w * s * t
     cond36 = 2.0 * (v * s + w * t) - (s * s + t * t)
-    return TangentialResiduals(t1 * t1 - t2, pitot, cond27, cond36)
+    return TangentialResiduals(_z_terms(s, t, u, v, w)[0], pitot, cond27, cond36)
 
 
 def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
@@ -440,14 +445,11 @@ def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
             is1 = False
     kind = QuadKind.MDQ_TYPE1 if is1 else QuadKind.MDQ_TYPE2 if is2 else QuadKind.GENERAL
 
-    residuals_raw = tangential_residuals(cq)
-    perimeter = cq.perimeter
-    pitot_rel = abs(residuals_raw.pitot) / perimeter
+    sides = cq.side_lengths
+    pitot_rel = abs((sides[0] + sides[2]) - (sides[1] + sides[3])) / sum(sides)
     tangential = pitot_rel <= tol
-
-    _, t2, t1_scale = _z_terms(s, t, u, v, w)
-    z_scale = t1_scale * t1_scale + abs(t2)
-    z_rel = abs(residuals_raw.z) / z_scale if z_scale > 0 else 0.0
+    z, z_scale = _z_terms(s, t, u, v, w)
+    z_rel = abs(z) / z_scale if z_scale > 0 else 0.0
     if tangential and z_rel > math.sqrt(tol):
         log.warning("Pitot test says tangential but the polynomial residual "
                     "disagrees (%.3e); trusting Pitot", z_rel)

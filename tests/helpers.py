@@ -5,17 +5,21 @@ run sees the same quadrilaterals.  Parameters are drawn uniformly from
 [0.5, 10] and rejection-sampled against the canonical-pose constraints,
 with a small floor on |s - v| (and on 2v - s for the type-2 family) so the
 drawn quads stay numerically well-conditioned: near-trapezoids make the
-inscribed-family coefficients cancel catastrophically.
+inscribed-family coefficients cancel catastrophically.  The module also
+holds a brute-force canonical pose (every labeling mapped and compared)
+that ``canonicalize`` must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath
 import numpy as np
 
-from inellipse import CanonicalQuad, Isometry2, Point2
+from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
+                       NoValidLabeling, Point2, Trapezoid)
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
@@ -128,3 +132,109 @@ def mp_family(cq: CanonicalQuad):
         return (a + c - gap) / (a + c + gap)
 
     return ratio, y
+
+
+# ---------------------------------------------------------------------------
+# brute-force canonical pose: every dihedral labeling mapped and compared
+# ---------------------------------------------------------------------------
+
+
+def _cross(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def validate_oracle(vertices) -> list[Point2]:
+    """Clockwise cycle from the first vertex, by brute force: every triple
+    tested for collinearity, every vertex for lying inside the triangle of
+    the other three, the order sorted by angle about the centroid."""
+    if len(vertices) != 4:
+        raise Degenerate("exactly four vertices are required")
+    pts = [Point2(float(p[0]), float(p[1])) for p in vertices]
+    if not all(math.isfinite(c) for p in pts for c in p):
+        raise Degenerate("non-finite vertex coordinate")
+    rel = [Point2(p.x - pts[0].x, p.y - pts[0].y) for p in pts]
+    pairs = [(p, q) for i, p in enumerate(rel) for q in rel[i + 1:]]
+    diam = max(math.hypot(q.x - p.x, q.y - p.y) for p, q in pairs)
+    if diam == 0.0:
+        raise Degenerate("all vertices coincide")
+    if min(math.hypot(q.x - p.x, q.y - p.y) for p, q in pairs) <= 1e-12 * diam:
+        raise Degenerate("repeated vertex")
+    eps = 1e-12 * diam * diam
+    for i, j, k in itertools.combinations(range(4), 3):
+        if abs(_cross(rel[i], rel[j], rel[k])) <= eps:
+            raise Degenerate("three vertices are collinear")
+    for i in range(4):
+        a, b, c = [rel[j] for j in range(4) if j != i]
+        d = (_cross(a, b, rel[i]), _cross(b, c, rel[i]), _cross(c, a, rel[i]))
+        if all(x > eps for x in d) or all(x < -eps for x in d):
+            raise NotConvex("a vertex lies inside the triangle of the other three")
+    cx, cy = sum(p.x for p in rel) / 4.0, sum(p.y for p in rel) / 4.0
+    order = sorted(range(4), key=lambda i: -math.atan2(rel[i].y - cy, rel[i].x - cx))
+    k = order.index(0)
+    return [pts[i] for i in order[k:] + order[:k]]
+
+
+def labeling_oracle(points, start: int, reflect: bool):
+    """Pose parameters and isometry of one labeling, mapped point by point
+    through :meth:`Isometry2.apply`."""
+    step = -1 if reflect else 1
+    p0, p1, p2, p3 = [points[(start + step * i) % 4] for i in range(4)]
+    sign = -1.0 if reflect else 1.0
+    dx, dy = p1[0] - p0[0], sign * p1[1] - sign * p0[1]
+    theta = 0.5 * math.pi - math.atan2(dy, dx)
+    c, sn = math.cos(theta), math.sin(theta)
+    x0, y0 = p0[0], sign * p0[1]
+    iso = Isometry2(theta, Point2(-(c * x0 - sn * y0) + 0.0, -(sn * x0 + c * y0) + 0.0),
+                    reflect)
+    st, vw = iso.apply(p2), iso.apply(p3)
+    return (st.x, st.y, math.hypot(dx, dy), vw.x, vw.y), iso
+
+
+def _pose_and_convex(s, t, u, v, w):
+    return (s > 0 and v > 0 and u > 0 and t > w
+            and v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0)
+
+
+def canonicalize_oracle(vertices, tol: float = 1e-9) -> CanonicalQuad:
+    """All eight labelings mapped; the largest key (-u, s, t - w, -start,
+    -reflect) among those with s, v, u > 0 and t > w wins."""
+    cw = validate_oracle(vertices)
+    edges = [(q.x - p.x, q.y - p.y) for p, q in zip(cw, cw[1:] + cw[:1])]
+    for (ax, ay), (bx, by) in ((edges[0], edges[2]), (edges[1], edges[3])):
+        if abs(ax * by - ay * bx) <= tol * math.hypot(ax, ay) * math.hypot(bx, by):
+            raise Trapezoid("opposite sides are parallel within tolerance; "
+                            "trapezoids and parallelograms are unsupported")
+    best = None
+    for reflect in (False, True):
+        for start in range(4):
+            (s, t, u, v, w), iso = labeling_oracle(cw, start, reflect)
+            if s > 0 and v > 0 and u > 0 and t > w:
+                key = (-u, s, t - w, -start, -int(reflect))
+                if best is None or key > best[0]:
+                    best = (key, (s, t, u, v, w), iso)
+    if best is None:
+        raise NoValidLabeling("no dihedral labeling satisfies the pose constraints")
+    if not _pose_and_convex(*best[1]):
+        raise NoValidLabeling("convexity constraints fail in the selected pose")
+    return CanonicalQuad(*best[1], best[2])
+
+
+def diagonal_swaps_oracle(cq: CanonicalQuad) -> list[CanonicalQuad]:
+    """The four diagonal-swapping labelings mapped, filtered and sorted by
+    decreasing (t - w, s)."""
+    out = []
+    for reflect in (False, True):
+        for start in (1, 3):
+            params, iso = labeling_oracle(cq.vertices, start, reflect)
+            if _pose_and_convex(*params):
+                out.append(CanonicalQuad(*params, iso))
+    return sorted(out, key=lambda q: (q.t - q.w, q.s), reverse=True)
+
+
+def placed(cq: CanonicalQuad, rng) -> list[tuple[float, float]]:
+    """The quad's vertices moved by a random isometry, from a random start
+    vertex, in either orientation."""
+    pts = [tuple(p) for p in moved_vertices(cq, random_isometry(rng))]
+    k = int(rng.integers(0, 4))
+    pts = pts[k:] + pts[:k]
+    return pts[::-1] if rng.integers(0, 2) else pts

@@ -279,3 +279,29 @@ class TestJsonEmitter:
     def test_nested_structures(self):
         doc = {"a": [1, 2.5, "x", None, True], "b": {"c": []}}
         assert json.loads(to_json(doc)) == doc
+
+    def test_numpy_scalars_print_as_builtins(self):
+        np = pytest.importorskip("numpy")
+        x = 0.1 + 0.2
+        assert to_json(np.float64(x)) == to_json(x)
+        assert to_json(np.float32(0.5)) == to_json(0.5)
+        assert to_json(np.int64(7)) == "7"
+        assert to_json(np.bool_(True)) == "true"
+        doc = {"a": [np.float64(1.5), np.int32(2)], "b": np.bool_(False)}
+        assert json.loads(to_json(doc)) == {"a": [1.5, 2], "b": False}
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            to_json(object())
+
+
+class TestClassifiesOnce:
+    def test_minimal_reports_the_solver_classification(self, tmp_path, capsys, monkeypatch):
+        from inellipse import cli
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *a, **k: calls.append(1))
+        for vertices in (Q5_VERTICES, KITE_VERTICES):
+            code, out = run_cli(capsys, "minimal", "--tol", "1e-3",
+                                "--input", write_input(tmp_path, vertices))
+            assert code == EXIT_OK and calls == []
+            assert json.loads(out)["classification"]["kind"] == "mdq_type1"

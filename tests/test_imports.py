@@ -1,17 +1,52 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 
 import inellipse
+from inellipse import cli
+
+SRC = os.path.dirname(os.path.dirname(inellipse.__file__))
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def test_import_does_not_load_numpy():
-    # numpy is needed only by the sampling oracles and the CLI
-    src = os.path.dirname(os.path.dirname(inellipse.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    # numpy is needed only by the sampling oracles
     code = ("import sys, inellipse\n"
             "inellipse.solve(inellipse.canonicalize([(0, 0), (0, 3), (4, 6), (2, 1)]))\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def imported_modules(importtime_stderr):
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_cli_minimal_does_not_load_numpy(tmp_path):
+    path = tmp_path / "quad.json"
+    path.write_text('{"vertices": [[0, 0], [0, 2], [4, 6], [2, 1]]}')
+    proc = run_python("-X", "importtime", "-m", "inellipse.cli", "minimal", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    loaded = imported_modules(proc.stderr)
+    assert "inellipse.quad" in loaded and "numpy" not in loaded
+
+
+def test_cli_verify_loads_numpy_and_prints_the_same_report(tmp_path):
+    # the oracle battery imports numpy when it runs; the report of a cold
+    # process matches the in-process one byte for byte
+    path = tmp_path / "quad.json"
+    path.write_text('{"vertices": [[0, 0], [0, 2], [4, 6], [2, 1]]}')
+    proc = run_python("-X", "importtime", "-m", "inellipse.cli", "verify", "--input", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy" in imported_modules(proc.stderr)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["verify", "--input", str(path)]) == 0
+    assert proc.stdout == buf.getvalue()

@@ -391,3 +391,96 @@ class TestStationarityRoot:
             assert abs(cy - newton_segment(cq).y_at(cx)) <= 1e-12 * cq.diameter
             h_ref, y_ref = mp_argmax(cq, dps=30)
             assert abs(cx - float(h_ref)) <= 1e-12 * cq.diameter
+
+
+THIN_TYPE1 = [
+    # thin type-1 optima, (b/a)^2 between 2e-6 and 5e-5
+    [(-4.905561219346353, -5.503782224884441), (-11.869614076376918, -15.603911846179672),
+     (-11.818564359499646, -15.594717595119516), (-4.6744117533887035, -5.2350498311383316)],
+    [(-1.66422086446478, 14.723364540905136), (7.7398820629114855, 11.116121263205285),
+     (4.183884380431715, 12.466591885043414), (-1.6708639789473168, 14.716076839264943)],
+    [(-8.217929138545804, -16.919672832578552), (-3.64189980652165, -19.925107357374493),
+     (-3.650858566578352, -19.929631255792305), (-10.90796386040008, -15.16941150968211)],
+    [(-8.794379929140256, -4.317759054347508), (-8.83443401575998, -4.30524772465138),
+     (-13.6706745182606, -12.59021793397371), (-11.81012536452388, -9.51432467529889)],
+]
+
+
+class TestThinRatio:
+    # (trace - gap) / (trace + gap) cancels on thin members: it missed the
+    # 50-digit ratio of these quads by 1.6e-12 to 4e-10 relative.
+    @pytest.mark.parametrize("vertices", THIN_TYPE1)
+    def test_ratio_matches_50_digits(self, vertices):
+        cq = canonicalize(vertices)
+        res = solve(cq)
+        assert res.method == CLOSED_FORM and res.ratio_sq < 1e-4
+        with mpmath.workdps(50):
+            ratio, _ = mp_family(cq)
+            ref = ratio(mpmath.mpf(res.h_star))
+            for value in (res.ratio_sq, spectral(cq, res.h_star).ratio_sq):
+                assert abs(value - ref) <= 1e-13 * ref
+
+    def test_solve_reports_the_spectral_ratio(self):
+        rng = np.random.default_rng(425)
+        for gen in (random_general, random_type1, random_kite):
+            for _ in range(20):
+                cq = gen(rng)
+                res = solve(cq)
+                assert res.ratio_sq == spectral(cq, res.h_star).ratio_sq
+
+
+class TestQuadClass:
+    def test_solve_carries_its_classification(self):
+        rng = np.random.default_rng(426)
+        gens = [random_general, random_type1, random_type2, random_kite]
+        for i in range(80):
+            cq = gens[i % 4](rng)
+            for tol in (1e-9, 1e-3):
+                assert solve(cq, tol=tol).qclass == classify(cq, tol=tol)
+
+
+class TestCenterQuadraticDividesStationarity:
+    """On the type-1 locus u = (vt - ws)/s the paper's center quadratic
+    o(h) divides the stationarity quartic p exactly."""
+
+    @staticmethod
+    def quartic(sp, s, t, u, v, w, h):
+        # A, B, C as minecc.stationarity expands them (A, B in e = h - s/2)
+        k, sv, e = u + w - t, s - v, h - s / 2
+        a = 4 * k**2 * e**2 + 4 * sv * (2 * w * u - t * k) * e + (sv * t) ** 2
+        b = (8 * sv * k * e**2 + 4 * sv * (s * (u + w) - 2 * s * t + v * t - 2 * u * v) * e
+             - 2 * s * t * sv**2)
+        c = 4 * sv**2 * h**2
+        big_t, big_g = a + c, (a - c) ** 2 + b**2
+        return 2 * sp.diff(big_t, h) * big_g - big_t * sp.diff(big_g, h)
+
+    @staticmethod
+    def center_quadratic(s, t, v, w, h):
+        st2 = s**2 + t**2
+        k = st2 * v**2 - 2 * w * s * (v * t - w * s)
+        return -2 * st2 * (s - v) * h**2 - 2 * k * h + s * k
+
+    def test_exact_division(self):
+        sp = pytest.importorskip("sympy")
+        s, t, v, w, h = sp.symbols("s t v w h")
+        p = self.quartic(sp, s, t, (v * t - w * s) / s, v, w, h)
+        num = sp.expand(sp.numer(sp.together(p)))
+        assert sp.prem(num, sp.expand(self.center_quadratic(s, t, v, w, h)), h) == 0
+
+    def test_off_the_locus_it_does_not_divide(self):
+        sp = pytest.importorskip("sympy")
+        h = sp.symbols("h")
+        s, t, v, w = (sp.Integer(x) for x in (4, 6, 2, 1))
+        p = self.quartic(sp, s, t, sp.Integer(3), v, w, h)     # type 1 needs u = 2
+        assert sp.rem(sp.expand(p), self.center_quadratic(s, t, v, w, h), h) != 0
+
+    def test_quartic_is_the_solver_quartic(self):
+        sp = pytest.importorskip("sympy")
+        h = sp.symbols("h")
+        params = (4.0, 6.0, 3.0, 2.0, 1.0)
+        p = self.quartic(sp, *(sp.Rational(x) for x in params), h)
+        code = stationarity(make_quad(*params))
+        scale = math.ldexp(1.0, -math.frexp(4.0 * (params[0] - params[3]) ** 2)[1])
+        for x in (1.2, 1.5, 1.9):
+            exact = float(p.subs(h, sp.Rational(x))) * scale**3
+            assert abs(code(x)[0] - exact) <= 1e-12 * abs(exact)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Q5_VERTICES, canonical_vertices, make_quad,
-                     moved_vertices, random_general, random_isometry,
-                     random_kite, random_type1, random_type2)
+from helpers import (Q5_VERTICES, canonical_vertices, canonicalize_oracle,
+                     diagonal_swaps_oracle, make_quad, moved_vertices, placed,
+                     random_general, random_isometry, random_kite, random_type1,
+                     random_type2, validate_oracle)
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
                        diagonal_angle, diagonal_swapped_labelings,
                        newton_segment, tangential_residuals, validate)
+from inellipse.quad import iter_diagonal_swaps
+
+REJECTED = [
+    ([(0, 0), (0, 3), (1, 1), (3, 0)], NotConvex),
+    ([(0, 0), (0, 2), (0, 2), (2, 1)], Degenerate),
+    ([(0, 0), (0, 1), (0, 2), (2, 1)], Degenerate),
+    ([(0, 0), (0, math.nan), (4, 6), (2, 1)], Degenerate),
+    ([(0, 0), (0, 2), (4, 6)], Degenerate),
+    ([(1, 1), (1, 1), (1, 1), (1, 1)], Degenerate),
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], Trapezoid),
+    ([(0, 0), (1, 2), (4, 3), (3, 1)], Trapezoid),
+    ([(0, 0), (4, 0), (3, 2), (1, 2)], Trapezoid),
+]
 
 
 class TestValidate:
@@ -132,6 +147,82 @@ class TestCanonicalize:
             s, t, u, v, w = cq.params
             assert v * (t - u) + (u - w) * s > 0
             assert v * t - w * s > 0
+
+
+class TestAgainstBruteForce:
+    """canonicalize picks its labeling from edge products and maps only the
+    winner; the brute force maps all eight.  The results must be equal
+    bit for bit, isometry included."""
+
+    @pytest.mark.parametrize("gen", [random_general, random_type1, random_type2, random_kite])
+    def test_random_placements(self, gen):
+        rng = np.random.default_rng(140)
+        for _ in range(300):
+            raw = placed(gen(rng), rng)
+            assert canonicalize(raw) == canonicalize_oracle(raw)
+
+    def test_far_from_origin(self):
+        rng = np.random.default_rng(141)
+        for _ in range(200):
+            off = 10.0 ** rng.uniform(0, 9)
+            raw = [(x + off, y - off) for x, y in placed(random_general(rng), rng)]
+            assert canonicalize(raw) == canonicalize_oracle(raw)
+
+    def test_integer_kites_with_tied_sides(self):
+        # two pairs of adjacent sides of exactly equal length, in every
+        # start vertex and orientation
+        for a, b, c in itertools.product(range(1, 5), repeat=3):
+            kite = [(0, 0), (a, b), (a + c, 0), (a, -b)]
+            for k in range(4):
+                for raw in (kite[k:] + kite[:k], (kite[k:] + kite[:k])[::-1]):
+                    try:
+                        expected = canonicalize_oracle(raw)
+                    except Trapezoid:
+                        with pytest.raises(Trapezoid):
+                            canonicalize(raw)
+                        continue
+                    assert canonicalize(raw) == expected
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_integer_grid(self, rotated):
+        # perpendicular opposite sides (t = w in some labeling) and equal
+        # side lengths are common on a small grid; rotated, they are equal
+        # or perpendicular only up to rounding
+        rng = np.random.default_rng(142)
+        for _ in range(3000):
+            raw = [tuple(int(c) for c in rng.integers(-3, 4, 2)) for _ in range(4)]
+            if rotated:
+                iso = random_isometry(rng)
+                raw = [iso.apply(p) for p in raw]
+            try:
+                expected = canonicalize_oracle(raw)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    canonicalize(raw)
+                continue
+            assert canonicalize(raw) == expected
+
+    @pytest.mark.parametrize("raw, error", REJECTED)
+    def test_rejections(self, raw, error):
+        with pytest.raises(error):
+            canonicalize_oracle(raw)
+        with pytest.raises(error):
+            canonicalize(raw)
+
+    def test_validate_order(self):
+        rng = np.random.default_rng(143)
+        for _ in range(500):
+            raw = placed(random_general(rng), rng)
+            assert validate(raw) == validate_oracle(raw)
+
+    def test_diagonal_swaps(self):
+        rng = np.random.default_rng(144)
+        gens = [random_general, random_type1, random_type2, random_kite]
+        for i in range(400):
+            cq = canonicalize(placed(gens[i % 4](rng), rng))
+            expected = diagonal_swaps_oracle(cq)
+            assert diagonal_swapped_labelings(cq) == expected
+            assert next(iter_diagonal_swaps(cq), None) == (expected[0] if expected else None)
 
 
 class TestClassify:
