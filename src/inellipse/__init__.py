@@ -25,8 +25,8 @@ from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
 from .oracle import OracleReport, containment, fd_gradient, grid_argmax, incircle
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
-                   diagonal_angle, diagonal_swapped_labelings,
-                   newton_segment, tangential_residuals, validate)
+                   diagonal_angle, newton_segment, tangential_residuals,
+                   validate)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,7 @@ __all__ = [
     "SingularPoint", "Spectral", "TangentPoint", "Trapezoid",
     "canonicalize", "center_quadratic", "classify", "closed_form_h",
     "coefficients", "conjugate_diameter_angle", "containment",
-    "diagonal_angle", "diagonal_swapped_labelings", "family_point",
+    "diagonal_angle", "family_point",
     "fd_gradient", "geometry", "grid_argmax", "incircle", "is_ellipse",
     "line_tangency", "maximize_ratio_sq", "newton_segment", "pullback",
     "pushforward", "ratio_sq_closed_form", "ratio_sq_function",

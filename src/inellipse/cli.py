@@ -265,8 +265,9 @@ def _oracle_battery(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
                                 worst, where or "all side lines tangent", 1e-9))
 
     # Grid argmax against the solver result.
+    f = family.ratio_sq_function(cq)
     n = 100_000
-    hg, _ = oracle.grid_argmax(family.ratio_sq_function(cq), cq.interval, n)
+    hg, _ = oracle.grid_argmax(f, cq.interval, n)
     gap = abs(hg - res.h_star)
     reports.append(OracleReport("grid_argmax", gap <= 2.0 * width / n,
                                 gap, f"grid argmax at {hg!r}", 2.0 * width / n))
@@ -275,7 +276,6 @@ def _oracle_battery(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     # at a corner of the ratio curve where a centered difference measures
     # the kink asymmetry, so there the oracle checks the slope sign change
     # across the optimum instead.
-    f = family.ratio_sq_function(cq)
     if res.ratio_sq >= 1.0 - 1e-9:
         probe = 1e-4 * width
         left = oracle.fd_gradient(f, res.h_star - probe, 1e-6 * width)
@@ -407,18 +407,18 @@ def _cmd_classify(args) -> int:
 def _cmd_family(args) -> int:
     data = _load_input(args.input)
     tol = _tolerance(args, data)
+    n = args.sweep
+    if n is not None and n < 1:
+        raise ParseError(f"--sweep must be a positive integer, got {n}")
     cq = canonicalize(data["vertices"], tol=tol)
     lo, hi = cq.interval
-    if args.h is not None:
-        hs = [args.h]
-    else:
-        n = args.sweep
-        hs = [lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n)]
+    hs = [args.h] if n is None else [lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n)]
+    ns = newton_segment(cq)
     for h in hs:
         fp = family.family_point(cq, h)
         record = {
             "h": fp.h,
-            "center": [fp.h, newton_segment(cq).y_at(fp.h)],
+            "center": [fp.h, ns.y_at(fp.h)],
             "conic": list(fp.conic),
             "axis_ratio_sq": fp.ratio_sq,
             "trace": fp.trace,

@@ -9,11 +9,11 @@ over the center abscissa h, where A, B, C are quadratics in h.  The sign
 of its h-derivative is the sign of the stationarity quartic
 p = 2 T' G - T G', which is positive at the left end of the center
 interval, negative at the right, and changes sign exactly once between;
-the maximizer is that root.  For a type-1 midpoint-diagonal quadrilateral
-the root is the paper's closed form (the root of an explicit quadratic
-that divides p), type-2 quads are relabeled to type 1 when a valid
-relabeling exists, and every other quad gets the root of p by bracketed,
-safeguarded Newton.  No path searches over values of the ratio.
+the maximizer is that root.  For a midpoint-diagonal quadrilateral p has
+an explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
+type 2, and the root is its closed form in the quad's own frame; every
+other quad gets the root of p by bracketed, safeguarded Newton.  No path
+searches over values of the ratio.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -25,13 +25,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from . import family
-from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry, pullback
+from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry
 from .errors import NotType1
 from .quad import (CanonicalQuad, Point2, QuadClass, QuadKind, classify,
-                   diagonal_angle, iter_diagonal_swaps)
+                   diagonal_angle)
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,24 @@ def _closed_form_root(cq: CanonicalQuad) -> float:
     k = center_quadratic(cq).k
     rk = math.sqrt(k)
     return rk * (-rk + math.sqrt(2.0 * st2 * s * sv + k)) / (2.0 * st2 * sv)
+
+
+def _type2_root(cq: CanonicalQuad) -> float:
+    """Maximizing abscissa of a type-2 MDQ, u = (vt - ws)/(2v - s).
+
+    There p has the factor q2(h) = 2(s-v) M h^2 - 2 K2 h + v K2 with
+    M = (s-2v)^2 + (t-2w)^2 and K2 = (s^2 M + (s^2+t^2)(s-2v)^2) / 2.  Its
+    root in the interval is v sqrt(K2) / (sqrt(K2) + sqrt(K2 - 2(s-v) M v)),
+    and K2 - 2(s-v) M v = (s-2v)^2 (M + s^2 + t^2) / 2.  Both radicands are
+    sums of squares, positive because 2v > s (u > 0 on the locus), so the
+    root takes no difference.
+    """
+    s, t, v, w = cq.s, cq.t, cq.v, cq.w
+    d = s - 2.0 * v
+    st2 = s * s + t * t
+    m = d * d + (t - 2.0 * w) ** 2
+    rk = math.sqrt(s * s * m + st2 * d * d)
+    return v * rk / (rk + abs(d) * math.sqrt(m + st2))
 
 
 def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
@@ -205,42 +223,28 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 
-def _type1_relabeling(cq: CanonicalQuad, tol: float) -> Optional[CanonicalQuad]:
-    """The first diagonal swap of a type-2 quad that classifies as type 1."""
-    return next((alt for alt in iter_diagonal_swaps(cq)
-                 if classify(alt, tol=tol).kind is QuadKind.MDQ_TYPE1), None)
-
-
 def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     """Minimal-eccentricity inscribed ellipse of a canonical quadrilateral.
 
-    The quad is classified once.  Type-1 midpoint-diagonal quads are solved
-    in closed form; type-2 quads are relabeled to type 1 when a valid
-    relabeling exists and the solution is mapped back; everything else is
-    the root of the stationarity quartic (:func:`maximize_ratio_sq`).  The
-    reported center is (h*, y(h*)) on the segment of admissible centers.
-    Tangential midpoint-diagonal quads are the inscribed circle exactly,
-    reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
+    The quad is classified once.  Midpoint-diagonal quads of either type
+    are solved in closed form in their own canonical frame; everything
+    else is the root of the stationarity quartic
+    (:func:`maximize_ratio_sq`).  The reported center is (h*, y(h*)) on
+    the segment of admissible centers.  Tangential midpoint-diagonal quads
+    are the inscribed circle exactly, reported with eccentricity 0 and a
+    conjugate-diameter angle of pi/2.
     """
     qc = classify(cq, tol=tol)
-    frame: Optional[CanonicalQuad] = cq       # the quad whose family is solved
-    if qc.kind is QuadKind.MDQ_TYPE2:
-        frame = _type1_relabeling(cq, tol)
-    if qc.kind is QuadKind.GENERAL or frame is None:
-        frame, method = cq, NUMERIC
+    if qc.kind is QuadKind.GENERAL:
+        method = NUMERIC
         h, iterations = maximize_ratio_sq(cq)
     else:
         method, iterations = CLOSED_FORM, 0
-        h = _closed_form_root(frame)
+        h = _closed_form_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)
 
-    conic = family.coefficients(frame, h)
-    center = Point2(h, family.center_y(frame, h))
-    ratio_sq = family.spectral(frame, h, conic=conic).ratio_sq
-    if frame is not cq:
-        # the relabeled quad's raw frame is the canonical frame of cq
-        conic = pullback(conic, frame.iso)
-        center = frame.iso.inverse().apply(center)
-        h = center.x
+    conic = family.coefficients(cq, h)
+    center = Point2(h, family.center_y(cq, h))
+    ratio_sq = family.spectral(cq, h, conic=conic).ratio_sq
     geom = replace(geometry(conic), center=center)
 
     if qc.tangential and qc.kind is not QuadKind.GENERAL:

@@ -26,8 +26,8 @@ Side and diagonal conventions, in clockwise order from the origin:
 A quadrilateral is a *midpoint-diagonal* quadrilateral (MDQ) when the
 diagonal intersection coincides with the midpoint of at least one diagonal;
 type 1 puts D1 on the line through the diagonal midpoints, type 2 puts D2
-there.  Which type is reported depends on the labeling, and relabeling the
-starting vertex swaps the two types; see :func:`diagonal_swapped_labelings`.
+there.  Which type is reported depends on the labeling: the labelings
+starting at (0, u) or (v, w) swap D1 and D2, and so the two types.
 
 Of the eight dihedral labelings satisfying (R0), :func:`canonicalize` keeps
 the one anchoring the shortest side on the y axis (ties: larger s, then
@@ -47,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import Degenerate, NoValidLabeling, NotConvex, Trapezoid
 
@@ -201,7 +201,8 @@ class NewtonSegment:
     intercept: float
 
     def y_at(self, x: float) -> float:
-        return self.slope * x + self.intercept
+        # point-slope form through m2: bit for bit ``family.center_y``
+        return self.m2.y + self.slope * (x - self.m2.x)
 
 
 class TangentialResiduals(NamedTuple):
@@ -348,43 +349,6 @@ def canonicalize(vertices: Sequence[PointLike], *, tol: float = DEFAULT_TOL) -> 
     if not _convex(*params):
         raise NoValidLabeling("convexity constraints fail in the selected pose")
     return CanonicalQuad(*params, iso)
-
-
-def iter_diagonal_swaps(cq: CanonicalQuad) -> Iterator[CanonicalQuad]:
-    """:func:`diagonal_swapped_labelings`, each mapped only when reached.
-
-    The four relabelings anchor one side each, so the edge products order
-    them by t - w before any mapping; if two lie within rounding of each
-    other, all four are mapped and sorted as mapped.
-    """
-    s, t, u, v, w = cq.params
-    lengths = (math.hypot(s, t - u), math.hypot(v, w), u, math.hypot(v - s, w - t))
-    margin = _margin(cq.params, lengths)
-    dots = (s * v + (t - u) * w,) * 2 + (u * (t - w),) * 2
-    labelings = ((1, False), (3, False), (1, True), (3, True))
-    keyed = sorted(((dot / n, margin / n, i) for i, (dot, n) in enumerate(zip(dots, lengths))
-                    if dot > -margin), reverse=True)
-
-    def mapped(order):
-        for start, reflect in order:
-            params, iso = _labeling(cq.vertices, start, reflect)
-            if _pose_ok(*params) and _convex(*params):
-                yield CanonicalQuad(*params, iso)
-
-    if all(a - da > b + db for (a, da, _), (b, db, _) in zip(keyed, keyed[1:])):
-        yield from mapped(labelings[i] for _, _, i in keyed)
-    else:
-        yield from sorted(mapped(labelings), key=lambda q: (q.t - q.w, q.s), reverse=True)
-
-
-def diagonal_swapped_labelings(cq: CanonicalQuad) -> list[CanonicalQuad]:
-    """Valid relabelings of ``cq`` that exchange the roles of D1 and D2.
-
-    The returned quads use the canonical frame of ``cq`` as their raw frame
-    (so ``alt.iso`` maps cq-frame coordinates to alt-frame coordinates) and
-    are sorted by decreasing t - w.  The list may be empty.
-    """
-    return list(iter_diagonal_swaps(cq))
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,14 @@ class TestFamily:
         assert all(b > a for a, b in zip(hs, hs[1:]))
         assert all(1.0 < h < 2.0 for h in hs)
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_empty_sweep_is_a_parse_error(self, tmp_path, capsys, n):
+        code, out = run_cli(capsys, "family", "--sweep", n, "--input",
+                            write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_PARSE
+        error = json.loads(out)["error"]
+        assert error["code"] == "parse" and "--sweep" in error["message"]
+
     def test_h_and_sweep_are_exclusive(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["family", "--h", "1.5", "--sweep", "3", "--input",

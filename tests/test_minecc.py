@@ -12,8 +12,8 @@ from inellipse import (NotType1, QuadKind, canonicalize, classify,
                        maximize_ratio_sq, newton_segment, ratio_sq_closed_form,
                        ratio_sq_function, solve, spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD
-from inellipse.minecc import (CLOSED_FORM, NUMERIC, center_quadratic, closed_form_h,
-                              stationarity)
+from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type2_root, center_quadratic,
+                              closed_form_h, stationarity)
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -201,7 +201,7 @@ class TestSolve:
         assert abs(res.h_star - expected) <= 1e-12
         assert abs(res.geom.a - expected) <= 1e-12
 
-    def test_type2_is_relabeled_to_closed_form(self):
+    def test_type2_is_closed_form(self):
         rng = np.random.default_rng(410)
         for _ in range(50):
             cq = random_type2(rng)
@@ -422,7 +422,7 @@ class TestThinRatio:
 
     def test_solve_reports_the_spectral_ratio(self):
         rng = np.random.default_rng(425)
-        for gen in (random_general, random_type1, random_kite):
+        for gen in (random_general, random_type1, random_type2, random_kite):
             for _ in range(20):
                 cq = gen(rng)
                 res = solve(cq)
@@ -441,7 +441,8 @@ class TestQuadClass:
 
 class TestCenterQuadraticDividesStationarity:
     """On the type-1 locus u = (vt - ws)/s the paper's center quadratic
-    o(h) divides the stationarity quartic p exactly."""
+    o(h) divides the stationarity quartic p exactly; on the type-2 locus
+    u = (vt - ws)/(2v - s) the quadratic q2(h) does."""
 
     @staticmethod
     def quartic(sp, s, t, u, v, w, h):
@@ -459,6 +460,27 @@ class TestCenterQuadraticDividesStationarity:
         st2 = s**2 + t**2
         k = st2 * v**2 - 2 * w * s * (v * t - w * s)
         return -2 * st2 * (s - v) * h**2 - 2 * k * h + s * k
+
+    @staticmethod
+    def type2_terms(s, t, v, w):
+        """M and K2 of q2(h) = 2(s-v) M h^2 - 2 K2 h + v K2, expanded."""
+        m = (s - 2 * v) ** 2 + (t - 2 * w) ** 2
+        k2 = s**2 * (s - 2 * v) ** 2 + t**2 * ((s - v) ** 2 + v**2) + 2 * s**2 * w * (w - t)
+        return m, k2
+
+    def type2_quadratic(self, s, t, v, w, h):
+        m, k2 = self.type2_terms(s, t, v, w)
+        return 2 * (s - v) * m * h**2 - 2 * k2 * h + v * k2
+
+    @staticmethod
+    def rational_type2(sp, rng):
+        """Rational (s, t, v, w) with 2v > s, t > w and vt > ws: on the
+        type-2 locus u = (vt - ws)/(2v - s) is then positive."""
+        while True:
+            s, t, v, w = (sp.Rational(int(rng.integers(1, 80)), int(rng.integers(1, 9)))
+                          for _ in range(4))
+            if 2 * v > s and s != v and t > w and v * t > w * s:
+                return s, t, v, w
 
     def test_exact_division(self):
         sp = pytest.importorskip("sympy")
@@ -484,3 +506,51 @@ class TestCenterQuadraticDividesStationarity:
         for x in (1.2, 1.5, 1.9):
             exact = float(p.subs(h, sp.Rational(x))) * scale**3
             assert abs(code(x)[0] - exact) <= 1e-12 * abs(exact)
+
+    def test_type2_exact_division(self):
+        sp = pytest.importorskip("sympy")
+        h = sp.symbols("h")
+        rng = np.random.default_rng(430)
+        for _ in range(8):
+            s, t, v, w = self.rational_type2(sp, rng)
+            p = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s), v, w, h))
+            q2 = sp.expand(self.type2_quadratic(s, t, v, w, h))
+            assert sp.rem(p, q2, h) == 0
+            # off the locus q2 is no factor of p
+            p_off = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s) + 1, v, w, h))
+            assert sp.rem(p_off, q2, h) != 0
+
+    def test_type2_root_is_the_root_of_q2(self):
+        # one exact Newton step from the float root reaches the root of the
+        # sympy q2 of the float parameters: it must be a few ulp, and the
+        # root must lie inside the interval
+        sp = pytest.importorskip("sympy")
+        h = sp.symbols("h")
+        rng = np.random.default_rng(431)
+        for _ in range(20):
+            cq = random_type2(rng)
+            s, t, v, w = (sp.Rational(x) for x in (cq.s, cq.t, cq.v, cq.w))
+            q2 = sp.Poly(self.type2_quadratic(s, t, v, w, h), h)
+            root = _type2_root(cq)
+            x = sp.Rational(root)
+            step = q2.eval(x) / q2.diff(h).eval(x)
+            assert abs(step) <= 4 * sp.Rational(math.ulp(root))
+            assert min(s, v) / 2 < x - step < max(s, v) / 2
+
+    def test_type2_root_terms_are_positive(self):
+        # K2 and K2 - 2(s-v) M v, in the expanded form of q2: the root takes
+        # the square root of both
+        rng = np.random.default_rng(432)
+        for _ in range(500):
+            s, t, _, v, w = random_type2(rng).params
+            m, k2 = self.type2_terms(s, t, v, w)
+            assert k2 > 0 and k2 - 2 * (s - v) * m * v > 0
+
+    def test_type2_root_terms_are_sums_of_squares(self):
+        sp = pytest.importorskip("sympy")
+        # the forms _type2_root evaluates
+        s, t, v, w = sp.symbols("s t v w")
+        m, k2 = self.type2_terms(s, t, v, w)
+        assert sp.expand(2 * k2 - s**2 * m - (s**2 + t**2) * (s - 2 * v) ** 2) == 0
+        assert sp.expand(2 * (k2 - 2 * (s - v) * m * v)
+                         - (s - 2 * v) ** 2 * (m + s**2 + t**2)) == 0

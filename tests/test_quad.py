@@ -12,9 +12,9 @@ from helpers import (Q5_VERTICES, canonical_vertices, canonicalize_oracle,
                      random_type2, validate_oracle)
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
-                       diagonal_angle, diagonal_swapped_labelings,
-                       newton_segment, tangential_residuals, validate)
-from inellipse.quad import iter_diagonal_swaps
+                       diagonal_angle, newton_segment, tangential_residuals,
+                       validate)
+from inellipse.family import center_y
 
 REJECTED = [
     ([(0, 0), (0, 3), (1, 1), (3, 0)], NotConvex),
@@ -215,15 +215,6 @@ class TestAgainstBruteForce:
             raw = placed(random_general(rng), rng)
             assert validate(raw) == validate_oracle(raw)
 
-    def test_diagonal_swaps(self):
-        rng = np.random.default_rng(144)
-        gens = [random_general, random_type1, random_type2, random_kite]
-        for i in range(400):
-            cq = canonicalize(placed(gens[i % 4](rng), rng))
-            expected = diagonal_swaps_oracle(cq)
-            assert diagonal_swapped_labelings(cq) == expected
-            assert next(iter_diagonal_swaps(cq), None) == (expected[0] if expected else None)
-
 
 class TestClassify:
     def test_golden_quad_is_type1(self):
@@ -262,7 +253,7 @@ class TestClassify:
         for _ in range(100):
             cq = random_type2(rng)
             assert classify(cq).kind is QuadKind.MDQ_TYPE2
-            alts = diagonal_swapped_labelings(cq)
+            alts = diagonal_swaps_oracle(cq)
             assert alts, "no valid diagonal-swapped labeling found"
             assert any(classify(a).kind is QuadKind.MDQ_TYPE1 for a in alts)
 
@@ -302,6 +293,17 @@ class TestNewtonSegment:
             assert abs(ns.y_at(cq.s / 2) - cq.t / 2) <= 1e-12 * (1 + abs(cq.t))
             assert abs(ns.y_at(cq.v / 2) - (cq.w + cq.u) / 2) \
                 <= 1e-12 * (1 + abs(cq.w + cq.u))
+
+    def test_same_center_line_as_the_family(self):
+        rng = np.random.default_rng(107)
+        gens = [random_general, random_type1, random_type2, random_kite]
+        for i in range(200):
+            cq = canonicalize(placed(gens[i % 4](rng), rng))
+            ns = newton_segment(cq)
+            lo, hi = cq.interval
+            for k in range(1, 10):
+                h = lo + (hi - lo) * k / 10
+                assert ns.y_at(h) == center_y(cq, h)
 
 
 class TestDiagonalAngle:
