@@ -18,7 +18,7 @@ from .errors import (CircularPoint, Degenerate, HOutOfRange,
 from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
                      coefficients, family_point, ratio_sq_function,
                      ratio_sq_prime, side_linears, spectral,
-                     spectral_derivatives, tangency_points)
+                     tangency_points)
 from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
                      closed_form_h, maximize_ratio_sq, ratio_sq_closed_form,
                      solve)
@@ -45,6 +45,6 @@ __all__ = [
     "line_tangency", "maximize_ratio_sq", "newton_segment", "pullback",
     "pushforward", "ratio_sq_closed_form", "ratio_sq_function",
     "ratio_sq_prime", "side_linears", "solve", "spectral",
-    "spectral_derivatives", "tangency_points", "tangent_slope",
+    "tangency_points", "tangent_slope",
     "tangential_residuals", "validate",
 ]

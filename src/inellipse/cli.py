@@ -121,20 +121,26 @@ def _load_input(path: Optional[str]) -> dict:
     for item in verts:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ParseError("each vertex must be an [x, y] pair")
-        try:
-            x, y = float(item[0]), float(item[1])
-        except (TypeError, ValueError) as exc:
-            raise ParseError("vertex coordinates must be numbers") from exc
+        x, y = (_json_number(c, "vertex coordinates must be numbers") for c in item)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("vertex coordinates must be finite")
         clean.append((x, y))
     tol = data.get("tol")
     if tol is not None:
-        try:
-            tol = float(tol)
-        except (TypeError, ValueError) as exc:
-            raise ParseError("tol must be a number") from exc
+        tol = _json_number(tol, "tol must be a number")
     return {"vertices": clean, "tol": tol}
+
+
+def _json_number(x, message: str) -> float:
+    """A JSON number as a float, else a parse error with ``message``.
+    Strings and booleans are no numbers, though float() takes them; an
+    integer beyond the float range is infinite."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise ParseError(message)
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _tolerance(args, data: dict) -> float:

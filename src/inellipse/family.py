@@ -1,10 +1,20 @@
 """The one-parameter family of ellipses inscribed in a canonical quad.
 
-For each abscissa h in the open interval between the diagonal-midpoint
-x-coordinates there is exactly one inscribed ellipse, centered at
-(h, L(h)) on the segment joining the diagonal midpoints.  This module
-evaluates its coefficients, its four tangency points, and the spectral
-quantities of its quadratic form:
+The centers of the inscribed ellipses fill the open segment from the
+diagonal midpoint M1 = (v/2, (u+w)/2) to M2 = (s/2, t/2).  The member
+centered at M1 + lam (M2 - M1), lam in (0, 1), is (s-v)^2 times a conic
+whose coefficients are quadratics in lam with no division (``_model``);
+with mu = 1 - lam,
+
+    A = (u-w)^2 mu^2 + 2 (t(u+w) - 2uw) lam mu + t^2 lam^2
+    B = 2v(u-w) mu^2 + 2 (2uv - s(u+w) - tv) lam mu - 2st lam^2
+    C = (v mu + s lam)^2            D = 2u mu (v(w-u) mu + (2sw - tv) lam)
+    E = -2uv mu (v mu + s lam)      F = (uv mu)^2
+
+At lam = 0 and 1 the member closes down to the doubled diagonals D2 and
+D1.  The public API takes the center abscissa h = (v + (s-v) lam) / 2 and
+evaluates the coefficients, the four tangency points, and the spectral
+quantities of the quadratic form:
 
     trace    = A + C                  (> 0 on the interval)
     gap_sq   = (A - C)^2 + B^2        (squared eigenvalue gap)
@@ -13,9 +23,11 @@ quantities of its quadratic form:
     cubic    = (s - 2h)(2h - v) l5(h) (> 0 on the interval; certifies
                                        the conic is a real ellipse)
 
-Coefficients are returned unnormalized, exactly as defined, because the
-polynomial identities among them (for example trace^2 - gap_sq =
-16 u (s-v)^2 cubic) hold only at the defining scale.
+Coefficients are returned unnormalized, at the defining scale, because
+the polynomial identities among them (for example trace^2 - gap_sq =
+16 u (s-v)^2 cubic) hold only there.  The solver stays in lam:
+``stationarity`` is the quartic whose root is the optimum, and ``_at``
+the member, its center and its spectral quantities at a given lam.
 """
 
 from __future__ import annotations
@@ -52,13 +64,6 @@ class Spectral(NamedTuple):
     gap_sq: float
     ratio_sq: float
     cubic: float
-
-
-class SpectralDerivatives(NamedTuple):
-    trace: float
-    gap_sq: float
-    trace_prime: float
-    gap_sq_prime: float
 
 
 class TangentPoint(NamedTuple):
@@ -102,22 +107,112 @@ def side_linears(cq: CanonicalQuad, h: float) -> SideLinears:
     )
 
 
+def _model(cq: CanonicalQuad) -> tuple:
+    """The family over (s-v)^2: the Bernstein triples (b0, b1, b2) of its
+    quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F."""
+    s, t, u, v, w = cq.params
+    return (((u - w) ** 2, t * (u + w) - 2.0 * u * w, t * t),
+            (2.0 * v * (u - w), 2.0 * u * v - s * (u + w) - t * v, -2.0 * s * t),
+            (v * v, v * s, s * s),
+            (2.0 * u * v * (w - u), u * (2.0 * s * w - t * v), 0.0),
+            (-2.0 * u * v * v, -u * v * s, 0.0),
+            ((u * v) ** 2, 0.0, 0.0))
+
+
+def _member(cq: CanonicalQuad, lam: float, scale: float = 1.0) -> Conic:
+    """The model at segment coordinate lam, times ``scale``: the member
+    over (s-v)^2, or at the defining scale for scale = (s-v)^2."""
+    mu = 1.0 - lam
+    m2, lm, l2 = scale * mu * mu, 2.0 * scale * lam * mu, scale * lam * lam
+    return Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(cq)])
+
+
+def _l5(cq: CanonicalQuad, lam):
+    """l5, the linear factor of ``cubic``, at segment coordinate lam: the
+    convex combination of its end values, both positive by (R1)."""
+    s, t, u, v, w = cq.params
+    return (1.0 - lam) * (v * (v * (t - u) + (u - w) * s)) + lam * (s * (v * t - w * s))
+
+
+def _spectral(cq: CanonicalQuad, lam: float, m: Conic, scale: float) -> Spectral:
+    """Spectral quantities of m, the model at lam times ``scale``, with
+    cubic = scale lam (1-lam) l5 = (s-2h)(2h-v) l5 for scale = (s-v)^2."""
+    trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
+    cubic = scale * lam * (1.0 - lam) * _l5(cq, lam)
+    return Spectral(trace, gap * gap, 16.0 * cq.u * scale * cubic / (trace + gap) ** 2, cubic)
+
+
+def _abscissa(cq: CanonicalQuad, lam: float) -> float:
+    """Center abscissa h of the member at segment coordinate lam."""
+    return (cq.v + (cq.s - cq.v) * lam) / 2.0
+
+
+def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
+    """The member at segment coordinate lam: its conic at the defining
+    scale, its center M1 + lam (M2 - M1) and its spectral quantities."""
+    s, t, u, v, w = cq.params
+    sv2 = (s - v) ** 2
+    conic = _member(cq, lam, sv2)
+    center = Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0)
+    return conic, center, _spectral(cq, lam, conic, sv2)
+
+
+def _spectral_quadratics(cq: CanonicalQuad):
+    """Monomial lam-coefficients (c2, c1, c0) of trace = A + C, A - C and B
+    of the model."""
+    (a0, a1, a2), b, (c0, c1, c2) = _model(cq)[:3]
+    return [(x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0)
+            for x0, x1, x2 in ((a0 + c0, a1 + c1, a2 + c2), (a0 - c0, a1 - c1, a2 - c2), b)]
+
+
+def _horner(q, x):
+    """The quadratic with monomial coefficients q at x; for an array x a
+    new array, updated in place."""
+    c2, c1, c0 = q
+    y = c2 * x
+    y += c1
+    y *= x
+    y += c0
+    return y
+
+
+def _unit(cq: CanonicalQuad) -> float:
+    """The power of two nearest below 1/(s^2 + t^2): the model times it
+    keeps the stationarity quartic, of degree six in the pose, in range."""
+    return math.ldexp(1.0, -math.frexp(cq.s * cq.s + cq.t * cq.t)[1])
+
+
+def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
+    """Callable lam -> (p, p') for the stationarity quartic of the model
+    times ``_unit``, p = 2 T' G - T G' (T = trace, G = gap_sq, ' = d/dlam).
+
+    p has the sign of d(b/a)^2/dlam without dividing by the eigenvalue gap,
+    so a circular member (a double root of G) is a simple root of p.  As
+    G = T^2 - 16 K, K = u lam (1-lam) l5, p = 16 (T K' - 2 T' K): no terms
+    of size T^3 T' that cancel down to T K' on thin members.
+    """
+    scale = _unit(cq)
+    t2, t1, t0 = [scale * x for x in _spectral_quadratics(cq)[0]]
+    e0, e1 = [16.0 * cq.u * scale * scale * _l5(cq, x) for x in (0.0, 1.0)]
+    slope = e1 - e0
+
+    def p(lam: float) -> tuple[float, float]:
+        mu = 1.0 - lam
+        t = (t2 * lam + t1) * lam + t0
+        tp = 2.0 * t2 * lam + t1
+        l5 = e0 * mu + e1 * lam                   # 16 u l5, times scale^2
+        k = lam * mu * l5                         # 16 K
+        kp = (mu - lam) * l5 + lam * mu * slope
+        kpp = 2.0 * ((mu - lam) * slope - l5)
+        return t * kp - 2.0 * tp * k, t * kpp - tp * kp - 4.0 * t2 * k
+
+    return p
+
+
 def coefficients(cq: CanonicalQuad, h: float) -> Conic:
     """Unnormalized conic coefficients of the family member at h."""
     _require_h(cq, h)
-    s, t, u, v, w = cq.params
-    sv = s - v
-    ly = center_y(cq, h)
-    a = 4.0 * sv * sv * (ly * ly + w * u * (2.0 * h - s) / sv)
-    b = 4.0 * sv * (2.0 * (u + w - t) * h * h
-                    + (v * (t - 2.0 * u) - s * (u + w)) * h
-                    + u * v * s)
-    c = 4.0 * sv * sv * h * h
-    d = 2.0 * u * (2.0 * h - s) * (2.0 * (v * (w + t - u) - 2.0 * w * s) * h
-                                   + v * (s * (u + w) - v * t))
-    e = 4.0 * u * v * sv * h * (2.0 * h - s)
-    f = u * u * v * v * (2.0 * h - s) ** 2
-    return Conic(a, b, c, d, e, f)
+    return _member(cq, (2.0 * h - cq.v) / (cq.s - cq.v), (cq.s - cq.v) ** 2)
 
 
 def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
@@ -142,99 +237,62 @@ def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
     ]
 
 
-def _abc_quadratics(cq: CanonicalQuad):
-    """Exact quadratic h-coefficients of the three second-degree terms."""
-    s, t, u, v, w = cq.params
-    sv = s - v
-    lc1 = (w + u - t) / (v - s)       # slope of the center line
-    lc0 = t / 2.0 - lc1 * s / 2.0
-    a2 = 4.0 * sv * sv * lc1 * lc1
-    a1 = 8.0 * sv * sv * lc1 * lc0 + 8.0 * sv * w * u
-    a0 = 4.0 * sv * sv * lc0 * lc0 - 4.0 * sv * w * u * s
-    b2 = 8.0 * sv * (u + w - t)
-    b1 = 4.0 * sv * (v * (t - 2.0 * u) - s * (u + w))
-    b0 = 4.0 * sv * u * v * s
-    c2 = 4.0 * sv * sv
-    return (a2, a1, a0), (b2, b1, b0), c2
-
-
 def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> Spectral:
     """Spectral quantities of the family member at h (``conic``: its
     coefficients, if at hand), the ratio in the product form."""
     c = coefficients(cq, h) if conic is None else conic
-    s, t, u, v, w = cq.params
-    trace = c.A + c.C
-    gap = math.hypot(c.A - c.C, c.B)
-    cubic = (s - 2.0 * h) * (2.0 * h - v) * (2.0 * (v * (t - u) - w * s) * h + u * v * s)
-    return Spectral(trace, gap * gap, 16.0 * u * (s - v) ** 2 * cubic / (trace + gap) ** 2, cubic)
-
-
-def spectral_derivatives(cq: CanonicalQuad, h: float) -> SpectralDerivatives:
-    """trace, gap_sq, and their exact polynomial h-derivatives.
-
-    The three second-degree coefficients are quadratics in h, so the
-    derivatives are evaluated from explicit polynomial coefficients rather
-    than numerically.
-    """
-    _require_h(cq, h)
-    (a2, a1, a0), (b2, b1, b0), c2 = _abc_quadratics(cq)
-    a = (a2 * h + a1) * h + a0
-    b = (b2 * h + b1) * h + b0
-    c = c2 * h * h
-    ap = 2.0 * a2 * h + a1
-    bp = 2.0 * b2 * h + b1
-    cp = 2.0 * c2 * h
-    trace = a + c
-    gap_sq = (a - c) ** 2 + b * b
-    return SpectralDerivatives(trace, gap_sq, ap + cp,
-                               2.0 * (a - c) * (ap - cp) + 2.0 * b * bp)
+    return _spectral(cq, (2.0 * h - cq.v) / (cq.s - cq.v), c, (cq.s - cq.v) ** 2)
 
 
 def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     """Analytic derivative of the squared axis ratio at h.
 
-    Raises :class:`CircularPoint` when the family member is circular to
-    machine precision (the formula divides by the eigenvalue gap); callers
-    should fall back to finite differences there.
+    d(b/a)^2/dlam = p / (gap (trace + gap)^2) with p the stationarity
+    quartic of the model, and dlam/dh = 2 / (s - v).  Raises
+    :class:`CircularPoint` when the family member is circular to machine
+    precision (the formula divides by the eigenvalue gap); callers should
+    fall back to finite differences there.
     """
-    d = spectral_derivatives(cq, h)
-    if d.gap_sq <= (CIRCULAR_GAP_RATIO * d.trace) ** 2:
+    _require_h(cq, h)
+    lam, unit = (2.0 * h - cq.v) / (cq.s - cq.v), _unit(cq)
+    sp = _spectral(cq, lam, _member(cq, lam, unit), unit)
+    gap = math.sqrt(sp.gap_sq)
+    if gap <= CIRCULAR_GAP_RATIO * sp.trace:
         raise CircularPoint("family member is circular at this abscissa")
-    gap = math.sqrt(d.gap_sq)
-    p = 2.0 * d.trace_prime * d.gap_sq - d.trace * d.gap_sq_prime
-    return p / (gap * (d.trace + gap) ** 2)
+    return 2.0 / (cq.s - cq.v) * stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
 
 
 def ratio_sq_function(cq: CanonicalQuad) -> Callable:
     """Fast callable h -> squared axis ratio (b/a)^2 of the member at h.
 
-    Evaluated as 16 u (s-v)^2 cubic / (trace + gap)^2: the identity
-    trace^2 - gap_sq = 16 u (s-v)^2 cubic turns (trace - gap) / (trace + gap)
-    into a quotient of products, so a thin member ((b/a)^2 near 0) keeps
-    full relative precision instead of the cancellation of trace - gap.
-    Accepts scalars or numpy arrays, needs no numpy import, and performs no
-    interval validation; callers control the evaluation range.
+    Evaluated in the segment coordinate as 16 u lam (1-lam) l5 /
+    (trace + gap)^2 of the model: the identity trace^2 - gap_sq =
+    16 u lam (1-lam) l5 turns (trace - gap) / (trace + gap) into a quotient
+    of products, so a thin member ((b/a)^2 near 0) keeps full relative
+    precision instead of the cancellation of trace - gap.  Accepts scalars
+    or numpy arrays, needs no numpy import, and performs no interval
+    validation; callers control the evaluation range.
     """
-    (a2, a1, a0), (b2, b1, b0), c2 = _abc_quadratics(cq)
-    s, t, u, v, w = cq.params
-    k = 16.0 * u * (s - v) ** 2
-    l1, l0 = 2.0 * (v * (t - u) - w * s), u * v * s        # l5 = l1 h + l0
+    quadratics = _spectral_quadratics(cq)
+    v, sv, k = cq.v, cq.s - cq.v, 16.0 * cq.u
 
     def ratio_sq(h):
-        a = (a2 * h + a1) * h + a0
-        b = (b2 * h + b1) * h + b0
-        c = c2 * h * h
         # augmented assignments reuse the arrays of a long sweep (scalars
         # just rebind), so the product form costs no more than the quotient
-        den = a - c
-        den *= den
-        den += b * b
-        den **= 0.5               # gap
-        den += a + c
+        lam = 2.0 * h
+        lam -= v
+        lam /= sv
+        den, diff, b = (_horner(q, lam) for q in quadratics)   # trace, A - C, B
+        diff *= diff
+        b *= b
+        diff += b
+        diff **= 0.5              # gap
+        den += diff
         den *= den                # (trace + gap)^2
-        num = (s - 2.0 * h) * (2.0 * h - v)
-        num *= l1 * h + l0
-        num *= k                  # 16 u (s-v)^2 cubic
+        num = _l5(cq, lam)
+        num *= lam
+        num *= 1.0 - lam
+        num *= k                  # 16 u lam (1-lam) l5
         num /= den
         return num
 

@@ -5,15 +5,18 @@ maximizing the squared axis ratio
 
     (b/a)^2 = (T - sqrt(G)) / (T + sqrt(G)),   T = A + C,  G = (A - C)^2 + B^2,
 
-over the center abscissa h, where A, B, C are quadratics in h.  The sign
-of its h-derivative is the sign of the stationarity quartic
-p = 2 T' G - T G', which is positive at the left end of the center
-interval, negative at the right, and changes sign exactly once between;
-the maximizer is that root.  For a midpoint-diagonal quadrilateral p has
-an explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
-type 2, and the root is its closed form in the quad's own frame; every
-other quad gets the root of p by bracketed, safeguarded Newton.  No path
-searches over values of the ratio.
+over the segment coordinate lam in (0, 1) of the center (``family``),
+where A, B, C are quadratics in lam with no division by s - v.  The sign
+of its lam-derivative is the sign of the stationarity quartic
+p = 2 T' G - T G' (``family.stationarity``), which is positive at the
+left end of the segment, negative at the right, and changes sign exactly
+once between; the maximizer is that root.  For a midpoint-diagonal quadrilateral p has an
+explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
+type 2, and the root is its closed form in lam in the quad's own frame;
+every other quad gets the root of p by bracketed, safeguarded Newton.
+No path searches over values of the ratio.  The conic, the center and
+the semi-axes are then evaluated at that lam; the center abscissa h* is
+reported, never converted back.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -24,13 +27,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 from . import family
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry
 from .errors import NotType1
-from .quad import (CanonicalQuad, Point2, QuadClass, QuadKind, classify,
+from .quad import (CanonicalQuad, QuadClass, QuadKind, classify,
                    diagonal_angle)
 
 log = logging.getLogger(__name__)
@@ -76,8 +78,9 @@ class MinEccResult:
 def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
     s, t, v, w = cq.s, cq.t, cq.v, cq.w
     st2 = s * s + t * t
-    k = st2 * v * v - 2.0 * w * s * (v * t - w * s)
-    p1 = v * v * st2 - 4.0 * w * s * (v * t - w * s)
+    vs, ws, vtws = v * s, w * s, v * t - w * s
+    k = vs * vs + vtws * vtws + ws * ws             # (s^2+t^2) v^2 - 2ws(vt - ws)
+    p1 = vs * vs + (vtws - ws) ** 2                 # (s^2+t^2) v^2 - 4ws(vt - ws)
     return CenterQuadratic(-2.0 * st2 * (s - v), -2.0 * k, s * k, k, p1)
 
 
@@ -86,37 +89,51 @@ def _require_type1(cq: CanonicalQuad, tol: float) -> None:
         raise NotType1("closed form requires a type-1 midpoint-diagonal quadrilateral")
 
 
-def _closed_form_root(cq: CanonicalQuad) -> float:
+def _type1_root(cq: CanonicalQuad) -> float:
+    """Segment coordinate of the type-1 optimum, the root of o(h) in the
+    interval:
+
+        lam = 2 s p1 / (((2s - v) sqrt(k) + v sqrt(K)) (sqrt(k) + sqrt(K)))
+
+    with K = k + 2(s^2+t^2) s (s-v).  k and p1 are sums of squares
+    (:func:`center_quadratic`); k K is the quarter discriminant of o,
+    positive because o has opposite signs at the ends of the interval, so
+    K > 0 too.  2s - v > 0 because D1 bisects D2 at abscissa v/2 inside
+    (0, s).  So the denominator is positive termwise: the form takes no
+    difference of the two roots and no division by s - v.
+    """
     s, t, v = cq.s, cq.t, cq.v
-    st2 = s * s + t * t
-    sv = s - v
-    k = center_quadratic(cq).k
-    rk = math.sqrt(k)
-    return rk * (-rk + math.sqrt(2.0 * st2 * s * sv + k)) / (2.0 * st2 * sv)
+    o = center_quadratic(cq)
+    rk = math.sqrt(o.k)
+    rbig = math.sqrt(o.k + 2.0 * (s * s + t * t) * s * (s - v))
+    return 2.0 * s * o.p1 / (((2.0 * s - v) * rk + v * rbig) * (rk + rbig))
 
 
 def _type2_root(cq: CanonicalQuad) -> float:
-    """Maximizing abscissa of a type-2 MDQ, u = (vt - ws)/(2v - s).
+    """Segment coordinate of the type-2 optimum, u = (vt - ws)/(2v - s).
 
     There p has the factor q2(h) = 2(s-v) M h^2 - 2 K2 h + v K2 with
-    M = (s-2v)^2 + (t-2w)^2 and K2 = (s^2 M + (s^2+t^2)(s-2v)^2) / 2.  Its
-    root in the interval is v sqrt(K2) / (sqrt(K2) + sqrt(K2 - 2(s-v) M v)),
-    and K2 - 2(s-v) M v = (s-2v)^2 (M + s^2 + t^2) / 2.  Both radicands are
-    sums of squares, positive because 2v > s (u > 0 on the locus), so the
-    root takes no difference.
+    M = (s-2v)^2 + (t-2w)^2 and 2 K2 = s^2 M + (s^2+t^2)(s-2v)^2.  Its
+    root in the interval is
+
+        lam = 4 v^2 M / (sqrt(2 K2) + |s - 2v| sqrt(M + s^2 + t^2))^2.
+
+    M > 0 because 2v > s on the locus (u > 0), so both radicands and the
+    denominator are sums of squares with a positive term: the root takes
+    no difference.
     """
     s, t, v, w = cq.s, cq.t, cq.v, cq.w
     d = s - 2.0 * v
     st2 = s * s + t * t
     m = d * d + (t - 2.0 * w) ** 2
-    rk = math.sqrt(s * s * m + st2 * d * d)
-    return v * rk / (rk + abs(d) * math.sqrt(m + st2))
+    den = math.sqrt(s * s * m + st2 * d * d) + abs(d) * math.sqrt(m + st2)
+    return 4.0 * v * v * m / (den * den)
 
 
 def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
     """Exact maximizing abscissa for a type-1 midpoint-diagonal quad."""
     _require_type1(cq, tol)
-    return _closed_form_root(cq)
+    return family._abscissa(cq, _type1_root(cq))
 
 
 def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
@@ -135,67 +152,28 @@ def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
-    """Callable h -> (p(h), p'(h)) for the stationarity quartic
-    p = 2 T' G - T G'.
+class _Abscissa(float):
+    """A center abscissa that keeps the segment coordinate ``lam`` it was
+    taken from, as h gives lam back only to within 1/(s - v)."""
 
-    p has the sign of d(b/a)^2/dh without dividing by the eigenvalue gap,
-    so a circular member (a double root of G) is a simple root of p.  A
-    and B are expanded in e = h - s/2, where each coefficient is a product
-    of pose parameters and powers of s - v; in h-monomials
-    (``family._abc_quadratics``) they are O(1) terms summing to
-    O((s - v)^2), which buries the root of p in rounding noise on
-    near-trapezoids.  An exact power-of-two scale keeps p in range.
-    """
-    s, t, u, v, w = cq.params
-    sv = s - v
-    k = u + w - t
-    c2 = 4.0 * sv * sv
-    scale = math.ldexp(1.0, -math.frexp(c2)[1])
-    a2, a1, a0, b2, b1, b0, c2 = (scale * x for x in (
-        4.0 * k * k, 4.0 * sv * (2.0 * w * u - t * k), (sv * t) ** 2,
-        8.0 * sv * k, 4.0 * sv * (s * (u + w) - 2.0 * s * t + v * t - 2.0 * u * v),
-        -2.0 * s * t * sv * sv, c2))
-    half_s = s / 2.0
-    tpp = 2.0 * (a2 + c2)         # T''
-    dpp = 2.0 * (a2 - c2)         # (A - C)''
-
-    def p(h: float) -> tuple[float, float]:
-        e = h - half_s
-        a = (a2 * e + a1) * e + a0
-        b = (b2 * e + b1) * e + b0
-        c = c2 * h * h
-        ap = 2.0 * a2 * e + a1
-        bp = 2.0 * b2 * e + b1
-        cp = 2.0 * c2 * h
-        d, dp = a - c, ap - cp
-        t, tp = a + c, ap + cp
-        g = d * d + b * b
-        gp = 2.0 * (d * dp + b * bp)
-        gpp = 2.0 * (dp * dp + d * dpp + bp * bp + 2.0 * b * b2)
-        return 2.0 * tp * g - t * gp, 2.0 * tpp * g + tp * gp - t * gpp
-
-    return p
+    __slots__ = ("lam",)
 
 
-def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
-                      max_iter: int = 200) -> tuple[float, int]:
-    """Maximize the squared axis ratio: the root of the stationarity quartic.
+def _stationary_point(cq: CanonicalQuad, tol: float, max_iter: int) -> tuple[float, int]:
+    """Segment coordinate of the root of p (``family.stationarity``), and
+    the steps taken.
 
     p is positive left of the root and negative right of it, so the guarded
-    ends of the center interval bracket it.  Safeguarded Newton: the sign
-    of p at each iterate shrinks the bracket; the Newton step is taken when
-    it stays inside and at least halves the step before last, else the
-    bracket is bisected.  Returns (h, steps) once a step is below ``tol``
-    of the width; after ``max_iter`` steps it logs a warning and returns
-    the last iterate with ``max_iter``.  Never uses the closed form.
+    ends of (0, 1) bracket it.  Safeguarded Newton: the sign of p at each
+    iterate shrinks the bracket; the Newton step is taken when it stays
+    inside and at least halves the step before last, else the bracket is
+    bisected.  Stops once a step is below ``tol``; after ``max_iter`` steps
+    it logs a warning and returns the last iterate with ``max_iter``.
     """
-    lo, hi = cq.interval
-    width = hi - lo
-    guard = family.RELATIVE_ENDPOINT_GUARD * width
-    a, b = lo + guard, hi - guard
-    p = stationarity(cq)
-    x = 0.5 * (a + b)
+    guard = family.RELATIVE_ENDPOINT_GUARD
+    a, b = guard, 1.0 - guard
+    p = family.stationarity(cq)
+    x = 0.5
     step = step_old = b - a
     for it in range(1, max_iter + 1):
         px, dpx = p(x)
@@ -206,16 +184,31 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
         else:
             return x, it
         newton = px / dpx if dpx else math.inf
-        if abs(newton) <= tol * width:
+        if abs(newton) <= tol:
             return x - newton, it
         if not a < x - newton < b or abs(2.0 * newton) > abs(step_old):
             newton = x - 0.5 * (a + b)
         step_old, step = step, newton
         x -= step
-        if abs(step) <= tol * width:
+        if abs(step) <= tol:
             return x, it
     log.warning("stationarity root search did not converge in %d iterations", max_iter)
     return x, max_iter
+
+
+def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
+                      max_iter: int = 200) -> tuple[float, int]:
+    """Maximize the squared axis ratio: the root of the stationarity quartic.
+
+    Returns (h, steps) with h the center abscissa of the root, which keeps
+    the root's segment coordinate as ``h.lam``; ``tol`` is in units of the
+    segment coordinate, the share of the center interval (see
+    :func:`_stationary_point`).  Never uses the closed form.
+    """
+    lam, steps = _stationary_point(cq, tol, max_iter)
+    h = _Abscissa(family._abscissa(cq, lam))
+    h.lam = lam
+    return h, steps
 
 
 # ---------------------------------------------------------------------------
@@ -228,33 +221,42 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
 
     The quad is classified once.  Midpoint-diagonal quads of either type
     are solved in closed form in their own canonical frame; everything
-    else is the root of the stationarity quartic
-    (:func:`maximize_ratio_sq`).  The reported center is (h*, y(h*)) on
-    the segment of admissible centers.  Tangential midpoint-diagonal quads
-    are the inscribed circle exactly, reported with eccentricity 0 and a
-    conjugate-diameter angle of pi/2.
+    else is the root of the stationarity quartic (:func:`maximize_ratio_sq`).
+    Both give the segment coordinate lam* of the optimum, at which the
+    conic, the center and the spectral quantities are evaluated
+    (``family._at``).  With S = trace + gap at the defining scale,
+    a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq) and e^2 = 2 gap / S: no
+    cancellation of 4AC - B^2, of the determinant or of 1 - (b/a)^2 on
+    thin or near-circular members.  h* is the center's abscissa.
+    Tangential midpoint-diagonal quads are the inscribed circle exactly,
+    reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
     """
     qc = classify(cq, tol=tol)
     if qc.kind is QuadKind.GENERAL:
         method = NUMERIC
         h, iterations = maximize_ratio_sq(cq)
+        lam = h.lam
     else:
         method, iterations = CLOSED_FORM, 0
-        h = _closed_form_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)
+        lam = _type1_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)
 
-    conic = family.coefficients(cq, h)
-    center = Point2(h, family.center_y(cq, h))
-    ratio_sq = family.spectral(cq, h, conic=conic).ratio_sq
-    geom = replace(geometry(conic), center=center)
+    conic, center, sp = family._at(cq, lam)
+    gap = math.sqrt(sp.gap_sq)
+    a = math.sqrt((sp.trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
+    ratio_sq = min(sp.ratio_sq, 1.0)        # above 1 only by roundoff, on a circle
+    g = geometry(conic)
 
     if qc.tangential and qc.kind is not QuadKind.GENERAL:
         # Tangential MDQ: the optimum is the inscribed circle.  Report the
         # exact circle (the computed conic is that circle up to roundoff);
         # the center's distance to the side on the y axis is its abscissa.
-        geom = EllipseGeometry(center, h, h, 0.0, None, geom.delta)
+        geom = EllipseGeometry(center, center.x, center.x, 0.0, None, g.delta)
         gamma = math.pi / 2.0
     else:
+        geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
+                               math.sqrt(2.0 * gap / (sp.trace + gap)),
+                               g.major_axis_angle, g.delta)
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
-    return MinEccResult(h, conic, geom, gamma, alpha, ratio_sq,
+    return MinEccResult(center.x, conic, geom, gamma, alpha, ratio_sq,
                         method, iterations, abs(gamma - alpha), qc)

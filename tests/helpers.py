@@ -4,10 +4,11 @@ All generators take a numpy Generator seeded by the caller, so every test
 run sees the same quadrilaterals.  Parameters are drawn uniformly from
 [0.5, 10] and rejection-sampled against the canonical-pose constraints,
 with a small floor on |s - v| (and on 2v - s for the type-2 family) so the
-drawn quads stay numerically well-conditioned: near-trapezoids make the
-inscribed-family coefficients cancel catastrophically.  The module also
-holds a brute-force canonical pose (every labeling mapped and compared)
-that ``canonicalize`` must reproduce exactly.
+drawn quads stay numerically well-conditioned: on near-trapezoids the
+abscissa h and the tangency points, which divide by s - v, lose digits.
+The module also holds a brute-force canonical pose (every labeling mapped
+and compared) that ``canonicalize`` must reproduce exactly, and 50-digit
+references built from the defining coefficient formulas.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import mpmath
 import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
-                       NoValidLabeling, Point2, Trapezoid)
+                       NoValidLabeling, Point2, Trapezoid, center_quadratic)
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
@@ -114,24 +115,66 @@ def random_h(cq: CanonicalQuad, rng, trim: float = 0.05) -> float:
     return float(lo + (hi - lo) * rng.uniform(trim, 1.0 - trim))
 
 
-def mp_family(cq: CanonicalQuad):
-    """mpmath callables h -> (b/a)^2 and h -> y(h) of the inscribed family,
-    built from the defining coefficient formulas in the pose parameters.
-    Evaluate them inside ``mpmath.workdps``."""
+def mp_conic(cq: CanonicalQuad):
+    """mpmath callable h -> the six coefficients (A, B, C, D, E, F) of the
+    family member at h, by the defining formulas in the pose parameters
+    (at the defining scale).  Evaluate it inside ``mpmath.workdps``."""
     s, t, u, v, w = (mpmath.mpf(x) for x in cq.params)
     sv = s - v
+
+    def conic(h):
+        y = t / 2 + (w + u - t) / (v - s) * (h - s / 2)
+        return (4 * sv * sv * (y * y + w * u * (2 * h - s) / sv),
+                4 * sv * (2 * (u + w - t) * h * h + (v * (t - 2 * u) - s * (u + w)) * h
+                          + u * v * s),
+                4 * sv * sv * h * h,
+                2 * u * (2 * h - s) * (2 * (v * (w + t - u) - 2 * w * s) * h
+                                       + v * (s * (u + w) - v * t)),
+                4 * u * v * sv * h * (2 * h - s),
+                u * u * v * v * (2 * h - s) ** 2)
+
+    return conic
+
+
+def mp_family(cq: CanonicalQuad):
+    """mpmath callables h -> (b/a)^2 and h -> y(h) of the inscribed family,
+    built from the defining coefficient formulas (:func:`mp_conic`).
+    Evaluate them inside ``mpmath.workdps``."""
+    s, t, u, v, w = (mpmath.mpf(x) for x in cq.params)
+    conic = mp_conic(cq)
 
     def y(h):
         return t / 2 + (w + u - t) / (v - s) * (h - s / 2)
 
     def ratio(h):
-        a = 4 * sv * sv * (y(h) ** 2 + w * u * (2 * h - s) / sv)
-        b = 4 * sv * (2 * (u + w - t) * h * h + (v * (t - 2 * u) - s * (u + w)) * h + u * v * s)
-        c = 4 * sv * sv * h * h
+        a, b, c = conic(h)[:3]
         gap = mpmath.sqrt((a - c) ** 2 + b * b)
         return (a + c - gap) / (a + c + gap)
 
     return ratio, y
+
+
+def mp_semi_axes(cq: CanonicalQuad, h):
+    """Semi-axes (a, b) of the member at h from the general conic formulas,
+    determinant and all.  Evaluate it inside ``mpmath.workdps``."""
+    a_, b_, c_, d_, e_, f_ = mp_conic(cq)(h)
+    disc = 4 * a_ * c_ - b_ * b_
+    delta = 4 * (c_ * d_ * d_ + a_ * e_ * e_ - b_ * d_ * e_ - f_ * disc) / disc ** 2
+    gap = mpmath.sqrt((a_ - c_) ** 2 + b_ * b_)
+    return mpmath.sqrt(delta * (a_ + c_ + gap) / 2), mpmath.sqrt(delta * (a_ + c_ - gap) / 2)
+
+
+def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
+    """The type-1 factorization of the stationarity quartic,
+    256 h ((s-v)/s)^4 (vt - ws)^2 (s - h) o(h) in the abscissa h, taken to
+    the segment coordinate lam and to the scale of ``minecc.stationarity``:
+    d/dh = (2/(s-v)) d/dlam and the model is the family over (s-v)^2, so
+    p_h = 2 (s-v)^5 p_lam."""
+    s, t, u, v, w = cq.params
+    h = (v + (s - v) * lam) / 2.0
+    scale = math.ldexp(1.0, -math.frexp(s * s + t * t)[1])
+    p_h = 256.0 * h * ((s - v) / s) ** 4 * (v * t - w * s) ** 2 * (s - h) * center_quadratic(cq)(h)
+    return p_h * scale ** 3 / (2.0 * (s - v) ** 5)
 
 
 # ---------------------------------------------------------------------------

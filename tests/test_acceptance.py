@@ -12,14 +12,15 @@ import numpy as np
 
 from helpers import (Q5_VERTICES, canonical_vertices, interior_points,
                      make_quad, moved_vertices, random_general,
-                     random_isometry, random_kite, random_type1, random_type2)
+                     random_isometry, random_kite, random_type1, random_type2,
+                     type1_factored_quartic)
 from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
                        classify, coefficients, diagonal_angle, fd_gradient,
                        geometry, grid_argmax, line_tangency,
                        maximize_ratio_sq, ratio_sq_closed_form,
                        ratio_sq_function, ratio_sq_prime, side_linears,
-                       solve, spectral, spectral_derivatives, tangency_points,
-                       tangent_slope)
+                       solve, spectral, tangency_points, tangent_slope)
+from inellipse.family import stationarity
 from inellipse.minecc import CLOSED_FORM, center_quadratic, closed_form_h
 from inellipse.quad import QuadKind
 
@@ -145,14 +146,9 @@ def test_criterion_5_derivative_correctness():
 
     for _ in range(50):
         cq = random_type1(rng)
-        lo, hi = cq.interval
-        h = float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
-        d = spectral_derivatives(cq, h)
-        p = 2.0 * d.trace_prime * d.gap_sq - d.trace * d.gap_sq_prime
-        s, t, u, v, w = cq.params
-        o = center_quadratic(cq)
-        factored = (256.0 * h * ((s - v) / s) ** 4
-                    * (v * t - w * s) ** 2 * (s - h) * o(h))
+        lam = float(rng.uniform(0.05, 0.95))
+        p = stationarity(cq)(lam)[0]
+        factored = type1_factored_quartic(cq, lam)
         assert abs(p - factored) <= 1e-9 * max(abs(p), abs(factored))
     report(5, "derivative correctness")
 

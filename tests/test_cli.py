@@ -190,6 +190,21 @@ class TestVerifySubcommand:
         assert all(o["passed"] for o in report["oracles"])
 
 
+class TestJsonNumbers:
+    @pytest.mark.parametrize("vertices", [
+        [["0", False], [0, "2"], [4, 6], [2, True]],
+        [[0, 0], [0, 2], [4, 6], [2, None]],
+        [[0, 0], [0, 2], [4, 6], [2, 10**400]],
+    ])
+    def test_coordinates_must_be_finite_numbers(self, tmp_path, capsys, vertices):
+        # the first was solved as the README quad
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out = run_cli(capsys, "minimal", "--input", str(path))
+        assert code == EXIT_PARSE
+        assert json.loads(out)["error"]["message"].startswith("vertex coordinates must be")
+
+
 class TestTolerance:
     def write(self, tmp_path, tol):
         path = tmp_path / "tol.json"
@@ -221,6 +236,15 @@ class TestTolerance:
                              write_input(tmp_path, Q5_VERTICES))
         code, out = run_cli(capsys, "classify", "--input", self.write(tmp_path, None))
         assert code == EXIT_OK and out == default
+
+    @pytest.mark.parametrize("tol", [True, "1e-3", pytest.param(10**400, id="1e400")])
+    def test_json_tol_must_be_a_finite_number(self, tmp_path, capsys, tol):
+        # float() takes strings and booleans, and a boolean tol of 1.0
+        # made the README quad a trapezoid
+        code, out = run_cli(capsys, "minimal", "--input", self.write(tmp_path, tol))
+        assert code == EXIT_PARSE
+        assert json.loads(out)["error"]["code"] == "parse"
+        assert "tol" in json.loads(out)["error"]["message"]
 
     def test_json_tol_is_used(self, tmp_path, capsys):
         # a loose tolerance makes this near-MDQ a type-1 quad

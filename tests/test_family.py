@@ -4,16 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (interior_points, make_quad, mp_family, random_general, random_h,
-                     random_type1)
+from helpers import (interior_points, make_quad, mp_conic, mp_family, random_general,
+                     random_h, random_type1, type1_factored_quartic)
 from inellipse import (CircularPoint, Conic, HOutOfRange, LineConicRelation,
                        Line2, coefficients, containment, family_point,
                        geometry, is_ellipse, line_tangency, ratio_sq_function,
                        ratio_sq_prime, side_linears, spectral,
-                       spectral_derivatives, tangency_points, tangent_slope)
+                       tangency_points, tangent_slope)
 from inellipse import canonicalize
-from inellipse.family import center_y
-from inellipse.minecc import center_quadratic, closed_form_h
+from inellipse.family import center_y, stationarity
+from inellipse.minecc import closed_form_h
 
 
 @pytest.fixture
@@ -64,20 +64,23 @@ class TestCoefficients:
                       96 * (72 - 11 * r61), 16 * (887 - 105 * r61)).normalized()
         assert max(abs(a - b) for a, b in zip(ours, expected)) <= 1e-12
 
-    def test_quadratic_coefficient_split_matches_direct(self):
-        # the exact polynomial split used for derivatives must agree with
-        # the defining formulas
+    @pytest.mark.parametrize("sv_margin", [0.05, 1e-8])
+    def test_model_matches_the_defining_formulas(self, sv_margin):
+        # the lam model, scaled back by (s-v)^2, against the defining
+        # formulas in h at 50 digits, also on near-trapezoids where the
+        # formulas divide by a tiny s - v
         rng = np.random.default_rng(303)
-        from inellipse.family import _abc_quadratics
         for _ in range(100):
             cq = random_general(rng)
-            (a2, a1, a0), (b2, b1, b0), c2 = _abc_quadratics(cq)
+            if sv_margin < 0.05:
+                cq = make_quad(cq.s, cq.t, cq.u, cq.s * (1.0 + sv_margin), cq.w)
             h = random_h(cq, rng)
             c = coefficients(cq, h)
-            scale = max(abs(x) for x in c)
-            assert abs((a2 * h + a1) * h + a0 - c.A) <= 1e-9 * scale
-            assert abs((b2 * h + b1) * h + b0 - c.B) <= 1e-9 * scale
-            assert abs(c2 * h * h - c.C) <= 1e-9 * scale
+            with mpmath.workdps(50):
+                exact = mp_conic(cq)(mpmath.mpf(h))
+            scale = max(abs(x) for x in exact)
+            for got, want in zip(c, exact):
+                assert abs(got - want) <= 1e-14 * scale
 
 
 class TestTangencyPoints:
@@ -239,13 +242,9 @@ class TestRatioSqPrime:
         rng = np.random.default_rng(310)
         for _ in range(50):
             cq = random_type1(rng)
-            h = random_h(cq, rng)
-            d = spectral_derivatives(cq, h)
-            p = 2.0 * d.trace_prime * d.gap_sq - d.trace * d.gap_sq_prime
-            s, t, u, v, w = cq.params
-            o = center_quadratic(cq)
-            factored = (256.0 * h * ((s - v) / s) ** 4
-                        * (v * t - w * s) ** 2 * (s - h) * o(h))
+            lam = float(rng.uniform(0.05, 0.95))
+            p = stationarity(cq)(lam)[0]
+            factored = type1_factored_quartic(cq, lam)
             assert abs(p - factored) <= 1e-9 * max(abs(p), abs(factored))
 
     def test_matches_finite_differences(self):

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from helpers import (canonical_vertices, make_quad, moved_vertices, mp_family,
-                     random_general, random_isometry, random_kite,
+                     mp_semi_axes, random_general, random_isometry, random_kite,
                      random_type1, random_type2)
 from inellipse import (NotType1, QuadKind, canonicalize, classify,
                        diagonal_angle, geometry, grid_argmax, incircle,
                        maximize_ratio_sq, newton_segment, ratio_sq_closed_form,
                        ratio_sq_function, solve, spectral)
-from inellipse.family import RELATIVE_ENDPOINT_GUARD
-from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type2_root, center_quadratic,
-                              closed_form_h, stationarity)
+from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
+from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
+                              center_quadratic, closed_form_h)
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -293,9 +293,10 @@ def mp_argmax(cq, dps=50):
         return h, y(h)
 
 
-def tangential_general_quad():
-    """Convex quad circumscribing the unit circle, neither a kite nor an MDQ."""
-    normals = [0.3, 1.9, 3.2, 4.6]
+def tangential_general_quad(normals=(0.3, 1.9, 3.2, 4.6)):
+    """Convex quad circumscribing the unit circle, neither a kite nor an
+    MDQ, with sides on the tangents of outer normal angles ``normals``."""
+    normals = list(normals)
     pts = []
     for f, g in zip(normals, normals[1:] + normals[:1]):
         # intersection of x cos f + y sin f = 1 and x cos g + y sin g = 1
@@ -339,31 +340,46 @@ class TestStationarityRoot:
         assert math.hypot(res.geom.center.x - center.x,
                           res.geom.center.y - center.y) <= 1e-9 * cq.diameter
 
+    # the last two came out with (b/a)^2 one ulp above 1, which made the
+    # eccentricity sqrt(1 - (b/a)^2) raise
+    @pytest.mark.parametrize("normals", [(0.3, 1.9, 3.2, 4.6), (1.8, 3.4, 4.3, 6.0),
+                                         (0.9, 1.9, 2.8, 5.3), (0.2, 1.5, 3.3, 4.4),
+                                         (2.1, 3.1, 3.9, 6.0),
+                                         (1.8177579792786140, 3.3880409768954864,
+                                          4.258934495419449, 6.041144373347741)])
+    def test_tangential_general_quad_is_reported_as_a_circle(self, normals):
+        cq = tangential_general_quad(normals)
+        qc = classify(cq)
+        assert qc.kind is QuadKind.GENERAL and qc.tangential
+        res = solve(cq)
+        g = res.geom
+        assert 0.0 <= g.eccentricity <= 1e-6
+        assert g.b <= g.a and res.ratio_sq <= 1.0
+        assert abs(g.a - 1.0) <= 1e-9 and abs(g.b - 1.0) <= 1e-9
+
     def test_sign_change_at_the_guarded_ends(self):
         rng = np.random.default_rng(422)
         gens = [random_general, random_type1, random_type2, random_kite]
+        guard = RELATIVE_ENDPOINT_GUARD
         for i in range(400):
             cq = gens[i % 4](rng)
-            lo, hi = cq.interval
-            guard = RELATIVE_ENDPOINT_GUARD * (hi - lo)
             p = stationarity(cq)
-            assert p(lo + guard)[0] > 0.0 > p(hi - guard)[0]
+            assert p(guard)[0] > 0.0 > p(1.0 - guard)[0]
 
     def test_derivative_is_exact(self):
         rng = np.random.default_rng(423)
         for _ in range(50):
             cq = random_general(rng)
             p = stationarity(cq)
-            lo, hi = cq.interval
-            step = 1e-6 * (hi - lo)
-            for h in np.linspace(lo, hi, 7)[1:-1]:
-                fd = (p(h + step)[0] - p(h - step)[0]) / (2.0 * step)
-                scale = max(abs(p(x)[1]) for x in np.linspace(lo, hi, 7))
-                assert abs(p(h)[1] - fd) <= 1e-6 * scale
+            step = 1e-6
+            for lam in np.linspace(0.0, 1.0, 7)[1:-1]:
+                fd = (p(lam + step)[0] - p(lam - step)[0]) / (2.0 * step)
+                scale = max(abs(p(x)[1]) for x in np.linspace(0.0, 1.0, 7))
+                assert abs(p(lam)[1] - fd) <= 1e-6 * scale
 
     def test_circular_member_is_a_simple_root(self, kite):
-        h = math.sqrt(10.0) - 2.0
-        value, slope = stationarity(kite)(h)
+        lam = 2.0 * math.sqrt(10.0) - 6.0      # h = sqrt(10) - 2 on (1, 1.5)
+        value, slope = stationarity(kite)(lam)
         assert abs(value) <= 1e-12 * abs(slope) and slope < 0.0
 
     def test_thin_type1_center_on_the_newton_segment(self):
@@ -406,6 +422,34 @@ THIN_TYPE1 = [
 ]
 
 
+NEAR_TRAPEZOIDS = [
+    # |s - v| / diameter about 1e-8 (the solve_illcond benchmark, seed 1)
+    [(18.426898543454257, 0.7137505309083356), (10.655425389833326, -2.122503233771191),
+     (10.924446429642272, -2.5743976541380658), (19.509107133119205, -1.104115173859133)],
+    [(0.3606632395591518, 6.660943774847809), (6.188929829835843, 9.383982175264052),
+     (4.022984841904415, 11.717887606454621), (-3.7293375692540582, 11.068108088718475)],
+    [(8.064518214135303, 12.22901547981737), (1.9505378776269957, 11.536086845578481),
+     (-0.7720850838773217, 19.317211744831567), (1.886164781680999, 19.618484714196825)],
+]
+
+
+class TestNearTrapezoids:
+    # An abscissa in an interval 1e-8 of the diameter wide is rounded to
+    # 1e-8 of that interval: solving for h put these centers 7.6e-10 to
+    # 9.9e-10 of the diameter off.  The segment coordinate carries full
+    # precision.
+    @pytest.mark.parametrize("vertices", NEAR_TRAPEZOIDS)
+    def test_center_matches_50_digits(self, vertices):
+        cq = canonicalize(vertices)
+        assert abs(cq.s - cq.v) <= 1e-7 * cq.diameter
+        res = solve(cq)
+        # 50 digits leave 42 across the interval after the formulas'
+        # division by s - v
+        h_ref, y_ref = mp_argmax(cq, dps=50)
+        err = float(mpmath.hypot(res.geom.center.x - h_ref, res.geom.center.y - y_ref))
+        assert err <= 1e-12 * cq.diameter
+
+
 class TestThinRatio:
     # (trace - gap) / (trace + gap) cancels on thin members: it missed the
     # 50-digit ratio of these quads by 1.6e-12 to 4e-10 relative.
@@ -420,13 +464,28 @@ class TestThinRatio:
             for value in (res.ratio_sq, spectral(cq, res.h_star).ratio_sq):
                 assert abs(value - ref) <= 1e-13 * ref
 
-    def test_solve_reports_the_spectral_ratio(self):
+    @pytest.mark.parametrize("vertices", THIN_TYPE1)
+    def test_semi_axes_match_50_digits(self, vertices):
+        # a and b from geometry's 4AC - B^2 and determinant missed the
+        # 50-digit semi-axes of these quads by 4e-13 to 4e-10 relative
+        cq = canonicalize(vertices)
+        res = solve(cq)
+        with mpmath.workdps(50):
+            a_ref, b_ref = mp_semi_axes(cq, mpmath.mpf(res.h_star))
+            assert abs(res.geom.a - a_ref) <= 1e-13 * a_ref
+            assert abs(res.geom.b - b_ref) <= 1e-13 * b_ref
+
+    def test_solve_ratio_matches_50_digits(self):
+        # solve evaluates the product form at its segment coordinate; the
+        # ratio is stationary there, so its value at h* is the reference
         rng = np.random.default_rng(425)
         for gen in (random_general, random_type1, random_type2, random_kite):
             for _ in range(20):
                 cq = gen(rng)
                 res = solve(cq)
-                assert res.ratio_sq == spectral(cq, res.h_star).ratio_sq
+                with mpmath.workdps(50):
+                    ref = mp_family(cq)[0](mpmath.mpf(res.h_star))
+                    assert abs(res.ratio_sq - ref) <= 1e-13 * ref
 
 
 class TestQuadClass:
@@ -442,18 +501,23 @@ class TestQuadClass:
 class TestCenterQuadraticDividesStationarity:
     """On the type-1 locus u = (vt - ws)/s the paper's center quadratic
     o(h) divides the stationarity quartic p exactly; on the type-2 locus
-    u = (vt - ws)/(2v - s) the quadratic q2(h) does."""
+    u = (vt - ws)/(2v - s) the quadratic q2(h) does.  p is taken in the
+    segment coordinate lam, the quadratics at h = (v + (s-v) lam) / 2."""
 
     @staticmethod
-    def quartic(sp, s, t, u, v, w, h):
-        # A, B, C as minecc.stationarity expands them (A, B in e = h - s/2)
-        k, sv, e = u + w - t, s - v, h - s / 2
-        a = 4 * k**2 * e**2 + 4 * sv * (2 * w * u - t * k) * e + (sv * t) ** 2
-        b = (8 * sv * k * e**2 + 4 * sv * (s * (u + w) - 2 * s * t + v * t - 2 * u * v) * e
-             - 2 * s * t * sv**2)
-        c = 4 * sv**2 * h**2
+    def quartic(sp, s, t, u, v, w, lam):
+        # A, B, C of the family over (s-v)^2, in monomials of lam
+        d, k = s - v, t - u - w
+        a = (u + w + k * lam) ** 2 - 4 * u * w * (1 - lam)
+        b = (-2 * d * k * lam**2 + (4 * v * w - 2 * s * (u + w) - 2 * t * v) * lam
+             + 2 * v * (u - w))
+        c = (v + d * lam) ** 2
         big_t, big_g = a + c, (a - c) ** 2 + b**2
-        return 2 * sp.diff(big_t, h) * big_g - big_t * sp.diff(big_g, h)
+        return 2 * sp.diff(big_t, lam) * big_g - big_t * sp.diff(big_g, lam)
+
+    @staticmethod
+    def abscissa(s, v, lam):
+        return (v + (s - v) * lam) / 2
 
     @staticmethod
     def center_quadratic(s, t, v, w, h):
@@ -484,67 +548,103 @@ class TestCenterQuadraticDividesStationarity:
 
     def test_exact_division(self):
         sp = pytest.importorskip("sympy")
-        s, t, v, w, h = sp.symbols("s t v w h")
-        p = self.quartic(sp, s, t, (v * t - w * s) / s, v, w, h)
+        s, t, v, w, lam = sp.symbols("s t v w lam")
+        p = self.quartic(sp, s, t, (v * t - w * s) / s, v, w, lam)
         num = sp.expand(sp.numer(sp.together(p)))
-        assert sp.prem(num, sp.expand(self.center_quadratic(s, t, v, w, h)), h) == 0
+        o = sp.expand(self.center_quadratic(s, t, v, w, self.abscissa(s, v, lam)))
+        assert sp.prem(num, o, lam) == 0
 
     def test_off_the_locus_it_does_not_divide(self):
         sp = pytest.importorskip("sympy")
-        h = sp.symbols("h")
+        lam = sp.symbols("lam")
         s, t, v, w = (sp.Integer(x) for x in (4, 6, 2, 1))
-        p = self.quartic(sp, s, t, sp.Integer(3), v, w, h)     # type 1 needs u = 2
-        assert sp.rem(sp.expand(p), self.center_quadratic(s, t, v, w, h), h) != 0
+        p = self.quartic(sp, s, t, sp.Integer(3), v, w, lam)     # type 1 needs u = 2
+        o = self.center_quadratic(s, t, v, w, self.abscissa(s, v, lam))
+        assert sp.rem(sp.expand(p), sp.expand(o), lam) != 0
 
     def test_quartic_is_the_solver_quartic(self):
         sp = pytest.importorskip("sympy")
-        h = sp.symbols("h")
+        lam = sp.symbols("lam")
         params = (4.0, 6.0, 3.0, 2.0, 1.0)
-        p = self.quartic(sp, *(sp.Rational(x) for x in params), h)
+        p = self.quartic(sp, *(sp.Rational(x) for x in params), lam)
         code = stationarity(make_quad(*params))
-        scale = math.ldexp(1.0, -math.frexp(4.0 * (params[0] - params[3]) ** 2)[1])
-        for x in (1.2, 1.5, 1.9):
-            exact = float(p.subs(h, sp.Rational(x))) * scale**3
+        scale = math.ldexp(1.0, -math.frexp(params[0] ** 2 + params[1] ** 2)[1])
+        for x in (0.2, 0.5, 0.9):
+            exact = float(p.subs(lam, sp.Rational(x))) * scale**3
             assert abs(code(x)[0] - exact) <= 1e-12 * abs(exact)
 
     def test_type2_exact_division(self):
         sp = pytest.importorskip("sympy")
-        h = sp.symbols("h")
+        lam = sp.symbols("lam")
         rng = np.random.default_rng(430)
         for _ in range(8):
             s, t, v, w = self.rational_type2(sp, rng)
-            p = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s), v, w, h))
+            h = self.abscissa(s, v, lam)
+            p = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s), v, w, lam))
             q2 = sp.expand(self.type2_quadratic(s, t, v, w, h))
-            assert sp.rem(p, q2, h) == 0
+            assert sp.rem(p, q2, lam) == 0
             # off the locus q2 is no factor of p
-            p_off = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s) + 1, v, w, h))
-            assert sp.rem(p_off, q2, h) != 0
+            p_off = sp.expand(self.quartic(sp, s, t, (v * t - w * s) / (2 * v - s) + 1, v, w,
+                                           lam))
+            assert sp.rem(p_off, q2, lam) != 0
 
-    def test_type2_root_is_the_root_of_q2(self):
+    @pytest.mark.parametrize("kind", ["type1", "type2"])
+    def test_root_is_the_root_of_the_factor(self, kind):
         # one exact Newton step from the float root reaches the root of the
-        # sympy q2 of the float parameters: it must be a few ulp, and the
-        # root must lie inside the interval
+        # sympy o (type 1) or q2 (type 2) of the float parameters, in lam:
+        # it must be a few ulp, and the root must lie inside (0, 1)
         sp = pytest.importorskip("sympy")
-        h = sp.symbols("h")
+        lam = sp.symbols("lam")
+        gen, root_of, factor = {
+            "type1": (random_type1, _type1_root, self.center_quadratic),
+            "type2": (random_type2, _type2_root, self.type2_quadratic)}[kind]
         rng = np.random.default_rng(431)
         for _ in range(20):
-            cq = random_type2(rng)
+            cq = gen(rng)
             s, t, v, w = (sp.Rational(x) for x in (cq.s, cq.t, cq.v, cq.w))
-            q2 = sp.Poly(self.type2_quadratic(s, t, v, w, h), h)
-            root = _type2_root(cq)
+            q = sp.Poly(factor(s, t, v, w, self.abscissa(s, v, lam)), lam)
+            root = root_of(cq)
             x = sp.Rational(root)
-            step = q2.eval(x) / q2.diff(h).eval(x)
+            step = q.eval(x) / q.diff(lam).eval(x)
             assert abs(step) <= 4 * sp.Rational(math.ulp(root))
-            assert min(s, v) / 2 < x - step < max(s, v) / 2
+            assert 0 < x - step < 1
 
     def test_type2_root_terms_are_positive(self):
-        # K2 and K2 - 2(s-v) M v, in the expanded form of q2: the root takes
-        # the square root of both
+        # K2 and K2 - 2(s-v) M v, in the expanded form of q2, and M, the
+        # numerator of the root in lam
         rng = np.random.default_rng(432)
         for _ in range(500):
             s, t, _, v, w = random_type2(rng).params
             m, k2 = self.type2_terms(s, t, v, w)
-            assert k2 > 0 and k2 - 2 * (s - v) * m * v > 0
+            assert k2 > 0 and k2 - 2 * (s - v) * m * v > 0 and m > 0
+
+    def test_type1_root_terms_are_positive(self):
+        # k, K and 2s - v: the closed form divides by
+        # ((2s - v) sqrt(k) + v sqrt(K)) (sqrt(k) + sqrt(K))
+        rng = np.random.default_rng(433)
+        for _ in range(500):
+            cq = random_type1(rng)
+            s, t, v = cq.s, cq.t, cq.v
+            o = center_quadratic(cq)
+            assert o.k > 0 and o.p1 > 0 and 2 * s - v > 0
+            assert o.k + 2 * (s * s + t * t) * s * (s - v) > 0
+
+    def test_type1_root_terms(self):
+        sp = pytest.importorskip("sympy")
+        s, t, v, w = sp.symbols("s t v w")
+        st2 = s**2 + t**2
+        k = st2 * v**2 - 2 * w * s * (v * t - w * s)
+        p1 = v**2 * st2 - 4 * w * s * (v * t - w * s)
+        # the sums of squares center_quadratic evaluates
+        assert sp.expand(k - (v**2 * s**2 + (v * t - w * s) ** 2 + w**2 * s**2)) == 0
+        assert sp.expand(p1 - (v**2 * s**2 + (v * t - 2 * w * s) ** 2)) == 0
+        # the root in lam is the root of o in the interval, taken to lam
+        big_k = k + 2 * st2 * s * (s - v)
+        rk, rbig = sp.sqrt(k), sp.sqrt(big_k)
+        h_root = rk * (rbig - rk) / (2 * st2 * (s - v))
+        lam = 2 * s * p1 / (((2 * s - v) * rk + v * rbig) * (rk + rbig))
+        for point in ({s: 4, t: 6, v: 2, w: 1}, {s: 3, t: 5, v: 4, w: -1}):
+            assert sp.simplify((lam - (2 * h_root - v) / (s - v)).subs(point)) == 0
 
     def test_type2_root_terms_are_sums_of_squares(self):
         sp = pytest.importorskip("sympy")
