@@ -22,7 +22,7 @@ from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
 from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
                      closed_form_h, maximize_ratio_sq, ratio_sq_closed_form,
                      solve)
-from .oracle import OracleReport, containment, fd_gradient, grid_argmax, incircle
+from .oracle import OracleReport, containment, fd_gradient, incircle, ratio_argmax
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
                    diagonal_angle, newton_segment, tangential_residuals,
@@ -41,9 +41,9 @@ __all__ = [
     "canonicalize", "center_quadratic", "classify", "closed_form_h",
     "coefficients", "conjugate_diameter_angle", "containment",
     "diagonal_angle", "family_point",
-    "fd_gradient", "geometry", "grid_argmax", "incircle", "is_ellipse",
+    "fd_gradient", "geometry", "incircle", "is_ellipse",
     "line_tangency", "maximize_ratio_sq", "newton_segment", "pullback",
-    "pushforward", "ratio_sq_closed_form", "ratio_sq_function",
+    "pushforward", "ratio_argmax", "ratio_sq_closed_form", "ratio_sq_function",
     "ratio_sq_prime", "side_linears", "solve", "spectral",
     "tangency_points", "tangent_slope",
     "tangential_residuals", "validate",

@@ -271,9 +271,8 @@ def _oracle_battery(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
                                 worst, where or "all side lines tangent", 1e-9))
 
     # Grid argmax against the solver result.
-    f = family.ratio_sq_function(cq)
     n = 100_000
-    hg, _ = oracle.grid_argmax(f, cq.interval, n)
+    hg, _ = oracle.ratio_argmax(cq, n)
     gap = abs(hg - res.h_star)
     reports.append(OracleReport("grid_argmax", gap <= 2.0 * width / n,
                                 gap, f"grid argmax at {hg!r}", 2.0 * width / n))
@@ -282,6 +281,7 @@ def _oracle_battery(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     # at a corner of the ratio curve where a centered difference measures
     # the kink asymmetry, so there the oracle checks the slope sign change
     # across the optimum instead.
+    f = family.ratio_sq_function(cq)
     if res.ratio_sq >= 1.0 - 1e-9:
         probe = 1e-4 * width
         left = oracle.fd_gradient(f, res.h_star - probe, 1e-6 * width)

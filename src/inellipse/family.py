@@ -165,6 +165,15 @@ def _spectral_quadratics(cq: CanonicalQuad):
             for x0, x1, x2 in ((a0 + c0, a1 + c1, a2 + c2), (a0 - c0, a1 - c1, a2 - c2), b)]
 
 
+def _segment_coordinate(cq: CanonicalQuad, h):
+    """lam = (2h - v) / (s - v), rounded the same way for a scalar h and
+    for each entry of an array h (a new array)."""
+    lam = 2.0 * h
+    lam -= cq.v
+    lam /= cq.s - cq.v
+    return lam
+
+
 def _horner(q, x):
     """The quadratic with monomial coefficients q at x; for an array x a
     new array, updated in place."""
@@ -274,14 +283,12 @@ def ratio_sq_function(cq: CanonicalQuad) -> Callable:
     validation; callers control the evaluation range.
     """
     quadratics = _spectral_quadratics(cq)
-    v, sv, k = cq.v, cq.s - cq.v, 16.0 * cq.u
+    k = 16.0 * cq.u
 
     def ratio_sq(h):
         # augmented assignments reuse the arrays of a long sweep (scalars
         # just rebind), so the product form costs no more than the quotient
-        lam = 2.0 * h
-        lam -= v
-        lam /= sv
+        lam = _segment_coordinate(cq, h)
         den, diff, b = (_horner(q, lam) for q in quadratics)   # trace, A - C, B
         diff *= diff
         b *= b
@@ -297,6 +304,73 @@ def ratio_sq_function(cq: CanonicalQuad) -> Callable:
         return num
 
     return ratio_sq
+
+
+def ratio_sq_bound(cq: CanonicalQuad, h1, h2):
+    """Upper bound on the float value of ``ratio_sq_function`` at every
+    float h between h1[j] and h2[j] (arrays of abscissas in the closed
+    center interval), per j.
+
+    The function takes lam = (2h - v) / (s - v) in [0, 1], rounded
+    monotonically in h, so the lam of such an h lies between those of h1
+    and h2; then it evaluates 16 u lam (1-lam) l5 / (T + G)^2 with T,
+    A - C and B quadratics in monomial form (``_spectral_quadratics``),
+    G = hypot(A - C, B) and l5 linear.  Between two lam each quadratic
+    ranges between its values there and at its vertex, if the vertex lies
+    between them; l5 between its end values; lam (1-lam), concave, up to
+    1/4 if 1/2 lies between them and up to its larger end value otherwise;
+    G down to the hypot of the least |A - C| and |B| of their ranges.
+
+    Float margin, with unit roundoff eps = 2^-53: for lam in [0, 1],
+    Horner's rule errs by at most gamma_4 sum|c_i| < 4.0001 eps sum|c_i|
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1).
+    The ranges are widened by 12 eps sum|c_i| each way: 8 eps for two
+    such evaluations (the function's at h, this bound's at a range
+    point), 1 eps for rounding the widened end, and the rest for the
+    vertex, which is off by at most eps so its value by eps^2 |c2|, and
+    for rounding the margin itself.  Every other step adds, multiplies
+    or divides nonnegative numbers or takes a square root, each within a
+    factor 1 +- eps.  So the function's quotient is at most
+    (1 + eps)^8 / (1 - eps)^8 times the exact quotient over the widened
+    ranges (7 roundings in the numerator and 1 to divide; 8 in the
+    denominator, counting the square root of three rounded terms), and
+    the bound's own quotient at least (1 - eps)^9 / (1 + eps)^8 times it
+    (the same counts, and 1 for the final factor).  Their ratio is below
+    1 + 34 eps; the final factor 1 + 64 eps covers it.  At the diameters
+    ``validate`` accepts, nothing overflows, and an underflow can only
+    flush a square far below T^2 toward zero, by under 2^-1074.  Where
+    the widened trace is not positive the bound is inf or NaN, below no
+    value.
+    """
+    import numpy as np
+
+    eps = 2.0 ** -53
+    ends = _segment_coordinate(cq, np.array([h1, h2]))
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    ranges = []
+    for q in _spectral_quadratics(cq):
+        c2, c1, c0 = q
+        at_ends = _horner(q, ends)
+        q_lo, q_hi = np.minimum(*at_ends), np.maximum(*at_ends)
+        if c2:
+            vertex = -c1 / (2.0 * c2)
+            k = np.flatnonzero((lo <= vertex) & (vertex <= hi))
+            q_vertex = _horner(q, vertex)
+            q_lo[k] = np.minimum(q_lo[k], q_vertex)
+            q_hi[k] = np.maximum(q_hi[k], q_vertex)
+        pad = 12.0 * eps * (abs(c2) + abs(c1) + abs(c0))
+        ranges.append((q_lo - pad, q_hi + pad))
+    (trace, _), (d_lo, d_hi), (b_lo, b_hi) = ranges
+    d_min = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
+    b_min = np.maximum(np.maximum(b_lo, -b_hi), 0.0)
+    gap = np.sqrt(d_min * d_min + b_min * b_min)
+    spread = np.maximum(*(ends * (1.0 - ends)))
+    spread[(lo <= 0.5) & (0.5 <= hi)] = 0.25
+    num = 16.0 * cq.u * spread * np.maximum(*_l5(cq, ends))
+    den = trace + gap
+    den[trace <= 0.0] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num / (den * den) * (1.0 + 64.0 * eps)
 
 
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:

@@ -2,19 +2,22 @@
 
 Every oracle here is implementation-independent of the machinery it
 checks: the finite-difference slope never calls the analytic derivative,
-the grid argmax never calls the closed form, and the incircle is built
-from angle bisectors rather than family coefficients.  Oracle tolerances
-are deliberately looser than the claims they validate, so a failing oracle
-indicates a real defect rather than noise.  The sampling oracles import
-numpy when called, so importing the package does not load it.
+the grid argmax uses neither the stationarity quartic nor a closed form
+(it prunes the grid by bounds and returns what a full sweep returns, bit
+for bit), and the incircle is built from angle bisectors rather than
+family coefficients.  Oracle tolerances are deliberately looser than the
+claims they validate, so a failing oracle indicates a real defect rather
+than noise.  The sampling oracles import numpy when called, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
+from . import family
 from .conic import Conic, geometry
 from .errors import NotTangential
 from .quad import CanonicalQuad, Point2, classify
@@ -34,25 +37,43 @@ def fd_gradient(f: Callable[[float], float], h: float, step: float) -> float:
     return (f(h + step) - f(h - step)) / (2.0 * step)
 
 
-def grid_argmax(f: Callable, interval: tuple[float, float], n: int = 100_000
-                ) -> tuple[float, float]:
-    """Argmax of f over n uniform interior samples; ties pick the lowest h.
+CELL = 100          # grid points per cell of ratio_argmax's branch and bound
 
-    Vectorizes through f when it accepts numpy arrays, otherwise falls back
-    to a scalar loop.
+
+def ratio_argmax(cq: CanonicalQuad, n: int = 100_000) -> tuple[float, float]:
+    """Argmax of (b/a)^2 over the n uniform interior samples
+    h_i = lo + (hi - lo) (i / (n + 1)), i = 1..n, of the center interval.
+
+    Returns exactly what evaluating ``family.ratio_sq_function`` at every
+    sample returns, bit for bit: the largest value and its sample, ties
+    to the lowest i.  Branch and bound in one level: the samples fall into
+    cells of CELL consecutive indices; the first sample of every cell sets
+    a floor, and only cells whose upper bound (``family.ratio_sq_bound``) is
+    not below it are evaluated in full.  Every other cell holds values
+    below the floor, so it holds neither the maximum nor a tie with it.
+    A bound that is not finite never prunes, nor does a NaN floor.  Each
+    sample is computed by the same elementwise float operations as in a
+    full sweep, so its value does not depend on which samples are
+    evaluated with it.  Uses neither the stationarity quartic nor a
+    closed form.
     """
     import numpy as np
 
     if n < 3:
         raise ValueError("need at least 3 samples")
-    lo, hi = interval
-    hs = lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1.0))
-    try:
-        vals = np.asarray(f(hs), dtype=float)
-        if vals.shape != hs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([f(float(h)) for h in hs])
+    f = family.ratio_sq_function(cq)
+    lo, hi = cq.interval
+
+    def samples(i):
+        return lo + (hi - lo) * (i / (n + 1.0))
+
+    first = np.arange(1, n + 1, CELL)
+    h_first = samples(first)
+    bound = family.ratio_sq_bound(cq, h_first, samples(np.minimum(first + (CELL - 1), n)))
+    cells = first[~(bound < np.max(f(h_first)))]
+    idx = (cells[:, None] + np.arange(CELL)).ravel()
+    hs = samples(idx[idx <= n])
+    vals = f(hs)
     i = int(np.argmax(vals))
     return float(hs[i]), float(vals[i])
 

@@ -55,6 +55,12 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 
+# Accepted diameters, 2^-56 to 2^56.  The highest-degree quantity the
+# solver forms is (4AC - B^2)^2 in ``conic.geometry``, of degree 16 in the
+# diameter at the family's defining scale: across this range it stays
+# within 2^(+-896) times its shape factor, 2^126 inside the normal floats.
+DIAMETER_RANGE = (2.0 ** -56, 2.0 ** 56)
+
 PointLike = Sequence[float]
 
 
@@ -221,7 +227,8 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     """Check convexity and return the vertices in strict clockwise order.
 
     The returned cycle starts at the first input vertex.  Raises
-    :class:`Degenerate` for repeated/collinear/non-finite input and
+    :class:`Degenerate` for repeated/collinear/non-finite input or a
+    diameter outside ``DIAMETER_RANGE``, and
     :class:`NotConvex` when one vertex falls inside the triangle of the
     other three.  Every test runs on coordinates relative to the first
     vertex, so a quad far from the origin is judged by its shape alone.
@@ -243,6 +250,10 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     diam2 = max(dist2)
     if diam2 == 0.0:
         raise Degenerate("all vertices coincide")
+    lo, hi = DIAMETER_RANGE
+    if not lo * lo <= diam2 <= hi * hi:
+        raise Degenerate(f"diameter {math.sqrt(diam2):.3e} outside the accepted range "
+                         f"[2^-56, 2^56] = [{lo:.3e}, {hi:.3e}]")
     if min(dist2) <= 1e-24 * diam2:
         raise Degenerate("repeated vertex")
     _, (x1, y1), (x2, y2), (x3, y3) = rel

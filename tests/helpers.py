@@ -7,25 +7,70 @@ with a small floor on |s - v| (and on 2v - s for the type-2 family) so the
 drawn quads stay numerically well-conditioned: on near-trapezoids the
 abscissa h and the tangency points, which divide by s - v, lose digits.
 The module also holds a brute-force canonical pose (every labeling mapped
-and compared) that ``canonicalize`` must reproduce exactly, and 50-digit
-references built from the defining coefficient formulas.
+and compared) that ``canonicalize`` must reproduce exactly, the
+brute-force grid argmax that ``oracle.ratio_argmax`` must reproduce bit
+for bit, 50-digit references built from the defining coefficient
+formulas, named quads shared by several test modules, and the input
+pools of the benchmark (``bench/``, imported, never edited).
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
+import os
+import random
+import sys
 
 import mpmath
 import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
-                       NoValidLabeling, Point2, Trapezoid, center_quadratic)
+                       NoValidLabeling, Point2, Trapezoid, canonicalize,
+                       center_quadratic)
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
 
 Q5_VERTICES = [(0.0, 0.0), (0.0, 2.0), (4.0, 6.0), (2.0, 1.0)]
+KITE_VERTICES = [(0, 0), (0, 2), (3, 3), (2, 0)]
+
+# Quads whose minimal member has (b/a)^2 near 1e-5 (cli_verify pools).
+THIN_OPTIMA = [
+    [(-8.217929138545804, -16.919672832578552), (-3.64189980652165, -19.925107357374493),
+     (-3.650858566578352, -19.929631255792305), (-10.90796386040008, -15.16941150968211)],
+    [(2.022854291048981, 2.8828995385693053), (-5.823906703907173, 4.1624560500265115),
+     (-5.023432940125692, 4.060551571317096), (2.030812566257694, 2.9134488536780907)],
+    [(-17.838429416917094, 3.3694747497702444), (-12.584073795627008, 4.9566544372300205),
+     (-13.866967269643457, 4.584435825964986), (-17.85617448039283, 3.384293964226856)],
+]
+
+# |s - v| / diameter about 1e-8 (the solve_illcond benchmark, seed 1)
+NEAR_TRAPEZOIDS = [
+    [(18.426898543454257, 0.7137505309083356), (10.655425389833326, -2.122503233771191),
+     (10.924446429642272, -2.5743976541380658), (19.509107133119205, -1.104115173859133)],
+    [(0.3606632395591518, 6.660943774847809), (6.188929829835843, 9.383982175264052),
+     (4.022984841904415, 11.717887606454621), (-3.7293375692540582, 11.068108088718475)],
+    [(8.064518214135303, 12.22901547981737), (1.9505378776269957, 11.536086845578481),
+     (-0.7720850838773217, 19.317211744831567), (1.886164781680999, 19.618484714196825)],
+]
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def bench_module(name: str):
+    """A module of the benchmark harness under ``bench/``, imported as is."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    return importlib.import_module(name)
+
+
+def cli_verify_pool(seed: int) -> list[CanonicalQuad]:
+    """The input pool of the benchmark's cli_verify workload, canonicalized."""
+    workloads = bench_module("workloads")
+    items = workloads.mixed_items(random.Random(seed), workloads.POOL["cli_verify"])
+    return [canonicalize(it.vertices) for it in items]
 
 
 def make_quad(s, t, u, v, w) -> CanonicalQuad:
@@ -162,6 +207,28 @@ def mp_semi_axes(cq: CanonicalQuad, h):
     delta = 4 * (c_ * d_ * d_ + a_ * e_ * e_ - b_ * d_ * e_ - f_ * disc) / disc ** 2
     gap = mpmath.sqrt((a_ - c_) ** 2 + b_ * b_)
     return mpmath.sqrt(delta * (a_ + c_ + gap) / 2), mpmath.sqrt(delta * (a_ + c_ - gap) / 2)
+
+
+def grid_argmax(f, interval: tuple[float, float], n: int = 100_000
+                ) -> tuple[float, float]:
+    """Argmax of f over n uniform interior samples; ties pick the lowest h.
+
+    The brute force that ``oracle.ratio_argmax`` must reproduce bit for
+    bit.  Vectorizes through f when it accepts numpy arrays, otherwise
+    falls back to a scalar loop.
+    """
+    if n < 3:
+        raise ValueError("need at least 3 samples")
+    lo, hi = interval
+    hs = lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1.0))
+    try:
+        vals = np.asarray(f(hs), dtype=float)
+        if vals.shape != hs.shape:
+            raise TypeError
+    except (TypeError, ValueError):
+        vals = np.array([f(float(h)) for h in hs])
+    i = int(np.argmax(vals))
+    return float(hs[i]), float(vals[i])
 
 
 def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:

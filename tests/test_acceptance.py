@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from helpers import (Q5_VERTICES, canonical_vertices, interior_points,
+from helpers import (Q5_VERTICES, canonical_vertices, grid_argmax, interior_points,
                      make_quad, moved_vertices, random_general,
                      random_isometry, random_kite, random_type1, random_type2,
                      type1_factored_quartic)
 from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
                        classify, coefficients, diagonal_angle, fd_gradient,
-                       geometry, grid_argmax, line_tangency,
+                       geometry, line_tangency,
                        maximize_ratio_sq, ratio_sq_closed_form,
                        ratio_sq_function, ratio_sq_prime, side_linears,
                        solve, spectral, tangency_points, tangent_slope)

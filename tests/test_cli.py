@@ -1,13 +1,12 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from helpers import Q5_VERTICES
+from helpers import KITE_VERTICES, Q5_VERTICES, THIN_OPTIMA, bench_module
 from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, main, to_json)
-
-KITE_VERTICES = [(0, 0), (0, 2), (3, 3), (2, 0)]
 
 
 def write_input(tmp_path, vertices, name="quad.json"):
@@ -283,14 +282,7 @@ class TestThinOptima:
     # Quads whose minimal member has (b/a)^2 near 1e-5: the stationarity
     # oracle's central difference used to drown in the rounding of the
     # ratio and fail (exit 4) depending on the last bits of h*.
-    @pytest.mark.parametrize("vertices", [
-        [(-8.217929138545804, -16.919672832578552), (-3.64189980652165, -19.925107357374493),
-         (-3.650858566578352, -19.929631255792305), (-10.90796386040008, -15.16941150968211)],
-        [(2.022854291048981, 2.8828995385693053), (-5.823906703907173, 4.1624560500265115),
-         (-5.023432940125692, 4.060551571317096), (2.030812566257694, 2.9134488536780907)],
-        [(-17.838429416917094, 3.3694747497702444), (-12.584073795627008, 4.9566544372300205),
-         (-13.866967269643457, 4.584435825964986), (-17.85617448039283, 3.384293964226856)],
-    ])
+    @pytest.mark.parametrize("vertices", THIN_OPTIMA)
     def test_verify_passes(self, tmp_path, capsys, vertices):
         code, out = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
         report = json.loads(out)
@@ -337,3 +329,58 @@ class TestClassifiesOnce:
                                 "--input", write_input(tmp_path, vertices))
             assert code == EXIT_OK and calls == []
             assert json.loads(out)["classification"]["kind"] == "mdq_type1"
+
+
+class TestScaleRange:
+    """Diameters outside 2^-56 .. 2^56 get a typed rejection; the general
+    quad below used to crash at 1e-100 and 1e-60 (division by zero) and at
+    1e60 (overflow)."""
+
+    GENERAL = [(0.0, 0.0), (0.0, 3.0), (4.0, 6.0), (2.0, 1.0)]   # diameter sqrt(52)
+
+    def scaled(self, k):
+        return [(k * x, k * y) for x, y in self.GENERAL]
+
+    @pytest.mark.parametrize("k", [1e-100, 1e-60, 1e60, 2.0 ** -56 / math.sqrt(52.0) * (1 - 1e-6),
+                                   2.0 ** 56 / math.sqrt(52.0) * (1 + 1e-6)])
+    def test_rejected_with_an_error_object(self, tmp_path, capsys, k):
+        for command in ("minimal", "verify"):
+            code, out = run_cli(capsys, command, "--input", write_input(tmp_path, self.scaled(k)))
+            assert code == EXIT_GEOMETRY
+            err = json.loads(out)["error"]
+            assert err["code"] == "Degenerate" and "accepted range" in err["message"]
+
+    @pytest.mark.parametrize("end", [-56, 56])
+    def test_just_inside_solves_to_the_reference(self, tmp_path, capsys, end):
+        checks, reference = bench_module("checks"), bench_module("reference")
+        vertices = self.scaled(2.0 ** end / math.sqrt(52.0) * (1 - math.copysign(1e-6, end)))
+        code, out = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        iso = doc["canonical"]["iso"]
+        center = reference.to_input_frame(doc["result"]["center"], iso["angle"],
+                                          iso["translation"], iso["reflect"])
+        assert reference.center_error(reference.reference(vertices), center) <= checks.TOL_L
+
+    def test_unit_quad_far_away(self, tmp_path, capsys):
+        # at offset 1e200 the float vertices of a diameter-1 quad coincide
+        vertices = [(1e200 + x, 1e200 + y) for x, y in self.scaled(1.0 / math.sqrt(52.0))]
+        code, out = run_cli(capsys, "minimal", "--input", write_input(tmp_path, vertices))
+        doc = json.loads(out)
+        assert code == EXIT_OK or (code == EXIT_GEOMETRY
+                                   and doc["error"]["code"] == "Degenerate")
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "reports.json").read_text())["cases"]
+
+
+class TestPinnedReports:
+    """``minimal`` and ``verify`` reproduce the pinned reports of the README
+    and test inputs byte for byte.  A change that moves a byte must show
+    that the old bytes were wrong, and then update the pinned file."""
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c['name']}-{c['command']}")
+    def test_report_bytes(self, tmp_path, capsys, case):
+        path = write_input(tmp_path, case["vertices"])
+        code, out = run_cli(capsys, case["command"], "--input", path)
+        assert (code, out) == (case["exit"], case["stdout"])

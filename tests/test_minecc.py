@@ -4,11 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (canonical_vertices, make_quad, moved_vertices, mp_family,
-                     mp_semi_axes, random_general, random_isometry, random_kite,
-                     random_type1, random_type2)
+from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, grid_argmax, make_quad,
+                     moved_vertices, mp_family, mp_semi_axes, random_general,
+                     random_isometry, random_kite, random_type1, random_type2)
 from inellipse import (NotType1, QuadKind, canonicalize, classify,
-                       diagonal_angle, geometry, grid_argmax, incircle,
+                       diagonal_angle, geometry, incircle,
                        maximize_ratio_sq, newton_segment, ratio_sq_closed_form,
                        ratio_sq_function, solve, spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
@@ -422,17 +422,6 @@ THIN_TYPE1 = [
 ]
 
 
-NEAR_TRAPEZOIDS = [
-    # |s - v| / diameter about 1e-8 (the solve_illcond benchmark, seed 1)
-    [(18.426898543454257, 0.7137505309083356), (10.655425389833326, -2.122503233771191),
-     (10.924446429642272, -2.5743976541380658), (19.509107133119205, -1.104115173859133)],
-    [(0.3606632395591518, 6.660943774847809), (6.188929829835843, 9.383982175264052),
-     (4.022984841904415, 11.717887606454621), (-3.7293375692540582, 11.068108088718475)],
-    [(8.064518214135303, 12.22901547981737), (1.9505378776269957, 11.536086845578481),
-     (-0.7720850838773217, 19.317211744831567), (1.886164781680999, 19.618484714196825)],
-]
-
-
 class TestNearTrapezoids:
     # An abscissa in an interval 1e-8 of the diameter wide is rounded to
     # 1e-8 of that interval: solving for h put these centers 7.6e-10 to
@@ -463,6 +452,19 @@ class TestThinRatio:
             ref = ratio(mpmath.mpf(res.h_star))
             for value in (res.ratio_sq, spectral(cq, res.h_star).ratio_sq):
                 assert abs(value - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("vertices", THIN_TYPE1)
+    def test_closed_form_ratio_matches_50_digits(self, vertices):
+        # (major - minor) / (major + minor) cancels on thin optima: it
+        # missed its own 50-digit value on these quads by 3.6e-13 to
+        # 9.1e-12 relative
+        cq = canonicalize(vertices)
+        with mpmath.workdps(50):
+            s, t, u, v, w = (mpmath.mpf(x) for x in cq.params)
+            major = mpmath.sqrt((s * s + t * t) * ((v * s) ** 2 + (v * t - 2 * w * s) ** 2))
+            minor = abs(2 * w * s * t - (t * t - s * s) * v)
+            ref = (major - minor) / (major + minor)
+            assert abs(ratio_sq_closed_form(cq) - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("vertices", THIN_TYPE1)
     def test_semi_axes_match_50_digits(self, vertices):

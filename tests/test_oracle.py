@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_quad, random_general, random_kite
-from inellipse import (Conic, NotTangential, coefficients, containment,
-                       fd_gradient, geometry, grid_argmax, incircle,
+from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
+                     cli_verify_pool, grid_argmax, make_quad, random_general,
+                     random_kite)
+from inellipse import (Conic, NotTangential, canonicalize, coefficients,
+                       containment, fd_gradient, geometry, incircle, ratio_argmax,
                        ratio_sq_function, ratio_sq_prime)
+from inellipse import family
+from inellipse.family import ratio_sq_bound
 from inellipse.minecc import closed_form_h
+from inellipse.oracle import CELL
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -67,6 +72,86 @@ class TestGridArgmax:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             grid_argmax(lambda x: x, (0.0, 1.0), 2)
+
+
+# The README quad, a kite (a circular member puts a corner in the ratio
+# curve), thin optima and a near-trapezoid.
+SPECIAL_QUADS = {"readme": Q5_VERTICES, "kite": KITE_VERTICES,
+                 **{f"thin_optimum_{i}": v for i, v in enumerate(THIN_OPTIMA)},
+                 "near_trapezoid": NEAR_TRAPEZOIDS[0]}
+
+
+def special_quads():
+    return [canonicalize(v) for v in SPECIAL_QUADS.values()]
+
+
+def cell_bounds_hold(cq, n=100_000) -> bool:
+    """Every value of the full grid is at most the bound of its cell."""
+    lo, hi = cq.interval
+    i = np.arange(1, n + 1)
+    hs = lo + (hi - lo) * (i / (n + 1.0))
+    first = np.arange(1, n + 1, CELL)
+    bound = ratio_sq_bound(cq, hs[first - 1], hs[np.minimum(first + CELL - 1, n) - 1])
+    return bool(np.all(ratio_sq_function(cq)(hs) <= bound[(i - 1) // CELL]))
+
+
+class TestRatioArgmax:
+    """Branch and bound returns the brute-force grid argmax, bit for bit."""
+
+    @staticmethod
+    def brute_force(cq, n=100_000):
+        return grid_argmax(ratio_sq_function(cq), cq.interval, n)
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_QUADS))
+    def test_matches_brute_force(self, name):
+        cq = canonicalize(SPECIAL_QUADS[name])
+        assert ratio_argmax(cq) == self.brute_force(cq)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_brute_force_on_cli_verify_pool(self, seed):
+        for cq in cli_verify_pool(seed):
+            assert ratio_argmax(cq) == self.brute_force(cq)
+
+    @pytest.mark.parametrize("n", [3, 99, 100, 101, 1001, 12345])
+    def test_matches_brute_force_at_any_grid_size(self, n):
+        # the last cell is partial unless CELL divides n
+        for cq in special_quads():
+            assert ratio_argmax(cq, n) == self.brute_force(cq, n)
+
+    def test_too_few_samples(self):
+        with pytest.raises(ValueError):
+            ratio_argmax(canonicalize(Q5_VERTICES), 2)
+
+    @pytest.mark.parametrize("n", [100_000, 1000, 250])
+    def test_bounds_hold_on_special_quads(self, n):
+        # on coarse grids a cell spans a good share of the interval, so it
+        # holds the vertex of a quadratic, or lam = 1/2, well inside
+        for cq in special_quads():
+            assert cell_bounds_hold(cq, n)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bounds_hold_on_cli_verify_pool(self, seed):
+        for cq in cli_verify_pool(seed):
+            assert cell_bounds_hold(cq)
+
+    def test_evaluates_a_few_cells(self, monkeypatch):
+        # about 1000 cell heads plus the cells near the maximum
+        counts = []
+        make = family.ratio_sq_function
+
+        def counting(cq):
+            f = make(cq)
+
+            def g(h):
+                counts.append(np.size(h))
+                return f(h)
+            return g
+
+        monkeypatch.setattr(family, "ratio_sq_function", counting)
+        for cq in special_quads():
+            counts.clear()
+            ratio_argmax(cq)
+            assert sum(counts) < 10_000
 
 
 class TestContainment:
