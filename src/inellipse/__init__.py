@@ -22,7 +22,7 @@ from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
 from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
                      closed_form_h, maximize_ratio_sq, ratio_sq_closed_form,
                      solve)
-from .oracle import OracleReport, containment, fd_gradient, incircle, ratio_argmax
+from .oracle import OracleReport, containment, fd_gradient, incircle, ratio_argmax, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
                    diagonal_angle, newton_segment, tangential_residuals,
@@ -46,5 +46,5 @@ __all__ = [
     "pushforward", "ratio_argmax", "ratio_sq_closed_form", "ratio_sq_function",
     "ratio_sq_prime", "side_linears", "solve", "spectral",
     "tangency_points", "tangent_slope",
-    "tangential_residuals", "validate",
+    "tangential_residuals", "validate", "verify",
 ]

@@ -5,7 +5,7 @@ Subcommands:
     classify   classification report only
     family     one inscribed-family member (--h) or a sweep (--sweep)
     minimal    minimal-eccentricity ellipse report (--verify, --svg)
-    verify     minimal + full oracle battery; exit 4 unless all pass
+    verify     minimal --verify: the battery of ``oracle.verify``; exit 4 unless all pass
 
 Input is a JSON document with a top-level "vertices" array of four [x, y]
 pairs (file via --input, or standard input).  Output is JSON on standard
@@ -25,12 +25,10 @@ import sys
 from typing import Optional, Sequence
 
 from . import family, minecc, oracle
-from .conic import LineConicRelation, Line2, geometry, line_tangency
 from .errors import InscribedEllipseError
-from .minecc import CLOSED_FORM, MinEccResult
-from .oracle import OracleReport
-from .quad import (CanonicalQuad, Point2, QuadKind, canonicalize, classify,
-                   diagonal_angle, newton_segment, validate)
+from .minecc import MinEccResult
+from .quad import (CanonicalQuad, Point2, canonicalize, classify,
+                   newton_segment, validate)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -221,103 +219,6 @@ def _result_block(res: MinEccResult) -> dict:
     }
 
 
-def _oracle_block(rep: OracleReport) -> dict:
-    return {
-        "name": rep.name,
-        "passed": rep.passed,
-        "worst_residual": rep.worst_residual,
-        "location": rep.location,
-        "tolerance": rep.tolerance,
-    }
-
-
-# ---------------------------------------------------------------------------
-# oracle battery for --verify / verify
-# ---------------------------------------------------------------------------
-
-
-def _side_line2(cq: CanonicalQuad, j: int) -> Line2:
-    p, q = cq.sides[j]
-    return Line2.through(p, q)
-
-
-def _oracle_battery(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
-    lo, hi = cq.interval
-    width = hi - lo
-    reports = [oracle.containment(res.conic, cq, 256)]
-
-    # Tangency of the four side lines, plus the tangency points themselves.
-    conic_n = res.conic.normalized()
-    all_tangent = True
-    worst = 0.0
-    where = ""
-    for j in range(4):
-        relation, _ = line_tangency(conic_n, _side_line2(cq, j))
-        if relation is not LineConicRelation.TANGENT:
-            all_tangent = False
-            where = f"side S{j + 1} is {relation.value}"
-    for tp in family.tangency_points(cq, res.h_star):
-        x, y = tp.zeta
-        a_, b_, c_, d_, e_, f_ = conic_n
-        scale = (abs(a_ * x * x) + abs(b_ * x * y) + abs(c_ * y * y)
-                 + abs(d_ * x) + abs(e_ * y) + abs(f_)) or 1.0
-        rel = abs(conic_n(x, y)) / scale
-        if rel > worst:
-            worst = rel
-        if not (0.0 < tp.lam < 1.0):
-            all_tangent = False
-            where = f"tangency parameter {tp.lam!r} outside (0, 1)"
-    reports.append(OracleReport("side_tangency", all_tangent and worst <= 1e-9,
-                                worst, where or "all side lines tangent", 1e-9))
-
-    # Grid argmax against the solver result.
-    n = 100_000
-    hg, _ = oracle.ratio_argmax(cq, n)
-    gap = abs(hg - res.h_star)
-    reports.append(OracleReport("grid_argmax", gap <= 2.0 * width / n,
-                                gap, f"grid argmax at {hg!r}", 2.0 * width / n))
-
-    # Finite-difference stationarity at the solution.  A circle member sits
-    # at a corner of the ratio curve where a centered difference measures
-    # the kink asymmetry, so there the oracle checks the slope sign change
-    # across the optimum instead.
-    f = family.ratio_sq_function(cq)
-    if res.ratio_sq >= 1.0 - 1e-9:
-        probe = 1e-4 * width
-        left = oracle.fd_gradient(f, res.h_star - probe, 1e-6 * width)
-        right = oracle.fd_gradient(f, res.h_star + probe, 1e-6 * width)
-        reports.append(OracleReport("stationarity", left > 0.0 > right,
-                                    0.0 if left > 0.0 > right else max(-left, right),
-                                    "slope sign change across a circular optimum",
-                                    0.0))
-    else:
-        fd = oracle.fd_gradient(f, res.h_star, 1e-6 * width)
-        probes = [res.h_star - width / 8.0, res.h_star + width / 8.0]
-        scale = max(abs(oracle.fd_gradient(f, min(max(p, lo + 0.01 * width), hi - 0.01 * width),
-                                           1e-6 * width)) for p in probes)
-        reports.append(OracleReport("stationarity", abs(fd) <= 1e-6 * max(scale, 1e-12),
-                                    abs(fd), "central difference at h_star",
-                                    1e-6 * max(scale, 1e-12)))
-
-    # Closed form vs numeric agreement.
-    if res.method == CLOSED_FORM:
-        h_num, _ = minecc.maximize_ratio_sq(cq)
-        gap = abs(h_num - res.h_star)
-        reports.append(OracleReport("solver_agreement", gap <= 1e-9 * width,
-                                    gap, f"numeric maximizer at {h_num!r}",
-                                    1e-9 * width))
-
-    # Incircle consistency for tangential MDQs.
-    qc = classify(cq)
-    if qc.tangential and qc.kind is not QuadKind.GENERAL:
-        center, radius = oracle.incircle(cq)
-        dev = math.hypot(center.x - res.geom.center.x, center.y - res.geom.center.y)
-        reports.append(OracleReport("incircle", dev <= 1e-6 * cq.diameter,
-                                    dev, f"bisector center {tuple(center)!r}, radius {radius!r}",
-                                    1e-6 * cq.diameter))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # SVG rendering
 # ---------------------------------------------------------------------------
@@ -437,7 +338,7 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
-def _cmd_minimal(args, *, force_verify: bool = False) -> int:
+def _cmd_minimal(args) -> int:
     data = _load_input(args.input)
     tol = _tolerance(args, data)
     cq = canonicalize(data["vertices"], tol=tol)
@@ -449,22 +350,16 @@ def _cmd_minimal(args, *, force_verify: bool = False) -> int:
         "newton": _newton_block(cq),
         "result": _result_block(res),
     }
-    verify = force_verify or getattr(args, "verify", False)
     failed = False
-    if verify:
-        battery = _oracle_battery(cq, res)
-        report["oracles"] = [_oracle_block(r) for r in battery]
+    if args.verify:
+        battery = oracle.verify(cq, res)
+        report["oracles"] = [dict(vars(r)) for r in battery]
         failed = not all(r.passed for r in battery)
-    svg = getattr(args, "svg", None)
-    if svg:
+    if args.svg:
         # the figure draws the input cycle; canonicalize keeps only the pose
-        _render_svg(svg, validate(data["vertices"]), cq, res)
+        _render_svg(args.svg, validate(data["vertices"]), cq, res)
     _emit(report)
     return EXIT_VERIFY if failed else EXIT_OK
-
-
-def _cmd_verify(args) -> int:
-    return _cmd_minimal(args, force_verify=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ver)
     p_ver.add_argument("--svg", default=None, metavar="PATH",
                        help="write an SVG figure")
-    p_ver.set_defaults(func=_cmd_verify)
+    p_ver.set_defaults(func=_cmd_minimal, verify=True)
     return parser
 
 

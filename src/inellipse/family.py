@@ -91,11 +91,6 @@ def _require_h(cq: CanonicalQuad, h: float) -> None:
         raise HOutOfRange(f"h={h!r} outside the open center interval ({lo!r}, {hi!r})")
 
 
-def center_y(cq: CanonicalQuad, h: float) -> float:
-    """Ordinate of the family center at abscissa h (on the midpoint line)."""
-    return cq.t / 2.0 + (cq.w + cq.u - cq.t) / (cq.v - cq.s) * (h - cq.s / 2.0)
-
-
 def side_linears(cq: CanonicalQuad, h: float) -> SideLinears:
     s, t, u, v, w = cq.params
     return SideLinears(
@@ -167,22 +162,14 @@ def _spectral_quadratics(cq: CanonicalQuad):
 
 def _segment_coordinate(cq: CanonicalQuad, h):
     """lam = (2h - v) / (s - v), rounded the same way for a scalar h and
-    for each entry of an array h (a new array)."""
-    lam = 2.0 * h
-    lam -= cq.v
-    lam /= cq.s - cq.v
-    return lam
+    for each entry of an array h."""
+    return (2.0 * h - cq.v) / (cq.s - cq.v)
 
 
 def _horner(q, x):
-    """The quadratic with monomial coefficients q at x; for an array x a
-    new array, updated in place."""
+    """The quadratic with monomial coefficients q at x."""
     c2, c1, c0 = q
-    y = c2 * x
-    y += c1
-    y *= x
-    y += c0
-    return y
+    return (c2 * x + c1) * x + c0
 
 
 def _unit(cq: CanonicalQuad) -> float:
@@ -221,7 +208,7 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
 def coefficients(cq: CanonicalQuad, h: float) -> Conic:
     """Unnormalized conic coefficients of the family member at h."""
     _require_h(cq, h)
-    return _member(cq, (2.0 * h - cq.v) / (cq.s - cq.v), (cq.s - cq.v) ** 2)
+    return _member(cq, _segment_coordinate(cq, h), (cq.s - cq.v) ** 2)
 
 
 def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
@@ -250,7 +237,7 @@ def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> S
     """Spectral quantities of the family member at h (``conic``: its
     coefficients, if at hand), the ratio in the product form."""
     c = coefficients(cq, h) if conic is None else conic
-    return _spectral(cq, (2.0 * h - cq.v) / (cq.s - cq.v), c, (cq.s - cq.v) ** 2)
+    return _spectral(cq, _segment_coordinate(cq, h), c, (cq.s - cq.v) ** 2)
 
 
 def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
@@ -263,7 +250,7 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     fall back to finite differences there.
     """
     _require_h(cq, h)
-    lam, unit = (2.0 * h - cq.v) / (cq.s - cq.v), _unit(cq)
+    lam, unit = _segment_coordinate(cq, h), _unit(cq)
     sp = _spectral(cq, lam, _member(cq, lam, unit), unit)
     gap = math.sqrt(sp.gap_sq)
     if gap <= CIRCULAR_GAP_RATIO * sp.trace:
@@ -286,22 +273,10 @@ def ratio_sq_function(cq: CanonicalQuad) -> Callable:
     k = 16.0 * cq.u
 
     def ratio_sq(h):
-        # augmented assignments reuse the arrays of a long sweep (scalars
-        # just rebind), so the product form costs no more than the quotient
         lam = _segment_coordinate(cq, h)
-        den, diff, b = (_horner(q, lam) for q in quadratics)   # trace, A - C, B
-        diff *= diff
-        b *= b
-        diff += b
-        diff **= 0.5              # gap
-        den += diff
-        den *= den                # (trace + gap)^2
-        num = _l5(cq, lam)
-        num *= lam
-        num *= 1.0 - lam
-        num *= k                  # 16 u lam (1-lam) l5
-        num /= den
-        return num
+        trace, diff, b = (_horner(q, lam) for q in quadratics)   # A + C, A - C, B
+        den = trace + (diff * diff + b * b) ** 0.5                # trace + gap
+        return _l5(cq, lam) * lam * (1.0 - lam) * k / (den * den)
 
     return ratio_sq
 

@@ -1,4 +1,4 @@
-"""Independent brute-force verifiers.
+"""Brute-force verifiers and the battery that runs them on a solution.
 
 Every oracle here is implementation-independent of the machinery it
 checks: the finite-difference slope never calls the analytic derivative,
@@ -7,8 +7,10 @@ the grid argmax uses neither the stationarity quartic nor a closed form
 for bit), and the incircle is built from angle bisectors rather than
 family coefficients.  Oracle tolerances are deliberately looser than the
 claims they validate, so a failing oracle indicates a real defect rather
-than noise.  The sampling oracles import numpy when called, so importing
-the package does not load it.
+than noise.  :func:`verify` runs the battery on a ``minecc.solve``
+result; its ``solver_agreement`` report is a cross-check between the two
+solver paths, not an independent oracle.  The sampling oracles import
+numpy when called, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import family
-from .conic import Conic, geometry
+from .conic import Conic, Line2, LineConicRelation, geometry, line_tangency
 from .errors import NotTangential
-from .quad import CanonicalQuad, Point2, classify
+from .minecc import CLOSED_FORM, MinEccResult, maximize_ratio_sq
+from .quad import CanonicalQuad, Point2, QuadKind, classify
 
 
 @dataclass(frozen=True)
@@ -170,3 +173,84 @@ def incircle(cq: CanonicalQuad) -> tuple[Point2, float]:
     if radius <= 0.0 or max(dists) - min(dists) > 1e-6 * cq.diameter:
         raise NotTangential("bisector intersection is not equidistant from the sides")
     return center, radius
+
+
+def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
+    """The oracle battery on ``res = minecc.solve(cq)``, in report order:
+    ``containment``; ``side_tangency`` (the side lines tangent, the
+    tangency points on the conic and inside their sides); ``grid_argmax``
+    (within two steps of h*); ``stationarity`` (a central difference
+    vanishing at h*, or changing sign across a circular optimum);
+    ``solver_agreement`` for a closed-form result; and ``incircle`` for a
+    tangential midpoint-diagonal quad, classified at the default tolerance
+    so that the incircle's own test holds.
+    """
+    lo, hi = cq.interval
+    width = hi - lo
+    reports = [containment(res.conic, cq, 256)]
+
+    # Tangency of the four side lines, plus the tangency points themselves.
+    conic_n = res.conic.normalized()
+    a_, b_, c_, d_, e_, f_ = conic_n
+    all_tangent = True
+    worst = 0.0
+    where = ""
+    for j, side in enumerate(cq.sides):
+        relation, _ = line_tangency(conic_n, Line2.through(*side))
+        if relation is not LineConicRelation.TANGENT:
+            all_tangent = False
+            where = f"side S{j + 1} is {relation.value}"
+    for tp in family.tangency_points(cq, res.h_star):
+        x, y = tp.zeta
+        scale = (abs(a_ * x * x) + abs(b_ * x * y) + abs(c_ * y * y)
+                 + abs(d_ * x) + abs(e_ * y) + abs(f_)) or 1.0
+        worst = max(worst, abs(conic_n(x, y)) / scale)
+        if not (0.0 < tp.lam < 1.0):
+            all_tangent = False
+            where = f"tangency parameter {tp.lam!r} outside (0, 1)"
+    reports.append(OracleReport("side_tangency", all_tangent and worst <= 1e-9,
+                                worst, where or "all side lines tangent", 1e-9))
+
+    # Grid argmax against the solver result.
+    n = 100_000
+    hg, _ = ratio_argmax(cq, n)
+    gap, tol = abs(hg - res.h_star), 2.0 * width / n
+    reports.append(OracleReport("grid_argmax", gap <= tol, gap, f"grid argmax at {hg!r}", tol))
+
+    # Finite-difference stationarity at the solution.  A circle member sits
+    # at a corner of the ratio curve where a centered difference measures
+    # the kink asymmetry, so there the oracle checks the slope sign change
+    # across the optimum instead.
+    f = family.ratio_sq_function(cq)
+    step = 1e-6 * width
+    if res.ratio_sq >= 1.0 - 1e-9:
+        probe = 1e-4 * width
+        left = fd_gradient(f, res.h_star - probe, step)
+        right = fd_gradient(f, res.h_star + probe, step)
+        ok = left > 0.0 > right
+        reports.append(OracleReport("stationarity", ok, 0.0 if ok else max(-left, right),
+                                    "slope sign change across a circular optimum", 0.0))
+    else:
+        fd = fd_gradient(f, res.h_star, step)
+        scale = max(abs(fd_gradient(f, min(max(p, lo + 0.01 * width), hi - 0.01 * width), step))
+                    for p in (res.h_star - width / 8.0, res.h_star + width / 8.0))
+        tol = 1e-6 * max(scale, 1e-12)
+        reports.append(OracleReport("stationarity", abs(fd) <= tol, abs(fd),
+                                    "central difference at h_star", tol))
+
+    # Closed form vs numeric maximizer: a cross-check of the solver paths.
+    if res.method == CLOSED_FORM:
+        h_num, _ = maximize_ratio_sq(cq)
+        gap, tol = abs(h_num - res.h_star), 1e-9 * width
+        reports.append(OracleReport("solver_agreement", gap <= tol, gap,
+                                    f"numeric maximizer at {h_num!r}", tol))
+
+    # Incircle consistency for tangential MDQs.
+    qc = classify(cq)
+    if qc.tangential and qc.kind is not QuadKind.GENERAL:
+        center, radius = incircle(cq)
+        dev = math.hypot(center.x - res.geom.center.x, center.y - res.geom.center.y)
+        tol = 1e-6 * cq.diameter
+        reports.append(OracleReport("incircle", dev <= tol, dev,
+                                    f"bisector center {tuple(center)!r}, radius {radius!r}", tol))
+    return reports

@@ -135,8 +135,11 @@ class CanonicalQuad:
 
     @classmethod
     def from_params(cls, s: float, t: float, u: float, v: float, w: float) -> "CanonicalQuad":
-        """Canonical quad whose raw frame *is* the canonical frame."""
-        return cls(float(s), float(t), float(u), float(v), float(w), Isometry2.identity())
+        """Canonical quad whose raw frame *is* the canonical frame.  Raises
+        :class:`Degenerate` for a diameter outside ``DIAMETER_RANGE``."""
+        cq = cls(float(s), float(t), float(u), float(v), float(w), Isometry2.identity())
+        _check_diameter(cq.diameter ** 2)
+        return cq
 
     @property
     def params(self) -> tuple[float, float, float, float, float]:
@@ -159,10 +162,6 @@ class CanonicalQuad:
         """Lengths of S1..S4."""
         s, t, u, v, w = self.params
         return [math.hypot(v, w), u, math.hypot(s, t - u), math.hypot(v - s, w - t)]
-
-    @property
-    def perimeter(self) -> float:
-        return sum(self.side_lengths)
 
     @property
     def diameter(self) -> float:
@@ -207,7 +206,7 @@ class NewtonSegment:
     intercept: float
 
     def y_at(self, x: float) -> float:
-        # point-slope form through m2: bit for bit ``family.center_y``
+        # point-slope form through m2
         return self.m2.y + self.slope * (x - self.m2.x)
 
 
@@ -221,6 +220,15 @@ class TangentialResiduals(NamedTuple):
 # ---------------------------------------------------------------------------
 # validation and canonical pose
 # ---------------------------------------------------------------------------
+
+
+def _check_diameter(diam2: float) -> None:
+    """Raise :class:`Degenerate` unless the squared diameter diam2 lies in
+    the square of ``DIAMETER_RANGE``."""
+    lo, hi = DIAMETER_RANGE
+    if not lo * lo <= diam2 <= hi * hi:
+        raise Degenerate(f"diameter {math.sqrt(diam2):.3e} outside the accepted range "
+                         f"[2^-56, 2^56] = [{lo:.3e}, {hi:.3e}]")
 
 
 def validate(vertices: Sequence[PointLike]) -> list[Point2]:
@@ -250,10 +258,7 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     diam2 = max(dist2)
     if diam2 == 0.0:
         raise Degenerate("all vertices coincide")
-    lo, hi = DIAMETER_RANGE
-    if not lo * lo <= diam2 <= hi * hi:
-        raise Degenerate(f"diameter {math.sqrt(diam2):.3e} outside the accepted range "
-                         f"[2^-56, 2^56] = [{lo:.3e}, {hi:.3e}]")
+    _check_diameter(diam2)
     if min(dist2) <= 1e-24 * diam2:
         raise Degenerate("repeated vertex")
     _, (x1, y1), (x2, y2), (x3, y3) = rel

@@ -188,6 +188,16 @@ class TestVerifySubcommand:
         assert report["result"]["method"] == "numeric"
         assert all(o["passed"] for o in report["oracles"])
 
+    @pytest.mark.parametrize("vertices, exit_code", [
+        (Q5_VERTICES, EXIT_OK),
+        ([(0, 0), (1, 0), (1, 1), (0, 1)], EXIT_GEOMETRY),
+    ])
+    def test_same_as_minimal_verify(self, tmp_path, capsys, vertices, exit_code):
+        path = write_input(tmp_path, vertices)
+        runs = [run_cli(capsys, "verify", "--input", path),
+                run_cli(capsys, "minimal", "--verify", "--input", path)]
+        assert runs[0] == runs[1] and runs[0][0] == exit_code
+
 
 class TestJsonNumbers:
     @pytest.mark.parametrize("vertices", [

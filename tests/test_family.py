@@ -11,8 +11,8 @@ from inellipse import (CircularPoint, Conic, HOutOfRange, LineConicRelation,
                        geometry, is_ellipse, line_tangency, ratio_sq_function,
                        ratio_sq_prime, side_linears, spectral,
                        tangency_points, tangent_slope)
-from inellipse import canonicalize
-from inellipse.family import center_y, stationarity
+from inellipse import canonicalize, newton_segment
+from inellipse.family import stationarity
 from inellipse.minecc import closed_form_h
 
 
@@ -53,7 +53,7 @@ class TestCoefficients:
             g = geometry(coefficients(cq, h))
             scale = cq.diameter
             assert abs(g.center.x - h) <= 1e-9 * scale
-            assert abs(g.center.y - center_y(cq, h)) <= 1e-9 * scale
+            assert abs(g.center.y - newton_segment(cq).y_at(h)) <= 1e-9 * scale
 
     def test_matches_golden_minimal_conic(self, q5):
         hp = closed_form_h(q5)
@@ -129,7 +129,7 @@ class TestTangencyPoints:
         # at the closed-form optimum the kite's member is its incircle
         h = closed_form_h(kite)
         tps = tangency_points(kite, h)
-        cx, cy = h, center_y(kite, h)
+        cx, cy = h, newton_segment(kite).y_at(h)
         dists = [math.hypot(tp.zeta.x - cx, tp.zeta.y - cy) for tp in tps]
         assert max(dists) - min(dists) <= 1e-12 * kite.diameter
 

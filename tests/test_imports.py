@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -50,3 +52,27 @@ def test_cli_verify_loads_numpy_and_prints_the_same_report(tmp_path):
     with contextlib.redirect_stdout(buf):
         assert cli.main(["verify", "--input", str(path)]) == 0
     assert proc.stdout == buf.getvalue()
+
+
+def unused_imports(path):
+    """Names a module imports but never reads: every imported name must
+    occur as a name in the module's code (annotations included)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in pathlib.Path(inellipse.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    assert len(modules) > 1
+    unused = {p.name: found for p in modules if (found := unused_imports(p))}
+    assert unused == {}

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
                      random_kite)
 from inellipse import (Conic, NotTangential, canonicalize, coefficients,
                        containment, fd_gradient, geometry, incircle, ratio_argmax,
-                       ratio_sq_function, ratio_sq_prime)
+                       ratio_sq_function, ratio_sq_prime, solve, verify)
 from inellipse import family
 from inellipse.family import ratio_sq_bound
 from inellipse.minecc import closed_form_h
@@ -223,3 +225,32 @@ class TestIndependence:
         best = max(hs, key=lambda h: float(f(h)))
         h, _ = grid_argmax(f, cq.interval, n)
         assert h == pytest.approx(best, abs=0)
+
+
+PINNED_VERIFY = [case for case in json.loads(
+    (Path(__file__).parent / "data" / "reports.json").read_text())["cases"]
+    if case["command"] == "verify"]
+
+
+def battery(vertices):
+    cq = canonicalize(vertices)
+    return verify(cq, solve(cq))
+
+
+class TestVerify:
+    @pytest.mark.parametrize("case", PINNED_VERIFY, ids=lambda c: c["name"])
+    def test_matches_the_pinned_cli_oracles(self, case):
+        # JSON floats at 17 digits re-parse exactly, so the comparison is exact
+        pinned = json.loads(case["stdout"])["oracles"]
+        assert [vars(r) for r in battery(case["vertices"])] == pinned
+
+    def test_kite_runs_the_incircle_oracle(self):
+        reports = battery(KITE_VERTICES)
+        assert any(r.name == "incircle" and r.passed for r in reports)
+
+    def test_solver_agreement_only_for_closed_forms(self):
+        type1 = [r.name for r in battery(Q5_VERTICES)]
+        general = [r.name for r in battery([(0, 0), (0, 3), (4, 6), (2, 1)])]
+        assert "solver_agreement" in type1 and "solver_agreement" not in general
+        assert type1[:4] == general == ["containment", "side_tangency",
+                                        "grid_argmax", "stationarity"]

@@ -12,9 +12,9 @@ from helpers import (Q5_VERTICES, canonical_vertices, canonicalize_oracle,
                      random_type2, validate_oracle)
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
-                       diagonal_angle, newton_segment, tangential_residuals,
-                       validate)
-from inellipse.family import center_y
+                       diagonal_angle, newton_segment, solve,
+                       tangential_residuals, validate)
+from inellipse.family import _at, _segment_coordinate
 
 REJECTED = [
     ([(0, 0), (0, 3), (1, 1), (3, 0)], NotConvex),
@@ -302,8 +302,8 @@ class TestNewtonSegment:
             ns = newton_segment(cq)
             lo, hi = cq.interval
             for k in range(1, 10):
-                h = lo + (hi - lo) * k / 10
-                assert ns.y_at(h) == center_y(cq, h)
+                _, center, _ = _at(cq, _segment_coordinate(cq, lo + (hi - lo) * k / 10))
+                assert abs(ns.y_at(center.x) - center.y) <= 1e-12 * cq.diameter
 
 
 class TestDiagonalAngle:
@@ -357,6 +357,24 @@ class TestCanonicalQuadValidation:
     def test_exact_parallel_pair_rejected(self):
         with pytest.raises(ValueError):
             CanonicalQuad.from_params(2, 6, 2, 2, 1)   # s == v
+
+    def test_tiny_params_rejected_before_solve(self):
+        # solve() of this quad used to raise ZeroDivisionError
+        with pytest.raises(Degenerate, match="accepted range"):
+            solve(CanonicalQuad.from_params(4e-60, 6e-60, 3e-60, 2e-60, 1e-60))
+
+    @pytest.mark.parametrize("end", [-56, 56])
+    def test_diameter_range_ends(self, end):
+        # the general quad (4, 6, 3, 2, 1) has diameter sqrt(52)
+        params = (4.0, 6.0, 3.0, 2.0, 1.0)
+        unit = solve(CanonicalQuad.from_params(*params))
+        k = 2.0 ** end / math.sqrt(52.0)
+        inside, outside = k * (1 - math.copysign(1e-6, end)), k * (1 + math.copysign(1e-6, end))
+        res = solve(CanonicalQuad.from_params(*(inside * x for x in params)))
+        assert abs(res.h_star - inside * unit.h_star) <= 1e-12 * inside * unit.h_star
+        assert abs(res.ratio_sq - unit.ratio_sq) <= 1e-12
+        with pytest.raises(Degenerate, match="accepted range"):
+            CanonicalQuad.from_params(*(outside * x for x in params))
 
     def test_interval_orientation(self):
         assert make_quad(2, 5, 3.25, 3, 1).interval == (1.0, 1.5)
