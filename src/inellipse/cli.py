@@ -19,6 +19,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import json
 import sys
@@ -46,43 +47,43 @@ class ParseError(Exception):
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {x!r}")
-    text = format(float(x), ".17g")
+    text = format(x, ".17g")
     # keep a decimal point so the value re-parses as a float ("-0" would
     # otherwise come back as int 0 and drop the sign)
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+    return text if "." in text or "e" in text else text + ".0"
+
+
+_quote = json.encoder.encode_basestring_ascii    # json.dumps of a plain str
 
 
 def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
-    pad = "  " * indent if pretty else ""
-    pad_in = "  " * (indent + 1) if pretty else ""
-    nl = "\n" if pretty else ""
-    sep = ("," + nl) if pretty else ", "
     if obj is None:
         return "null"
+    if isinstance(obj, float):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return _quote(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, float):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    pad = "  " * indent if pretty else ""
+    pad_in = "  " * (indent + 1) if pretty else ""
+    nl = "\n" if pretty else ""
+    sep = ("," + nl) if pretty else ", "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f"{pad_in}{json.dumps(str(k))}: {to_json(v, indent + 1, pretty)}"
+        items = [f"{pad_in}{_quote(str(k))}: {to_json(v, indent + 1, pretty)}"
                  for k, v in obj.items()]
         return "{" + nl + sep.join(items) + nl + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(isinstance(v, (int, float, str, bool, type(None))) for v in obj)
-        if flat:
-            return "[" + ", ".join(to_json(v, 0, False) for v in obj) + "]"
+        if all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
+            return "[" + ", ".join([to_json(v, 0, False) for v in obj]) + "]"
         items = [pad_in + to_json(v, indent + 1, pretty) for v in obj]
         return "[" + nl + sep.join(items) + nl + pad + "]"
     if callable(getattr(obj, "item", None)):
@@ -319,7 +320,7 @@ def _cmd_family(args) -> int:
         raise ParseError(f"--sweep must be a positive integer, got {n}")
     cq = canonicalize(data["vertices"], tol=tol)
     lo, hi = cq.interval
-    hs = [args.h] if n is None else [lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n)]
+    hs = [args.h] if n is None else (lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n))
     ns = newton_segment(cq)
     for h in hs:
         fp = family.family_point(cq, h)
@@ -404,9 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use; parse_args returns a fresh namespace per call
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import io
 import json
 import math
@@ -148,14 +150,18 @@ class TestFamily:
         assert json.loads(out)["error"]["code"] == "HOutOfRange"
 
     def test_sweep_is_strictly_increasing(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "family", "--sweep", "9", "--input",
-                            write_input(tmp_path, Q5_VERTICES))
-        assert code == EXIT_OK
-        records = [json.loads(line) for line in out.strip().splitlines()]
-        assert len(records) == 9
-        hs = [r["h"] for r in records]
-        assert all(b > a for a, b in zip(hs, hs[1:]))
-        assert all(1.0 < h < 2.0 for h in hs)
+        path = write_input(tmp_path, Q5_VERTICES)
+        # the records of the golden quad, byte for byte
+        for n, digest in ((9, "b7bdbc8c9cadc078f85c7d94a9f3df543f1c29d547ce01ceac5e60a42660a996"),
+                          (2000, "759854f6704e755a4f0dc225229a3ccced09ae8f36ac9032cc4e11e3e4be4a5c")):
+            code, out = run_cli(capsys, "family", "--sweep", str(n), "--input", path)
+            assert code == EXIT_OK
+            records = [json.loads(line) for line in out.strip().splitlines()]
+            assert len(records) == n
+            hs = [r["h"] for r in records]
+            assert all(b > a for a, b in zip(hs, hs[1:]))
+            assert all(1.0 < h < 2.0 for h in hs)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_empty_sweep_is_a_parse_error(self, tmp_path, capsys, n):
@@ -327,6 +333,97 @@ class TestJsonEmitter:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
             to_json(object())
+
+    @pytest.mark.parametrize("x, text", [
+        (-0.0, "-0.0"), (2.0, "2.0"), (1e16, "10000000000000000.0"), (1e17, "1e+17"),
+        (5e-324, "4.9406564584124654e-324"), (-1.5e-300, "-1.5000000000000001e-300"),
+    ])
+    def test_float_text(self, x, text):
+        assert to_json(x) == to_json(x, pretty=False) == text
+        assert math.copysign(1.0, float(text)) == math.copysign(1.0, x)
+        assert float(text) == x
+
+    def test_float_subclass_prints_as_float(self):
+        from inellipse.minecc import _Abscissa
+        h = _Abscissa(1.1100576175169201)
+        h.lam = 0.11005761751692
+        assert to_json(h) == to_json(float(h)) == "1.1100576175169201"
+        assert to_json({"h_star": h}) == '{\n  "h_star": 1.1100576175169201\n}'
+
+    @pytest.mark.parametrize("s", ['say "hi"', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f",
+                                   "Ünïcödé π ≈ 3.14", "emoji \U0001f600", ""])
+    def test_strings_match_json_dumps(self, s):
+        assert to_json(s) == json.dumps(s)
+        assert to_json({s: s}, pretty=False) == "{" + json.dumps(s) + ": " + json.dumps(s) + "}"
+
+    def test_int_keys_print_as_strings(self):
+        assert to_json({1: 2.0, 2: "a"}) == '{\n  "1": 2.0,\n  "2": "a"\n}'
+        assert to_json({1: 2.0, 2: "a"}, pretty=False) == '{"1": 2.0, "2": "a"}'
+
+    @pytest.mark.parametrize("pretty", [True, False])
+    def test_containers(self, pretty):
+        assert to_json({}, pretty=pretty) == "{}"
+        assert to_json([], pretty=pretty) == "[]"
+        assert to_json((), pretty=pretty) == "[]"
+        assert to_json((1, 2.5), pretty=pretty) == "[1, 2.5]"
+        assert to_json([True, 1, None, "x", 0.5], pretty=pretty) == '[true, 1, null, "x", 0.5]'
+
+    def test_nested_lists(self):
+        rows = [[1.0, 2.0], [3.0, -0.0]]
+        assert to_json(rows, pretty=False) == "[[1.0, 2.0], [3.0, -0.0]]"
+        assert to_json(rows) == "[\n  [1.0, 2.0],\n  [3.0, -0.0]\n]"
+        assert to_json({"a": [[1.0], {"b": None}]}, pretty=False) == '{"a": [[1.0], {"b": null}]}'
+
+    def test_numpy_scalars_in_a_list(self):
+        np = pytest.importorskip("numpy")
+        # np.float64 is a float; np.int32 and np.bool_ are not flat members
+        items = [np.float64(0.1), np.int32(3), np.bool_(False), np.float32(0.5)]
+        assert to_json(items, pretty=False) == "[0.10000000000000001, 3, false, 0.5]"
+        assert to_json(items) == "[\n  0.10000000000000001,\n  3,\n  false,\n  0.5\n]"
+        assert to_json([np.float64(0.1), 2.0]) == "[0.10000000000000001, 2.0]"
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no call leaves state
+    behind for the next."""
+
+    def test_verify_then_minimal(self, tmp_path, capsys):
+        path = write_input(tmp_path, Q5_VERTICES)
+        assert run_cli(capsys, "verify", "--input", path)[0] == EXIT_OK
+        code, out = run_cli(capsys, "minimal", "--input", path)
+        assert code == EXIT_OK and "oracles" not in json.loads(out)
+
+    def test_sweep_after_single_member(self, tmp_path, capsys):
+        path = write_input(tmp_path, Q5_VERTICES)
+        sweep = ("family", "--sweep", "3", "--input", path)
+        first = run_cli(capsys, *sweep)
+        assert run_cli(capsys, "family", "--h", "1.5", "--input", path)[0] == EXIT_OK
+        assert run_cli(capsys, *sweep) == first
+
+    def test_valid_call_after_an_argparse_error(self, tmp_path, capsys):
+        path = write_input(tmp_path, Q5_VERTICES)
+        first = run_cli(capsys, "minimal", "--input", path)
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--h", "1.5", "--sweep", "3", "--input", path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, "minimal", "--input", path) == first
+
+    def test_no_parser_after_the_first_call(self, tmp_path, capsys, monkeypatch):
+        path = write_input(tmp_path, Q5_VERTICES)
+        run_cli(capsys, "classify", "--input", path)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for argv in (("verify",), ("minimal",), ("family", "--h", "1.5"), ("classify",)):
+            assert run_cli(capsys, *argv, "--input", path)[0] == EXIT_OK
+        assert built == []
+        argparse.ArgumentParser()
+        assert built == [None]
 
 
 class TestClassifiesOnce:

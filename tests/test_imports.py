@@ -26,6 +26,26 @@ def test_import_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_builds_no_parser_and_loads_no_numpy():
+    code = ("import argparse, sys\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import inellipse.cli\n"
+            "assert built == [], 'importing inellipse.cli built a parser'\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "try:\n"
+            "    inellipse.cli.main(['verify', '--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "assert built, 'the spy saw no parser being built'\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 def imported_modules(importtime_stderr):
     return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()
             if line.startswith("import time:")}
