@@ -82,7 +82,9 @@ def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
+        # numpy scalars are flat too: to_json prints them through .item()
+        if all(isinstance(v, (int, float, str, bool, type(None)))
+               or callable(getattr(v, "item", None)) for v in obj):
             return "[" + ", ".join([to_json(v, 0, False) for v in obj]) + "]"
         items = [pad_in + to_json(v, indent + 1, pretty) for v in obj]
         return "[" + nl + sep.join(items) + nl + pad + "]"

@@ -8,10 +8,10 @@ Coefficients are kept at whatever scale the caller supplies; several
 polynomial identities used elsewhere in the package hold only at the
 defining scale, so :func:`geometry` never rescales its input (it only
 flips the overall sign so that A + C > 0).  Use :meth:`Conic.normalized`
-when comparing shapes across scales.  Note that the ``delta`` quantity in
-:class:`EllipseGeometry` is 1-homogeneous in the coefficients (delta of
-k*c equals delta of c divided by k), while center, semi-axes and
-eccentricity are scale-invariant.
+when comparing shapes across scales; center, semi-axes and eccentricity
+are scale-invariant.  The solver reads its member's shape from the
+family model (``minecc.solve``), not from :func:`geometry`, which is the
+general-conic route that ``oracle.containment`` takes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import NotAnEllipse, NotOnConic, SingularPoint
-from .quad import Isometry2, Point2, PointLike
+from .errors import NotAnEllipse
+from .quad import Point2, PointLike
 
 
 class Conic(NamedTuple):
@@ -36,10 +36,6 @@ class Conic(NamedTuple):
     def __call__(self, x, y):
         A, B, C, D, E, F = self
         return A * x * x + B * x * y + C * y * y + D * x + E * y + F
-
-    def gradient(self, x: float, y: float) -> tuple[float, float]:
-        A, B, C, D, E, _ = self
-        return (2.0 * A * x + B * y + D, B * x + 2.0 * C * y + E)
 
     def scaled(self, k: float) -> "Conic":
         return Conic(*(k * c for c in self))
@@ -79,7 +75,6 @@ class EllipseGeometry:
     b: float                       # semi-minor
     eccentricity: float
     major_axis_angle: Optional[float]   # None for circles
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,6 @@ class Line2:
 
     slope: Optional[float]
     intercept: float
-
-    @classmethod
-    def vertical(cls, x0: float) -> "Line2":
-        return cls(None, x0)
 
     @classmethod
     def through(cls, p: PointLike, q: PointLike) -> "Line2":
@@ -126,8 +117,9 @@ def is_ellipse(c: Conic) -> EllipseCheck:
     return EllipseCheck(disc > 0.0 and ndg > 0.0, disc, ndg)
 
 
-def geometry(c: Conic) -> EllipseGeometry:
-    """Center, semi-axes, eccentricity, and axis orientation of an ellipse.
+def _major_axis_angle(c: Conic, trace: float, gap_sq: float) -> Optional[float]:
+    """Major-axis angle of an ellipse with A + C = trace > 0 and
+    (A - C)^2 + B^2 = gap_sq.
 
     The eigenvector of the larger eigenvalue of the quadratic form
     [[A, B/2], [B/2, C]] makes the angle 1/2 atan2(B, A - C) with the x
@@ -136,10 +128,20 @@ def geometry(c: Conic) -> EllipseGeometry:
     for every orientation.  It is reported in (-pi/2, pi/2] and is None
     when the ellipse is a circle to machine precision.
     """
+    if gap_sq <= 1e-24 * trace * trace:
+        return None
+    angle = 0.5 * math.atan2(c.B, c.A - c.C) + math.pi / 2.0
+    return angle - math.pi if angle > math.pi / 2.0 else angle
+
+
+def geometry(c: Conic) -> EllipseGeometry:
+    """Center, semi-axes, eccentricity, and axis orientation of an ellipse
+    (:func:`_major_axis_angle`)."""
     check = is_ellipse(c)
     if not check:
         raise NotAnEllipse("coefficients do not describe a nondegenerate ellipse")
-    A, B, C, D, E, F = c.oriented()
+    c = c.oriented()
+    A, B, C, D, E, F = c
     disc, ndg = check.ellipse_disc, check.nondegeneracy
     delta = 4.0 * ndg / (disc * disc)
     trace = A + C
@@ -149,15 +151,8 @@ def geometry(c: Conic) -> EllipseGeometry:
     ecc = math.sqrt(2.0 * gap / (trace + gap))
     cx = (B * E - 2.0 * C * D) / disc
     cy = (B * D - 2.0 * A * E) / disc
-
-    if gap * gap <= 1e-24 * trace * trace:
-        angle = None
-    else:
-        angle = 0.5 * math.atan2(B, A - C) + math.pi / 2.0
-        if angle > math.pi / 2.0:
-            angle -= math.pi
     return EllipseGeometry(Point2(cx, cy), math.sqrt(a_sq), math.sqrt(b_sq),
-                           ecc, angle, delta)
+                           ecc, _major_axis_angle(c, trace, gap * gap))
 
 
 def conjugate_diameter_angle(g: EllipseGeometry) -> float:
@@ -171,31 +166,6 @@ def conjugate_diameter_angle(g: EllipseGeometry) -> float:
     if ratio >= 1.0 - 1e-12:
         return math.pi / 2.0
     return 2.0 * math.atan(ratio)
-
-
-def tangent_slope(c: Conic, p: PointLike, *, tol: float = 1e-9) -> Optional[float]:
-    """Slope of the conic at a point on it; None marks a vertical tangent.
-
-    Raises :class:`NotOnConic` when the point misses the conic relative to
-    the local term scale and :class:`SingularPoint` when both partial
-    derivatives vanish.
-    """
-    x, y = float(p[0]), float(p[1])
-    A, B, C, D, E, F = c
-    value = c(x, y)
-    scale = (abs(A * x * x) + abs(B * x * y) + abs(C * y * y)
-             + abs(D * x) + abs(E * y) + abs(F)) or 1.0
-    if abs(value) > tol * scale:
-        raise NotOnConic(f"residual {value!r} exceeds {tol!r} of term scale {scale!r}")
-    gx, gy = c.gradient(x, y)
-    gnorm = math.hypot(gx, gy)
-    gscale = (abs(2.0 * A * x) + abs(B * y) + abs(D)
-              + abs(B * x) + abs(2.0 * C * y) + abs(E)) or 1.0
-    if gnorm <= tol * gscale:
-        raise SingularPoint("conic gradient vanishes at the point")
-    if abs(gy) <= tol * gnorm:
-        return None
-    return -gx / gy
 
 
 def line_tangency(c: Conic, line: Line2, *, tol: float = 1e-9
@@ -223,29 +193,3 @@ def line_tangency(c: Conic, line: Line2, *, tol: float = 1e-9
     if disc > 0.0:
         return LineConicRelation.SECANT, disc
     return LineConicRelation.DISJOINT, disc
-
-
-def pullback(c: Conic, iso: Isometry2) -> Conic:
-    """Coefficients of the conic pre-composed with an isometry.
-
-    If ``c`` describes a curve in the target frame of ``iso``, the result
-    describes the same curve in the source frame: the zero set of the
-    returned conic is the iso-preimage of the zero set of ``c``.
-    """
-    ct, st = math.cos(iso.angle), math.sin(iso.angle)
-    r = -1.0 if iso.reflect else 1.0
-    tx, ty = iso.translation
-    # columns of the linear part R(angle) F: (ct, st) and r (-st, ct)
-    A, B, C = c.A, c.B, c.C
-    gx, gy = c.gradient(tx, ty)
-    return Conic(A * ct * ct + B * ct * st + C * st * st,
-                 r * (2.0 * (C - A) * ct * st + B * (ct * ct - st * st)),
-                 A * st * st - B * ct * st + C * ct * ct,
-                 ct * gx + st * gy,
-                 r * (ct * gy - st * gx),
-                 c(tx, ty))
-
-
-def pushforward(c: Conic, iso: Isometry2) -> Conic:
-    """Coefficients of the image of the conic's zero set under ``iso``."""
-    return pullback(c, iso.inverse())

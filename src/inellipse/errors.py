@@ -29,21 +29,5 @@ class NotAnEllipse(InscribedEllipseError):
     """Conic coefficients do not describe a nondegenerate real ellipse."""
 
 
-class NotOnConic(InscribedEllipseError):
-    """Point does not satisfy the conic equation within tolerance."""
-
-
-class SingularPoint(InscribedEllipseError):
-    """Conic gradient vanishes at the point; no tangent direction exists."""
-
-
-class CircularPoint(InscribedEllipseError):
-    """Family member is circular here; the analytic slope formula degenerates."""
-
-
-class NotType1(InscribedEllipseError):
-    """Closed form requires a type-1 midpoint-diagonal quadrilateral."""
-
-
 class NotTangential(InscribedEllipseError):
     """Operation requires a tangential quadrilateral."""

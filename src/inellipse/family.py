@@ -37,13 +37,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .conic import Conic
-from .errors import CircularPoint, HOutOfRange
+from .errors import HOutOfRange
 from .quad import CanonicalQuad, Point2
 
 RELATIVE_ENDPOINT_GUARD = 1e-12
-# ratio gap/trace below which a family member counts as circular and the
-# analytic derivative of ratio_sq degenerates
-CIRCULAR_GAP_RATIO = 1e-12
 
 
 class SideLinears(NamedTuple):
@@ -238,24 +235,6 @@ def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> S
     coefficients, if at hand), the ratio in the product form."""
     c = coefficients(cq, h) if conic is None else conic
     return _spectral(cq, _segment_coordinate(cq, h), c, (cq.s - cq.v) ** 2)
-
-
-def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
-    """Analytic derivative of the squared axis ratio at h.
-
-    d(b/a)^2/dlam = p / (gap (trace + gap)^2) with p the stationarity
-    quartic of the model, and dlam/dh = 2 / (s - v).  Raises
-    :class:`CircularPoint` when the family member is circular to machine
-    precision (the formula divides by the eigenvalue gap); callers should
-    fall back to finite differences there.
-    """
-    _require_h(cq, h)
-    lam, unit = _segment_coordinate(cq, h), _unit(cq)
-    sp = _spectral(cq, lam, _member(cq, lam, unit), unit)
-    gap = math.sqrt(sp.gap_sq)
-    if gap <= CIRCULAR_GAP_RATIO * sp.trace:
-        raise CircularPoint("family member is circular at this abscissa")
-    return 2.0 / (cq.s - cq.v) * stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
 
 
 def ratio_sq_function(cq: CanonicalQuad) -> Callable:

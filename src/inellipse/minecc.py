@@ -14,9 +14,10 @@ once between; the maximizer is that root.  For a midpoint-diagonal quadrilateral
 explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
 type 2, and the root is its closed form in lam in the quad's own frame;
 every other quad gets the root of p by bracketed, safeguarded Newton.
-No path searches over values of the ratio.  The conic, the center and
-the semi-axes are then evaluated at that lam; the center abscissa h* is
-reported, never converted back.
+No path searches over values of the ratio.  The conic, the center, the
+semi-axes and the axis angle are then read from the model at that lam,
+not from ``conic.geometry``; the center abscissa h* is reported, never
+converted back.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -30,8 +31,9 @@ import math
 from dataclasses import dataclass
 
 from . import family
-from .conic import Conic, EllipseGeometry, conjugate_diameter_angle, geometry
-from .errors import NotType1
+from .conic import (Conic, EllipseGeometry, _major_axis_angle,
+                    conjugate_diameter_angle)
+from .errors import NotAnEllipse
 from .quad import (CanonicalQuad, QuadClass, QuadKind, classify,
                    diagonal_angle)
 
@@ -84,11 +86,6 @@ def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
     return CenterQuadratic(-2.0 * st2 * (s - v), -2.0 * k, s * k, k, p1)
 
 
-def _require_type1(cq: CanonicalQuad, tol: float) -> None:
-    if classify(cq, tol=tol).kind is not QuadKind.MDQ_TYPE1:
-        raise NotType1("closed form requires a type-1 midpoint-diagonal quadrilateral")
-
-
 def _type1_root(cq: CanonicalQuad) -> float:
     """Segment coordinate of the type-1 optimum, the root of o(h) in the
     interval:
@@ -128,31 +125,6 @@ def _type2_root(cq: CanonicalQuad) -> float:
     m = d * d + (t - 2.0 * w) ** 2
     den = math.sqrt(s * s * m + st2 * d * d) + abs(d) * math.sqrt(m + st2)
     return 4.0 * v * v * m / (den * den)
-
-
-def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
-    """Exact maximizing abscissa for a type-1 midpoint-diagonal quad."""
-    _require_type1(cq, tol)
-    return family._abscissa(cq, _type1_root(cq))
-
-
-def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
-    """Closed-form maximal squared axis ratio for a type-1 MDQ.
-
-    (major - minor) / (major + minor) with major = sqrt((s^2+t^2) p1) and
-    minor = |2wst - (t^2 - s^2) v|, taken as the quotient
-    (major^2 - minor^2) / (major + minor)^2 with the numerator factored,
-    major^2 - minor^2 = 4 s^2 (vt - ws)^2, so a thin optimum loses no
-    digits to the difference.  At most 1: above it only by rounding, on
-    a circle.
-    """
-    _require_type1(cq, tol)
-    s, t, v, w = cq.s, cq.t, cq.v, cq.w
-    st2 = s * s + t * t
-    p1 = center_quadratic(cq).p1
-    major = math.sqrt(st2) * math.sqrt(p1)
-    minor = abs(2.0 * w * s * t - (t * t - s * s) * v)
-    return min((2.0 * s * (v * t - w * s) / (major + minor)) ** 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +207,13 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     (``family._at``).  With S = trace + gap at the defining scale,
     a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq) and e^2 = 2 gap / S: no
     cancellation of 4AC - B^2, of the determinant or of 1 - (b/a)^2 on
-    thin or near-circular members.  h* is the center's abscissa.
+    thin or near-circular members.  The major-axis angle is
+    1/2 atan2(B, A - C) + pi/2 of that conic, as ``conic.geometry`` gives
+    it (trace > 0, so no sign flip).  h* is the center's abscissa.
     Tangential midpoint-diagonal quads are the inscribed circle exactly,
     reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
+    Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
+    model's certificate of a real ellipse.
     """
     qc = classify(cq, tol=tol)
     if qc.kind is QuadKind.GENERAL:
@@ -249,21 +225,22 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
         lam = _type1_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)
 
     conic, center, sp = family._at(cq, lam)
+    if not (sp.trace > 0.0 and sp.cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
+        raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
     gap = math.sqrt(sp.gap_sq)
     a = math.sqrt((sp.trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
     ratio_sq = min(sp.ratio_sq, 1.0)        # above 1 only by roundoff, on a circle
-    g = geometry(conic)
 
     if qc.tangential and qc.kind is not QuadKind.GENERAL:
         # Tangential MDQ: the optimum is the inscribed circle.  Report the
         # exact circle (the computed conic is that circle up to roundoff);
         # the center's distance to the side on the y axis is its abscissa.
-        geom = EllipseGeometry(center, center.x, center.x, 0.0, None, g.delta)
+        geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
         gamma = math.pi / 2.0
     else:
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (sp.trace + gap)),
-                               g.major_axis_angle, g.delta)
+                               _major_axis_angle(conic, sp.trace, sp.gap_sq))
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
     return MinEccResult(center.x, conic, geom, gamma, alpha, ratio_sq,

@@ -56,9 +56,11 @@ log = logging.getLogger(__name__)
 DEFAULT_TOL = 1e-9
 
 # Accepted diameters, 2^-56 to 2^56.  The highest-degree quantity the
-# solver forms is (4AC - B^2)^2 in ``conic.geometry``, of degree 16 in the
-# diameter at the family's defining scale: across this range it stays
-# within 2^(+-896) times its shape factor, 2^126 inside the normal floats.
+# package forms is (4AC - B^2)^2, of degree 16 in the diameter at the
+# family's defining scale; only ``verify`` forms it, through
+# ``conic.geometry`` in ``oracle.containment`` (``solve`` stays at degree
+# 8).  Across this range it stays within 2^(+-896) times its shape factor,
+# 2^126 inside the normal floats.
 DIAMETER_RANGE = (2.0 ** -56, 2.0 ** 56)
 
 PointLike = Sequence[float]
@@ -208,13 +210,6 @@ class NewtonSegment:
     def y_at(self, x: float) -> float:
         # point-slope form through m2
         return self.m2.y + self.slope * (x - self.m2.x)
-
-
-class TangentialResiduals(NamedTuple):
-    z: float
-    pitot: float
-    cond27: float
-    cond36: float
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +377,6 @@ def _z_terms(s: float, t: float, u: float, v: float, w: float) -> tuple[float, f
     t1, scale = a1 - a2 - a3, a1 + a2 + a3
     t2 = 4.0 * (u * (t * u - v * s - w * t)) ** 2 * ((s - v) ** 2 + (t - w) ** 2)
     return t1 * t1 - t2, scale * scale + abs(t2)
-
-
-def tangential_residuals(cq: CanonicalQuad) -> TangentialResiduals:
-    """Raw residuals of the tangentiality tests.
-
-    ``z`` is the polynomial tangentiality quantity (a difference of two
-    large squares, so it is numerically delicate), ``pitot`` the difference
-    of opposite side-length sums, and ``cond27``/``cond36`` the reduced
-    tangentiality conditions for type-1 and type-2 MDQs respectively.
-    """
-    s, t, u, v, w = cq.params
-    sides = cq.side_lengths
-    pitot = (sides[0] + sides[2]) - (sides[1] + sides[3])
-    cond27 = v * (t * t - s * s) - 2.0 * w * s * t
-    cond36 = 2.0 * (v * s + w * t) - (s * s + t * t)
-    return TangentialResiduals(_z_terms(s, t, u, v, w)[0], pitot, cond27, cond36)
 
 
 def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:

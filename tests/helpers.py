@@ -10,8 +10,10 @@ The module also holds a brute-force canonical pose (every labeling mapped
 and compared) that ``canonicalize`` must reproduce exactly, the
 brute-force grid argmax that ``oracle.ratio_argmax`` must reproduce bit
 for bit, 50-digit references built from the defining coefficient
-formulas, named quads shared by several test modules, and the input
-pools of the benchmark (``bench/``, imported, never edited).
+formulas, float references that the package does not need (the tangent
+slope of a conic, the analytic derivative of the squared axis ratio, the
+type-1 closed forms), named quads shared by several test modules, and
+the input pools of the benchmark (``bench/``, imported, never edited).
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ import mpmath
 import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
-                       NoValidLabeling, Point2, Trapezoid, canonicalize,
-                       center_quadratic)
+                       NoValidLabeling, Point2, QuadKind, Trapezoid,
+                       canonicalize, center_quadratic, classify, is_ellipse)
+from inellipse import family
+from inellipse.minecc import _type1_root
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
@@ -242,6 +246,90 @@ def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
     scale = math.ldexp(1.0, -math.frexp(s * s + t * t)[1])
     p_h = 256.0 * h * ((s - v) / s) ** 4 * (v * t - w * s) ** 2 * (s - h) * center_quadratic(cq)(h)
     return p_h * scale ** 3 / (2.0 * (s - v) ** 5)
+
+
+# ---------------------------------------------------------------------------
+# float references
+# ---------------------------------------------------------------------------
+
+
+def ellipse_delta(c) -> float:
+    """delta = 4 nondegeneracy / (4AC - B^2)^2 of an ellipse, from the same
+    floats as ``conic.geometry``; 1-homogeneous in the coefficients."""
+    check = is_ellipse(c)
+    return 4.0 * check.nondegeneracy / (check.ellipse_disc * check.ellipse_disc)
+
+
+def tangent_slope(c, p, *, tol: float = 1e-9):
+    """Slope of the conic at a point on it; None marks a vertical tangent.
+
+    Raises ValueError when the point misses the conic relative to the local
+    term scale or when both partial derivatives vanish there.
+    """
+    x, y = float(p[0]), float(p[1])
+    A, B, C, D, E, F = c
+    value = c(x, y)
+    scale = (abs(A * x * x) + abs(B * x * y) + abs(C * y * y)
+             + abs(D * x) + abs(E * y) + abs(F)) or 1.0
+    if abs(value) > tol * scale:
+        raise ValueError(f"residual {value!r} exceeds {tol!r} of term scale {scale!r}")
+    gx, gy = 2.0 * A * x + B * y + D, B * x + 2.0 * C * y + E
+    gnorm = math.hypot(gx, gy)
+    gscale = (abs(2.0 * A * x) + abs(B * y) + abs(D)
+              + abs(B * x) + abs(2.0 * C * y) + abs(E)) or 1.0
+    if gnorm <= tol * gscale:
+        raise ValueError("conic gradient vanishes at the point")
+    if abs(gy) <= tol * gnorm:
+        return None
+    return -gx / gy
+
+
+def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
+    """Analytic derivative of the squared axis ratio at h.
+
+    d(b/a)^2/dlam = p / (gap (trace + gap)^2) with p the stationarity
+    quartic of the model, and dlam/dh = 2 / (s - v).  Raises ValueError
+    when the member is circular to machine precision (gap <= 1e-12 trace),
+    where the formula divides by the eigenvalue gap.
+    """
+    family._require_h(cq, h)
+    lam, unit = family._segment_coordinate(cq, h), family._unit(cq)
+    sp = family._spectral(cq, lam, family._member(cq, lam, unit), unit)
+    gap = math.sqrt(sp.gap_sq)
+    if gap <= 1e-12 * sp.trace:
+        raise ValueError("family member is circular at this abscissa")
+    return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
+
+
+def _require_type1(cq: CanonicalQuad, tol: float) -> None:
+    if classify(cq, tol=tol).kind is not QuadKind.MDQ_TYPE1:
+        raise ValueError("closed form requires a type-1 midpoint-diagonal quadrilateral")
+
+
+def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
+    """Maximizing abscissa of a type-1 midpoint-diagonal quad, from the
+    closed-form root that ``solve`` uses."""
+    _require_type1(cq, tol)
+    return family._abscissa(cq, _type1_root(cq))
+
+
+def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
+    """Closed-form maximal squared axis ratio for a type-1 MDQ.
+
+    (major - minor) / (major + minor) with major = sqrt((s^2+t^2) p1) and
+    minor = |2wst - (t^2 - s^2) v|, taken as the quotient
+    (major^2 - minor^2) / (major + minor)^2 with the numerator factored,
+    major^2 - minor^2 = 4 s^2 (vt - ws)^2, so a thin optimum loses no
+    digits to the difference.  At most 1: above it only by rounding, on
+    a circle.
+    """
+    _require_type1(cq, tol)
+    s, t, v, w = cq.s, cq.t, cq.v, cq.w
+    st2 = s * s + t * t
+    p1 = center_quadratic(cq).p1
+    major = math.sqrt(st2) * math.sqrt(p1)
+    minor = abs(2.0 * w * s * t - (t * t - s * s) * v)
+    return min((2.0 * s * (v * t - w * s) / (major + minor)) ** 2, 1.0)
 
 
 # ---------------------------------------------------------------------------

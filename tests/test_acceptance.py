@@ -10,18 +10,17 @@ import time
 
 import numpy as np
 
-from helpers import (Q5_VERTICES, canonical_vertices, grid_argmax, interior_points,
-                     make_quad, moved_vertices, random_general,
+from helpers import (Q5_VERTICES, canonical_vertices, closed_form_h, ellipse_delta,
+                     grid_argmax, interior_points, moved_vertices, random_general,
                      random_isometry, random_kite, random_type1, random_type2,
+                     ratio_sq_closed_form, ratio_sq_prime, tangent_slope,
                      type1_factored_quartic)
 from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
                        classify, coefficients, diagonal_angle, fd_gradient,
-                       geometry, line_tangency,
-                       maximize_ratio_sq, ratio_sq_closed_form,
-                       ratio_sq_function, ratio_sq_prime, side_linears,
-                       solve, spectral, tangency_points, tangent_slope)
+                       line_tangency, maximize_ratio_sq, ratio_sq_function,
+                       side_linears, solve, spectral, tangency_points)
 from inellipse.family import stationarity
-from inellipse.minecc import CLOSED_FORM, center_quadratic, closed_form_h
+from inellipse.minecc import center_quadratic
 from inellipse.quad import QuadKind
 
 SQRT61 = math.sqrt(61.0)
@@ -98,7 +97,7 @@ def test_criterion_3_discriminant_identities():
         scale2 = max(sp.trace ** 2, sp.gap_sq, abs(rhs))
         assert abs(sp.trace ** 2 - sp.gap_sq - rhs) <= 1e-9 * scale2
 
-        delta = geometry(c).delta
+        delta = ellipse_delta(c)
         want = 1.0 / (4.0 * (s - v) ** 2)
         assert abs(delta - want) <= 1e-10 * want
     report(3, f"discriminant identities on {n} pairs")

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_quad, random_general, random_h
+from helpers import (closed_form_h, ellipse_delta, make_quad, random_general,
+                     random_h, tangent_slope)
 from inellipse import (Conic, Isometry2, Line2, LineConicRelation,
-                       NotAnEllipse, NotOnConic, Point2, SingularPoint,
-                       coefficients, conjugate_diameter_angle, geometry,
-                       is_ellipse, line_tangency, pullback, pushforward,
-                       tangent_slope)
-from inellipse.minecc import closed_form_h
+                       NotAnEllipse, Point2, coefficients,
+                       conjugate_diameter_angle, geometry, is_ellipse,
+                       line_tangency)
 
 UNIT_CIRCLE = Conic(1, 0, 1, 0, 0, -1)
 
@@ -49,13 +48,14 @@ class TestGeometry:
         assert g.a == 1.0 and g.b == 1.0 and g.eccentricity == 0.0
         assert g.center == Point2(0.0, 0.0)
         assert g.major_axis_angle is None
-        assert g.delta == 1.0
+        assert ellipse_delta(UNIT_CIRCLE) == 1.0
 
     def test_axis_aligned_ellipse(self):
-        g = geometry(Conic(0.25, 0, 1, 0, 0, -1))
+        c = Conic(0.25, 0, 1, 0, 0, -1)
+        g = geometry(c)
         assert abs(g.a - 2.0) <= 1e-15 and abs(g.b - 1.0) <= 1e-15
         assert abs(g.eccentricity - math.sqrt(3) / 2) <= 1e-15
-        assert abs(g.delta - 4.0) <= 1e-15
+        assert abs(ellipse_delta(c) - 4.0) <= 1e-15
         assert g.major_axis_angle == 0.0
 
     def test_rotated_axis_angle(self):
@@ -84,7 +84,8 @@ class TestGeometry:
         assert abs(g1.eccentricity - g0.eccentricity) <= 1e-10
         assert math.hypot(g1.center.x - g0.center.x, g1.center.y - g0.center.y) <= 1e-10
         # delta is 1-homogeneous (after sign orientation), not invariant
-        assert abs(g1.delta * abs(k) - g0.delta) <= 1e-9 * abs(g0.delta)
+        d0, d1 = ellipse_delta(c), ellipse_delta(c.scaled(k))
+        assert abs(d1 * abs(k) - d0) <= 1e-9 * abs(d0)
 
     def test_scaling_invariance_random_family(self):
         rng = np.random.default_rng(201)
@@ -115,7 +116,7 @@ class TestGeometry:
         for _ in range(100):
             phi = float(rng.uniform(-math.pi, math.pi))
             rot = Isometry2(phi, Point2(0.0, 0.0), False)
-            g1 = geometry(pushforward(c, rot))
+            g1 = geometry(numpy_pullback(c, rot.inverse()))
             assert abs(g1.a - g0.a) <= 1e-10 * g0.a
             assert abs(g1.b - g0.b) <= 1e-10 * g0.b
             diff = (g1.major_axis_angle - g0.major_axis_angle - phi) % math.pi
@@ -172,11 +173,11 @@ class TestTangentSlope:
         assert abs(tangent_slope(c, z1) - 0.5) <= 1e-9
 
     def test_off_conic_rejected(self):
-        with pytest.raises(NotOnConic):
+        with pytest.raises(ValueError):
             tangent_slope(UNIT_CIRCLE, (0.5, 0.5))
 
     def test_singular_point_rejected(self):
-        with pytest.raises(SingularPoint):
+        with pytest.raises(ValueError):
             tangent_slope(Conic(1, 0, 1, 0, 0, 0), (0.0, 0.0))
 
 
@@ -195,11 +196,11 @@ class TestLineTangency:
         assert relation is LineConicRelation.DISJOINT and disc < 0
 
     def test_vertical_lines(self):
-        assert line_tangency(UNIT_CIRCLE, Line2.vertical(1.0))[0] \
+        assert line_tangency(UNIT_CIRCLE, Line2(None, 1.0))[0] \
             is LineConicRelation.TANGENT
-        assert line_tangency(UNIT_CIRCLE, Line2.vertical(0.5))[0] \
+        assert line_tangency(UNIT_CIRCLE, Line2(None, 0.5))[0] \
             is LineConicRelation.SECANT
-        assert line_tangency(UNIT_CIRCLE, Line2.vertical(2.0))[0] \
+        assert line_tangency(UNIT_CIRCLE, Line2(None, 2.0))[0] \
             is LineConicRelation.DISJOINT
 
 
@@ -214,30 +215,19 @@ class TestLine2:
 
 
 class TestPullback:
-    def test_round_trip(self):
-        rng = np.random.default_rng(205)
-        c = Conic(2.0, 0.8, 1.5, -1.0, 0.5, -3.0)
-        for _ in range(50):
-            iso = Isometry2(float(rng.uniform(-math.pi, math.pi)),
-                            Point2(*rng.uniform(-5, 5, 2)),
-                            bool(rng.integers(0, 2)))
-            back = pullback(pushforward(c, iso), iso)
-            # same conic up to scale; both normalize identically
-            n0, n1 = c.normalized(), back.normalized()
-            assert max(abs(a - b) for a, b in zip(n0, n1)) <= 1e-12
-
     def test_zero_set_is_preserved(self):
-        rng = np.random.default_rng(206)
         c = Conic(1, 0, 1, 0, 0, -1)
         iso = Isometry2(0.7, Point2(2.0, -1.0), True)
-        moved = pushforward(c, iso)
+        moved = numpy_pullback(c, iso.inverse())
         for th in np.linspace(0, 2 * math.pi, 16, endpoint=False):
             p = iso.apply((math.cos(th), math.sin(th)))
             assert abs(moved(p.x, p.y)) <= 1e-12 * moved.norm
 
 
 def numpy_pullback(c, iso):
-    """Reference pullback by 2x2 matrix products."""
+    """Coefficients of the conic pre-composed with ``iso``, by 2x2 matrix
+    products: the zero set of the result is the iso-preimage of that of c,
+    so ``numpy_pullback(c, iso.inverse())`` moves c by ``iso``."""
     ct, st = math.cos(iso.angle), math.sin(iso.angle)
     n = np.array([[ct, -st], [st, ct]])
     if iso.reflect:
@@ -248,7 +238,7 @@ def numpy_pullback(c, iso):
     mp = n.T @ m @ n
     lp = 2.0 * (n.T @ (m @ tvec)) + n.T @ lin
     fp = tvec @ m @ tvec + lin @ tvec + c.F
-    return Conic(mp[0, 0], 2.0 * mp[0, 1], mp[1, 1], lp[0], lp[1], fp)
+    return Conic(*map(float, (mp[0, 0], 2.0 * mp[0, 1], mp[1, 1], lp[0], lp[1], fp)))
 
 
 def numpy_major_axis_angle(c):
@@ -264,17 +254,6 @@ def numpy_major_axis_angle(c):
 
 
 class TestAgainstNumpyReference:
-    def test_pullback(self):
-        rng = np.random.default_rng(207)
-        for _ in range(200):
-            c = Conic(*rng.uniform(-5, 5, 6))
-            iso = Isometry2(float(rng.uniform(-math.pi, math.pi)),
-                            Point2(*rng.uniform(-5, 5, 2)),
-                            bool(rng.integers(0, 2)))
-            got, ref = pullback(c, iso), numpy_pullback(c, iso)
-            scale = max(abs(x) for x in ref)
-            assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * scale
-
     def test_axis_angle(self):
         rng = np.random.default_rng(208)
         checked = 0
@@ -283,7 +262,7 @@ class TestAgainstNumpyReference:
             base = coefficients(cq, random_h(cq, rng))
             iso = Isometry2(float(rng.uniform(-math.pi, math.pi)), Point2(0.0, 0.0),
                             bool(rng.integers(0, 2)))
-            c = pullback(base, iso)
+            c = numpy_pullback(base, iso)
             angle = geometry(c).major_axis_angle
             if angle is None:
                 continue

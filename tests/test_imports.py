@@ -96,3 +96,34 @@ def test_no_unused_imports():
     assert len(modules) > 1
     unused = {p.name: found for p in modules if (found := unused_imports(p))}
     assert unused == {}
+
+
+LAYERS = ("quad", "conic", "family", "minecc", "oracle", "cli", "errors")
+
+
+def unreferenced_definitions(package_dir):
+    """Public top-level functions and classes of the layer modules that no
+    code of the package reads, as a Name or an Attribute, outside their own
+    definition (``__init__``'s re-exports are imports, not reads)."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package_dir.glob("*.py"))}
+
+    def reads(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+    total = {}
+    for tree in trees.values():
+        for name in reads(tree):
+            total[name] = total.get(name, 0) + 1
+    return sorted(f"{layer}.{node.name}" for layer in LAYERS for node in trees[layer].body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and total.get(node.name, 0) == sum(n == node.name for n in reads(node)))
+
+
+def test_no_unreferenced_public_definitions():
+    assert unreferenced_definitions(pathlib.Path(inellipse.__file__).parent) == []

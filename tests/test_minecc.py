@@ -4,16 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, grid_argmax, make_quad,
-                     moved_vertices, mp_family, mp_semi_axes, random_general,
-                     random_isometry, random_kite, random_type1, random_type2)
-from inellipse import (NotType1, QuadKind, canonicalize, classify,
-                       diagonal_angle, geometry, incircle,
-                       maximize_ratio_sq, newton_segment, ratio_sq_closed_form,
+from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, closed_form_h,
+                     grid_argmax, make_quad, moved_vertices, mp_family,
+                     mp_semi_axes, random_general, random_isometry, random_kite,
+                     random_type1, random_type2, ratio_sq_closed_form,
+                     ratio_sq_prime)
+from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
+                       geometry, incircle, maximize_ratio_sq, newton_segment,
                        ratio_sq_function, solve, spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
 from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
-                              center_quadratic, closed_form_h)
+                              center_quadratic)
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -91,7 +92,7 @@ class TestClosedFormH:
             assert not (lo < h_minus < hi)
 
     def test_requires_type1(self):
-        with pytest.raises(NotType1):
+        with pytest.raises(ValueError):
             closed_form_h(make_quad(4, 6, 3, 2, 1))
 
 
@@ -162,7 +163,6 @@ class TestMaximize:
         assert lo < h < hi   # still returns the best point seen
 
     def test_derivative_changes_sign_once_for_mdqs(self):
-        from inellipse import ratio_sq_prime
         rng = np.random.default_rng(409)
         for _ in range(50):
             cq = random_type1(rng) if rng.integers(0, 2) else random_type2(rng)
@@ -271,6 +271,20 @@ class TestSolve:
                 assert abs(res.geom.eccentricity - base.geom.eccentricity) <= 1e-9
                 assert abs(res.gamma - base.gamma) <= 1e-9
                 assert abs(res.alpha - base.alpha) <= 1e-9
+
+    @pytest.mark.parametrize("make", [random_general, random_type1, random_type2, random_kite])
+    def test_axis_angle_is_the_geometry_angle(self, make):
+        # solve takes the angle from the model's trace and gap, not from
+        # conic.geometry: the bits agree, and both are None together.  The
+        # tangential-MDQ branch (every kite) reports the circle, angle None.
+        rng = np.random.default_rng(414)
+        for _ in range(200):
+            res = solve(make(rng))
+            got = res.geom.major_axis_angle
+            if res.qclass.tangential and res.qclass.kind is not QuadKind.GENERAL:
+                assert got is None
+                continue
+            assert repr(got) == repr(geometry(res.conic).major_axis_angle)
 
 
 def mp_argmax(cq, dps=50):

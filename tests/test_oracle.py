@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     cli_verify_pool, grid_argmax, make_quad, random_general,
-                     random_kite)
+                     cli_verify_pool, closed_form_h, grid_argmax, make_quad,
+                     random_general, random_kite, ratio_sq_prime)
 from inellipse import (Conic, NotTangential, canonicalize, coefficients,
-                       containment, fd_gradient, geometry, incircle, ratio_argmax,
-                       ratio_sq_function, ratio_sq_prime, solve, verify)
+                       containment, fd_gradient, incircle, ratio_argmax,
+                       ratio_sq_function, solve, verify)
 from inellipse import family
 from inellipse.family import ratio_sq_bound
-from inellipse.minecc import closed_form_h
 from inellipse.oracle import CELL
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))

@@ -12,8 +12,7 @@ from helpers import (Q5_VERTICES, canonical_vertices, canonicalize_oracle,
                      random_type2, validate_oracle)
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
-                       diagonal_angle, newton_segment, solve,
-                       tangential_residuals, validate)
+                       diagonal_angle, newton_segment, solve, validate)
 from inellipse.family import _at, _segment_coordinate
 
 REJECTED = [
@@ -330,15 +329,21 @@ class TestDiagonalAngle:
 
 
 class TestTangentialResiduals:
+    """The tangentiality residuals that ``classify`` reports, relative to
+    their scales: the Pitot side-length test and the polynomial ``z``."""
+
     def test_kite_all_zero(self):
-        res = tangential_residuals(make_quad(3, 3, 2, 2, 0))
-        assert res.z == 0.0 and res.pitot == 0.0 and res.cond27 == 0.0
+        qc = classify(make_quad(3, 3, 2, 2, 0))
+        assert qc.residuals["z"] == 0.0 and qc.residuals["pitot"] == 0.0
+        assert qc.tangential
 
     def test_golden_quad_not_tangential(self):
-        res = tangential_residuals(make_quad(4, 6, 2, 2, 1))
-        expected = (math.sqrt(5) + math.sqrt(32)) - (2 + math.sqrt(29))
-        assert abs(res.pitot - expected) <= 1e-12
-        assert res.pitot > 0.5 and res.z != 0.0
+        qc = classify(make_quad(4, 6, 2, 2, 1))
+        sides = (math.sqrt(5), 2, math.sqrt(32), math.sqrt(29))
+        expected = ((sides[0] + sides[2]) - (sides[1] + sides[3])) / sum(sides)
+        assert abs(qc.residuals["pitot"] - expected) <= 1e-12
+        assert qc.residuals["pitot"] > 0.03 and qc.residuals["z"] != 0.0
+        assert not qc.tangential
 
     def test_pitot_and_z_vanish_together_on_kites(self):
         rng = np.random.default_rng(108)
