@@ -158,15 +158,8 @@ def _spectral_quadratics(cq: CanonicalQuad):
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):
-    """lam = (2h - v) / (s - v), rounded the same way for a scalar h and
-    for each entry of an array h."""
+    """lam = (2h - v) / (s - v), rounded as in ``ratio_sq_function``."""
     return (2.0 * h - cq.v) / (cq.s - cq.v)
-
-
-def _horner(q, x):
-    """The quadratic with monomial coefficients q at x."""
-    c2, c1, c0 = q
-    return (c2 * x + c1) * x + c0
 
 
 def _unit(cq: CanonicalQuad) -> float:
@@ -237,94 +230,93 @@ def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> S
     return _spectral(cq, _segment_coordinate(cq, h), c, (cq.s - cq.v) ** 2)
 
 
-def ratio_sq_function(cq: CanonicalQuad) -> Callable:
+def ratio_sq_function(cq: CanonicalQuad) -> Callable[[float], float]:
     """Fast callable h -> squared axis ratio (b/a)^2 of the member at h.
 
     Evaluated in the segment coordinate as 16 u lam (1-lam) l5 /
     (trace + gap)^2 of the model: the identity trace^2 - gap_sq =
     16 u lam (1-lam) l5 turns (trace - gap) / (trace + gap) into a quotient
     of products, so a thin member ((b/a)^2 near 0) keeps full relative
-    precision instead of the cancellation of trace - gap.  Accepts scalars
-    or numpy arrays, needs no numpy import, and performs no interval
-    validation; callers control the evaluation range.
+    precision instead of the cancellation of trace - gap.  Scalar; the gap
+    is ``math.sqrt``, correctly rounded.  No interval validation.
     """
-    quadratics = _spectral_quadratics(cq)
-    k = 16.0 * cq.u
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = _spectral_quadratics(cq)
+    e0, e1 = _l5(cq, 0.0), _l5(cq, 1.0)
+    v, sv, k, sqrt = cq.v, cq.s - cq.v, 16.0 * cq.u, math.sqrt
 
-    def ratio_sq(h):
-        lam = _segment_coordinate(cq, h)
-        trace, diff, b = (_horner(q, lam) for q in quadratics)   # A + C, A - C, B
-        den = trace + (diff * diff + b * b) ** 0.5                # trace + gap
-        return _l5(cq, lam) * lam * (1.0 - lam) * k / (den * den)
+    def ratio_sq(h: float) -> float:
+        lam = (2.0 * h - v) / sv
+        trace = (t2 * lam + t1) * lam + t0
+        diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0     # A - C, B
+        den = trace + sqrt(diff * diff + b * b)                               # trace + gap
+        return ((1.0 - lam) * e0 + lam * e1) * lam * (1.0 - lam) * k / (den * den)
 
     return ratio_sq
 
 
-def ratio_sq_bound(cq: CanonicalQuad, h1, h2):
-    """Upper bound on the float value of ``ratio_sq_function`` at every
-    float h between h1[j] and h2[j] (arrays of abscissas in the closed
-    center interval), per j.
+def _ratio_sq_below(cq: CanonicalQuad) -> Callable[[float], Callable[[float, float], bool]]:
+    """Callable r -> below(ha, hb): True only if ``ratio_sq_function`` is
+    below r at every float h between ha and hb in the closed interval.
 
-    The function takes lam = (2h - v) / (s - v) in [0, 1], rounded
-    monotonically in h, so the lam of such an h lies between those of h1
-    and h2; then it evaluates 16 u lam (1-lam) l5 / (T + G)^2 with T,
-    A - C and B quadratics in monomial form (``_spectral_quadratics``),
-    G = hypot(A - C, B) and l5 linear.  Between two lam each quadratic
-    ranges between its values there and at its vertex, if the vertex lies
-    between them; l5 between its end values; lam (1-lam), concave, up to
-    1/4 if 1/2 lies between them and up to its larger end value otherwise;
-    G down to the hypot of the least |A - C| and |B| of their ranges.
-
-    Float margin, with unit roundoff eps = 2^-53: for lam in [0, 1],
-    Horner's rule errs by at most gamma_4 sum|c_i| < 4.0001 eps sum|c_i|
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1).
-    The ranges are widened by 12 eps sum|c_i| each way: 8 eps for two
-    such evaluations (the function's at h, this bound's at a range
-    point), 1 eps for rounding the widened end, and the rest for the
-    vertex, which is off by at most eps so its value by eps^2 |c2|, and
-    for rounding the margin itself.  Every other step adds, multiplies
-    or divides nonnegative numbers or takes a square root, each within a
-    factor 1 +- eps.  So the function's quotient is at most
-    (1 + eps)^8 / (1 - eps)^8 times the exact quotient over the widened
-    ranges (7 roundings in the numerator and 1 to divide; 8 in the
-    denominator, counting the square root of three rounded terms), and
-    the bound's own quotient at least (1 - eps)^9 / (1 + eps)^8 times it
-    (the same counts, and 1 for the final factor).  Their ratio is below
-    1 + 34 eps; the final factor 1 + 64 eps covers it.  At the diameters
-    ``validate`` accepts, nothing overflows, and an underflow can only
-    flush a square far below T^2 toward zero, by under 2^-1074.  Where
-    the widened trace is not positive the bound is inf or NaN, below no
-    value.
+    Stored floats taken as exact: T, D = A - C, B (``_spectral_quadratics``,
+    absolute coefficient sums ct, cd, cb), K = k lam (1-lam) l5, k = 16u,
+    l5 = (1-lam) e0 + lam e1, le = |e0| + |e1|, G = hypot(D, B), R = T^2 -
+    G^2 - K; eps = 2^-53; j roundings err by < 1.0001 j eps (Higham).  The
+    function rounds lam monotonically into [0, 1], where Horner errs by
+    4.0001 eps ct (cd, cb), so its trace + gap is >= P - Delta, P = T + G,
+    Delta = 8 eps (ct + cd + cb) + 2^-536 (a flushed square), and 8 roundings
+    on each side of the bar give f <= rho K / (P - Delta)^2, rho = ((1+eps) /
+    (1-eps))^8 < 1 + 16.001 eps.  With r1 = fl(r (1 - 32 eps)), f >= r > 0
+    gives K >= r1 (P - Delta)^2; as K = (T - G) P - R and P >= T >= tlo >
+    Delta, T (1-r1) + e >= G (1+r1) >= 0, e = 2 r1 Delta + rmax / tlo; then
+    with G^2 = T^2 - K - R: phi = (1+r1)^2 K - 4 r1 T^2 >= -M, M = 2 (1+r1)
+    ct e + e^2 + (1+r1)^2 rmax (exactly, phi >= 0 iff ratio >= r1).  tlo: T
+    least at 0, 1 and an inner vertex, less 8 eps ct (3 roundings); rmax:
+    sum |computed R coefficient| + 16 eps (ct^2 + cd^2 + cb^2 + 4 k le), each
+    <= 7 terms through <= 7 roundings.  At the lam midpoint m, phi(m + x) =
+    sum c_j x^j, c4 = -4 r1 t2^2 <= 0, so on |x| <= w (rounded up) phi <= U =
+    c0 + |c1| w + max(c2, 0) w^2 + |c3| w^3, whose terms pass <= 24 roundings
+    and sum in absolute value to <= S = 4.5 (1+r1)^2 k le + 60 r1 ct^2 (|m
+    (1-m)| <= 1/4; |1-2m|, w <= 1; |l5(m)|, |e1-e0| <= le; |T(m)| <= ct;
+    |T'(m)| <= 2 ct).  below: U + 32 eps S + 2 M < 0 (2 M for M's rounding);
+    never if tlo <= Delta, e0 or e1 <= 0 (K >= 0 needs both), not r > 0.
     """
-    import numpy as np
-
     eps = 2.0 ** -53
-    ends = _segment_coordinate(cq, np.array([h1, h2]))
-    lo, hi = np.minimum(*ends), np.maximum(*ends)
-    ranges = []
-    for q in _spectral_quadratics(cq):
-        c2, c1, c0 = q
-        at_ends = _horner(q, ends)
-        q_lo, q_hi = np.minimum(*at_ends), np.maximum(*at_ends)
-        if c2:
-            vertex = -c1 / (2.0 * c2)
-            k = np.flatnonzero((lo <= vertex) & (vertex <= hi))
-            q_vertex = _horner(q, vertex)
-            q_lo[k] = np.minimum(q_lo[k], q_vertex)
-            q_hi[k] = np.maximum(q_hi[k], q_vertex)
-        pad = 12.0 * eps * (abs(c2) + abs(c1) + abs(c0))
-        ranges.append((q_lo - pad, q_hi + pad))
-    (trace, _), (d_lo, d_hi), (b_lo, b_hi) = ranges
-    d_min = np.maximum(np.maximum(d_lo, -d_hi), 0.0)
-    b_min = np.maximum(np.maximum(b_lo, -b_hi), 0.0)
-    gap = np.sqrt(d_min * d_min + b_min * b_min)
-    spread = np.maximum(*(ends * (1.0 - ends)))
-    spread[(lo <= 0.5) & (0.5 <= hi)] = 0.25
-    num = 16.0 * cq.u * spread * np.maximum(*_l5(cq, ends))
-    den = trace + gap
-    den[trace <= 0.0] = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num / (den * den) * (1.0 + 64.0 * eps)
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = quads = _spectral_quadratics(cq)
+    e0, e1 = _l5(cq, 0.0), _l5(cq, 1.0)
+    v, sv, k, le, l1 = cq.v, cq.s - cq.v, 16.0 * cq.u, abs(e0) + abs(e1), e1 - e0
+    ct, cd, cb = (sum(map(abs, q)) for q in quads)
+    delta = 8.0 * eps * (ct + cd + cb) + 2.0 ** -536
+    vertex = t0 - t1 * t1 / (4.0 * t2) if -2.0 * t2 <= t1 <= 0.0 < t2 else t0
+    tlo = min(t0, t2 + t1 + t0, vertex) - 8.0 * eps * ct
+    residual = (t2 * t2 - d2 * d2 - b2 * b2, 2.0 * (t2 * t1 - d2 * d1 - b2 * b1) - k * (e0 - e1),
+                t1 * t1 + 2.0 * t2 * t0 - d1 * d1 - 2.0 * d2 * d0 - b1 * b1 - 2.0 * b2 * b0
+                - k * (e1 - 2.0 * e0), 2.0 * (t1 * t0 - d1 * d0 - b1 * b0) - k * e0,
+                t0 * t0 - d0 * d0 - b0 * b0)                     # R, lam^4 down to lam^0
+    rmax = sum(map(abs, residual)) + 16.0 * eps * (ct * ct + cd * cd + cb * cb + 4.0 * k * le)
+
+    def level(r: float) -> Callable[[float, float], bool]:
+        r1 = r * (1.0 - 32.0 * eps)
+        a, b = (1.0 + r1) * (1.0 + r1), 4.0 * r1
+        ak, e = a * k, 2.0 * r1 * delta + rmax / max(tlo, delta)
+        slack = (2.0 * (2.0 * (1.0 + r1) * ct * e + e * e + a * rmax)
+                 + 32.0 * eps * (4.5 * ak * le + 15.0 * b * ct * ct)
+                 if tlo > delta and e0 > 0.0 and e1 > 0.0 and r > 0.0 else math.inf)
+
+        def below(ha: float, hb: float) -> bool:
+            la, lb = (2.0 * ha - v) / sv, (2.0 * hb - v) / sv        # as ratio_sq takes them
+            m = 0.5 * (la + lb)
+            w = max(abs(m - la), abs(lb - m)) * (1.0 + 4.0 * eps)
+            p0, p1, l0 = m * (1.0 - m), 1.0 - 2.0 * m, (1.0 - m) * e0 + m * e1
+            tm, tp = (t2 * m + t1) * m + t0, 2.0 * t2 * m + t1
+            c1 = ak * (p0 * l1 + p1 * l0) - b * 2.0 * tm * tp
+            c2 = ak * (p1 * l1 - l0) - b * (tp * tp + 2.0 * tm * t2)
+            return (ak * p0 * l0 - b * tm * tm + abs(c1) * w + max(c2, 0.0) * w * w
+                    + abs(ak * l1 + b * 2.0 * tp * t2) * w * w * w + slack < 0.0)   # |c3|
+
+        return below
+
+    return level
 
 
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:

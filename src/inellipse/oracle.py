@@ -3,14 +3,13 @@
 Every oracle here is implementation-independent of the machinery it
 checks: the finite-difference slope never calls the analytic derivative,
 the grid argmax uses neither the stationarity quartic nor a closed form
-(it prunes the grid by bounds and returns what a full sweep returns, bit
-for bit), and the incircle is built from angle bisectors rather than
-family coefficients.  Oracle tolerances are deliberately looser than the
-claims they validate, so a failing oracle indicates a real defect rather
-than noise.  :func:`verify` runs the battery on a ``minecc.solve``
-result; its ``solver_agreement`` report is a cross-check between the two
-solver paths, not an independent oracle.  The sampling oracles import
-numpy when called, so importing the package does not load it.
+(it prunes the grid by a level-set bound and returns what a full sweep
+returns, bit for bit), and the incircle is built from angle bisectors
+rather than family coefficients.  Oracle tolerances are deliberately
+looser than the claims they validate, so a failing oracle indicates a
+real defect rather than noise.  :func:`verify` runs the battery on a
+``minecc.solve`` result; its ``solver_agreement`` report is a cross-check
+between the two solver paths, not an independent oracle.  Plain ``math``.
 """
 
 from __future__ import annotations
@@ -40,45 +39,43 @@ def fd_gradient(f: Callable[[float], float], h: float, step: float) -> float:
     return (f(h + step) - f(h - step)) / (2.0 * step)
 
 
-CELL = 100          # grid points per cell of ratio_argmax's branch and bound
-
-
 def ratio_argmax(cq: CanonicalQuad, n: int = 100_000) -> tuple[float, float]:
-    """Argmax of (b/a)^2 over the n uniform interior samples
-    h_i = lo + (hi - lo) (i / (n + 1)), i = 1..n, of the center interval.
-
-    Returns exactly what evaluating ``family.ratio_sq_function`` at every
-    sample returns, bit for bit: the largest value and its sample, ties
-    to the lowest i.  Branch and bound in one level: the samples fall into
-    cells of CELL consecutive indices; the first sample of every cell sets
-    a floor, and only cells whose upper bound (``family.ratio_sq_bound``) is
-    not below it are evaluated in full.  Every other cell holds values
-    below the floor, so it holds neither the maximum nor a tie with it.
-    A bound that is not finite never prunes, nor does a NaN floor.  Each
-    sample is computed by the same elementwise float operations as in a
-    full sweep, so its value does not depend on which samples are
-    evaluated with it.  Uses neither the stationarity quartic nor a
-    closed form.
+    """Argmax of (b/a)^2 over the samples h_i = lo + (hi - lo) (i / (n + 1)),
+    i = 1..n, of the center interval: what ``family.ratio_sq_function`` at
+    every sample gives, bit for bit, ties to the lowest i.  A golden-section
+    walk over i sets a floor (any sample's value is one); a depth-first
+    bisection of [1, n], nearer half first, evaluates ranges of at most 8
+    samples and skips those ``family._ratio_sq_below`` shows are below it.
     """
-    import numpy as np
-
     if n < 3:
         raise ValueError("need at least 3 samples")
-    f = family.ratio_sq_function(cq)
-    lo, hi = cq.interval
+    f, level = family.ratio_sq_function(cq), family._ratio_sq_below(cq)
+    (lo, hi), vals = cq.interval, {}
 
-    def samples(i):
+    def h(i):
         return lo + (hi - lo) * (i / (n + 1.0))
 
-    first = np.arange(1, n + 1, CELL)
-    h_first = samples(first)
-    bound = family.ratio_sq_bound(cq, h_first, samples(np.minimum(first + (CELL - 1), n)))
-    cells = first[~(bound < np.max(f(h_first)))]
-    idx = (cells[:, None] + np.arange(CELL)).ravel()
-    hs = samples(idx[idx <= n])
-    vals = f(hs)
-    i = int(np.argmax(vals))
-    return float(hs[i]), float(vals[i])
+    def at(i):
+        return vals[i] if i in vals else vals.setdefault(i, f(h(i)))
+
+    a, b, golden = 1, n, (math.sqrt(5.0) - 1.0) / 2.0
+    while b - a > 3:
+        c, d = b - round(golden * (b - a)), a + round(golden * (b - a))
+        a, b = (c, b) if at(c) < at(d) else (a, d)
+    best = min([*vals, *range(a, b + 1)], key=lambda i: (-at(i), i))
+    below, stack, top = level(vals[best]), [(1, n)], vals[best]
+    while stack:
+        i, j = stack.pop()
+        if not i <= best <= j and below(h(i), h(j)):
+            continue
+        if j - i < 8:
+            for k in range(i, j + 1):
+                if at(k) > top or (vals[k] == top and k < best):
+                    best, top, below = k, vals[k], level(vals[k])
+            continue
+        m = (i + j) // 2
+        stack += [(m + 1, j), (i, m)] if best <= m else [(i, m), (m + 1, j)]
+    return h(best), top
 
 
 def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
@@ -101,30 +98,41 @@ def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
 
 def containment(conic: Conic, cq: CanonicalQuad, n: int = 256, *,
                 tol: float = 1e-9) -> OracleReport:
-    """Trace the ellipse parametrically and check every sample stays inside.
-
-    The residual is how far the worst sample pokes outside (zero when the
-    whole trace is inside); pass means residual <= tol * diameter.
+    """Trace the ellipse at theta_k = k (2 pi / n), k < n; pass means no
+    sample pokes outside by more than tol * diameter (the residual).  For
+    center (x0, y0), semi-axes a, b and axis (ca, sa), sample k's signed
+    distance from the side line (nx, ny, c) is exactly c0 - rad cos(theta_k
+    - theta*): c0 = nx x0 + ny y0 + c, p = a (nx ca + ny sa), q = b (ny ca -
+    nx sa), rad = hypot(p, q), theta* = atan2(-q, -p).  The samples within
+    w = 2 of the nearest to theta* are traced; w doubles until all others,
+    (w + 1/2) steps - dtheta off or more, are above the least (ties to the
+    lowest k).  dtheta = 32 eps (1 + a/b) covers rounding theta* (p, q off
+    by 6 eps (a + b), rad >= b), its index and theta_k; slack = 32 eps (|c|
+    + |nx| (|x0| + a + b) + |ny| (|y0| + a + b)) a sample (cos and sin are
+    within 1 ulp), c0, rad and the test.
     """
-    import numpy as np
-
     g = geometry(conic)
     ang = g.major_axis_angle or 0.0
     ca, sa = math.cos(ang), math.sin(ang)
-    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    ex = g.a * np.cos(th)
-    ey = g.b * np.sin(th)
-    xs = g.center.x + ex * ca - ey * sa
-    ys = g.center.y + ex * sa + ey * ca
+    x0, y0, a, b, step, eps = g.center.x, g.center.y, g.a, g.b, 2.0 * math.pi / n, 2.0 ** -53
+    dtheta = 32.0 * eps * (1.0 + a / b) if b > 0.0 else math.inf
 
-    worst = math.inf
-    where = ""
+    def dist(k: int, nx: float, ny: float, c: float) -> float:
+        ex, ey = a * math.cos(k * step), b * math.sin(k * step)
+        return nx * (x0 + ex * ca - ey * sa) + ny * (y0 + ex * sa + ey * ca) + c
+
+    worst, where = math.inf, ""
     for j, (nx, ny, c) in enumerate(side_distance_lines(cq)):
-        d = nx * xs + ny * ys + c
-        i = int(np.argmin(d))
-        if d[i] < worst:
-            worst = float(d[i])
-            where = f"side S{j + 1}, sample {i} of {n}"
+        p, q = a * (nx * ca + ny * sa), b * (ny * ca - nx * sa)
+        c0, rad, k0 = nx * x0 + ny * y0 + c, math.hypot(p, q), round(math.atan2(-q, -p) / step)
+        slack = 32.0 * eps * (abs(c) + abs(nx) * (abs(x0) + a + b) + abs(ny) * (abs(y0) + a + b))
+        for w in (2 ** e for e in range(1, 64)):
+            d, i = min((dist(k % n, nx, ny, c), k % n) for k in range(k0 - w, k0 + w + 1))
+            alpha = min((w + 0.5) * step - dtheta, math.pi)
+            if 2 * w + 1 >= n or (alpha > 0.0 and c0 - rad * math.cos(alpha) - slack > d):
+                break
+        if d < worst:
+            worst, where = d, f"side S{j + 1}, sample {i} of {n}"
     tol_abs = tol * cq.diameter
     residual = max(0.0, -worst)
     return OracleReport("containment", residual <= tol_abs, residual,

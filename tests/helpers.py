@@ -5,12 +5,15 @@ run sees the same quadrilaterals.  Parameters are drawn uniformly from
 [0.5, 10] and rejection-sampled against the canonical-pose constraints,
 with a small floor on |s - v| (and on 2v - s for the type-2 family) so the
 drawn quads stay numerically well-conditioned: on near-trapezoids the
-abscissa h and the tangency points, which divide by s - v, lose digits.
+abscissa h and the tangency points, which divide by s - v, lose digits
+(``sv_pool`` draws below that floor on purpose).
 The module also holds a brute-force canonical pose (every labeling mapped
 and compared) that ``canonicalize`` must reproduce exactly, the
 brute-force grid argmax that ``oracle.ratio_argmax`` must reproduce bit
-for bit, 50-digit references built from the defining coefficient
-formulas, float references that the package does not need (the tangent
+for bit (run on ``numpy_ratio_sq``, the numpy twin of
+``family.ratio_sq_function``), the full trace whose report
+``oracle.containment`` must give, 50-digit references built from the
+defining coefficient formulas, float references that the package does not need (the tangent
 slope of a conic, the analytic derivative of the squared axis ratio, the
 type-1 closed forms), named quads shared by several test modules, and
 the input pools of the benchmark (``bench/``, imported, never edited).
@@ -29,10 +32,11 @@ import mpmath
 import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
-                       NoValidLabeling, Point2, QuadKind, Trapezoid,
-                       canonicalize, center_quadratic, classify, is_ellipse)
+                       NoValidLabeling, OracleReport, Point2, QuadKind, Trapezoid,
+                       canonicalize, center_quadratic, classify, geometry, is_ellipse)
 from inellipse import family
 from inellipse.minecc import _type1_root
+from inellipse.oracle import side_distance_lines
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
@@ -136,6 +140,24 @@ def random_kite(rng) -> CanonicalQuad:
             return cq
 
 
+def sv_pool(count: int = 32, seed: int = 1301) -> list[CanonicalQuad]:
+    """Quads below SV_MARGIN: ``count`` drawn with |s - v| / diameter
+    log-uniform in [1e-8, 5e-2] (of either sign), then THIN_OPTIMA and
+    NEAR_TRAPEZOIDS, canonicalized."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    while len(quads) < count:
+        s, t, u, w = rng.uniform(LO, HI, 4)
+        gap = 10.0 ** rng.uniform(-8.0, math.log10(5e-2))
+        diameter = max(math.hypot(s, t), math.hypot(s, t - u), math.hypot(s, w),
+                       math.hypot(s, w - u), u, t - w)
+        v = s + (gap if rng.integers(0, 2) else -gap) * diameter
+        cq = try_params(s, t, u, v, w)
+        if cq is not None and 1e-8 <= abs(s - v) / cq.diameter <= 5e-2:
+            quads.append(cq)
+    return quads + [canonicalize(q) for q in THIN_OPTIMA + NEAR_TRAPEZOIDS]
+
+
 def random_isometry(rng) -> Isometry2:
     return Isometry2(float(rng.uniform(-math.pi, math.pi)),
                      Point2(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20))),
@@ -233,6 +255,52 @@ def grid_argmax(f, interval: tuple[float, float], n: int = 100_000
         vals = np.array([f(float(h)) for h in hs])
     i = int(np.argmax(vals))
     return float(hs[i]), float(vals[i])
+
+
+def numpy_ratio_sq(cq: CanonicalQuad):
+    """The numpy twin of ``family.ratio_sq_function``: callable h (an array)
+    -> (b/a)^2, with the same float operations in the same order and the
+    gap from ``np.sqrt``, which rounds correctly as ``math.sqrt`` does, so
+    each entry has the scalar function's bits.  The brute force
+    (:func:`grid_argmax`) runs on it."""
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+    e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
+    v, sv, k = cq.v, cq.s - cq.v, 16.0 * cq.u
+
+    def ratio_sq(h):
+        lam = (2.0 * np.asarray(h, dtype=float) - v) / sv
+        trace = (t2 * lam + t1) * lam + t0
+        diff = (d2 * lam + d1) * lam + d0
+        b = (b2 * lam + b1) * lam + b0
+        den = trace + np.sqrt(diff * diff + b * b)
+        return ((1.0 - lam) * e0 + lam * e1) * lam * (1.0 - lam) * k / (den * den)
+
+    return ratio_sq
+
+
+def numpy_containment(conic, cq: CanonicalQuad, n: int = 256, *, tol: float = 1e-9):
+    """``oracle.containment`` by the full numpy trace of all n samples per
+    side: the reference its report must equal, field for field."""
+    g = geometry(conic)
+    ang = g.major_axis_angle or 0.0
+    ca, sa = math.cos(ang), math.sin(ang)
+    th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    ex = g.a * np.cos(th)
+    ey = g.b * np.sin(th)
+    xs = g.center.x + ex * ca - ey * sa
+    ys = g.center.y + ex * sa + ey * ca
+    worst = math.inf
+    where = ""
+    for j, (nx, ny, c) in enumerate(side_distance_lines(cq)):
+        d = nx * xs + ny * ys + c
+        i = int(np.argmin(d))
+        if d[i] < worst:
+            worst = float(d[i])
+            where = f"side S{j + 1}, sample {i} of {n}"
+    tol_abs = tol * cq.diameter
+    residual = max(0.0, -worst)
+    return OracleReport("containment", residual <= tol_abs, residual,
+                        f"min signed distance {worst:.3e} at {where}", tol_abs)
 
 
 def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:

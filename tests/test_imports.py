@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import inellipse
 from inellipse import cli
 
@@ -18,7 +20,7 @@ def run_python(*args):
 
 
 def test_import_does_not_load_numpy():
-    # numpy is needed only by the sampling oracles
+    # numpy is a test dependency only
     code = ("import sys, inellipse\n"
             "inellipse.solve(inellipse.canonicalize([(0, 0), (0, 3), (4, 6), (2, 1)]))\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
@@ -60,18 +62,49 @@ def test_cli_minimal_does_not_load_numpy(tmp_path):
     assert "inellipse.quad" in loaded and "numpy" not in loaded
 
 
-def test_cli_verify_loads_numpy_and_prints_the_same_report(tmp_path):
-    # the oracle battery imports numpy when it runs; the report of a cold
-    # process matches the in-process one byte for byte
+def test_cli_verify_loads_no_numpy_and_prints_the_same_report(tmp_path):
+    # the oracle battery is plain math; the report of a cold process
+    # matches the in-process one byte for byte
     path = tmp_path / "quad.json"
     path.write_text('{"vertices": [[0, 0], [0, 2], [4, 6], [2, 1]]}')
     proc = run_python("-X", "importtime", "-m", "inellipse.cli", "verify", "--input", str(path))
     assert proc.returncode == 0, proc.stderr
-    assert "numpy" in imported_modules(proc.stderr)
+    loaded = imported_modules(proc.stderr)
+    assert "inellipse.oracle" in loaded and "numpy" not in loaded
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(["verify", "--input", str(path)]) == 0
     assert proc.stdout == buf.getvalue()
+
+
+def imports_numpy(path):
+    """Lines of a module that import numpy, at any level of its code."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_numpy():
+    modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    assert {p.name: found for p in modules if (found := imports_numpy(p))} == {}
+
+
+def test_numpy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")           # Python 3.11+
+    pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert project.get("dependencies", []) == []
+    assert any(req.split(">")[0].split("=")[0].strip() == "numpy"
+               for req in project["optional-dependencies"]["test"])
 
 
 def unused_imports(path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, closed_form_h,
-                     grid_argmax, make_quad, moved_vertices, mp_family,
+                     grid_argmax, make_quad, moved_vertices, mp_family, numpy_ratio_sq,
                      mp_semi_axes, random_general, random_isometry, random_kite,
                      random_type1, random_type2, ratio_sq_closed_form,
                      ratio_sq_prime)
@@ -150,7 +150,7 @@ class TestMaximize:
             cq = random_general(rng)
             lo, hi = cq.interval
             h, _ = maximize_ratio_sq(cq)
-            hg, _ = grid_argmax(ratio_sq_function(cq), cq.interval, n)
+            hg, _ = grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
             assert abs(h - hg) <= 2.0 * (hi - lo) / n
 
     def test_budget_exhaustion_flags_max_iterations(self, q5, caplog):
@@ -335,7 +335,7 @@ class TestStationarityRoot:
             cq = random_general(rng)
             lo, hi = cq.interval
             h, iters = maximize_ratio_sq(cq)
-            hg, _ = grid_argmax(ratio_sq_function(cq), cq.interval, n)
+            hg, _ = grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
             assert abs(h - hg) <= 2.0 * (hi - lo) / n
             assert 0 < iters < 200
 

@@ -7,13 +7,12 @@ import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
                      cli_verify_pool, closed_form_h, grid_argmax, make_quad,
-                     random_general, random_kite, ratio_sq_prime)
+                     numpy_containment, numpy_ratio_sq, random_general, random_kite,
+                     ratio_sq_prime, sv_pool)
 from inellipse import (Conic, NotTangential, canonicalize, coefficients,
-                       containment, fd_gradient, incircle, ratio_argmax,
+                       containment, fd_gradient, geometry, incircle, ratio_argmax,
                        ratio_sq_function, solve, verify)
 from inellipse import family
-from inellipse.family import ratio_sq_bound
-from inellipse.oracle import CELL
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -48,14 +47,14 @@ class TestGridArgmax:
     def test_golden_quad(self, q5):
         n = 100_000
         lo, hi = q5.interval
-        h, val = grid_argmax(ratio_sq_function(q5), q5.interval, n)
+        h, val = grid_argmax(numpy_ratio_sq(q5), q5.interval, n)
         assert abs(h - H_PLUS_GOLDEN) <= 2.0 * (hi - lo) / n
         assert 0.7 < val < 0.8
 
     def test_kite(self, kite):
         n = 100_000
         lo, hi = kite.interval
-        h, val = grid_argmax(ratio_sq_function(kite), kite.interval, n)
+        h, val = grid_argmax(numpy_ratio_sq(kite), kite.interval, n)
         assert abs(h - (math.sqrt(10.0) - 2.0)) <= 2.0 * (hi - lo) / n
         # the ratio curve has a corner at a circle member, so the grid value
         # approaches 1 only linearly in the grid spacing
@@ -86,14 +85,49 @@ def special_quads():
     return [canonicalize(v) for v in SPECIAL_QUADS.values()]
 
 
-def cell_bounds_hold(cq, n=100_000) -> bool:
-    """Every value of the full grid is at most the bound of its cell."""
+def grid(cq, n=100_000):
+    """The n samples h_i of ``ratio_argmax``."""
     lo, hi = cq.interval
-    i = np.arange(1, n + 1)
-    hs = lo + (hi - lo) * (i / (n + 1.0))
-    first = np.arange(1, n + 1, CELL)
-    bound = ratio_sq_bound(cq, hs[first - 1], hs[np.minimum(first + CELL - 1, n) - 1])
-    return bool(np.all(ratio_sq_function(cq)(hs) <= bound[(i - 1) // CELL]))
+    return lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1.0))
+
+
+class TestRatioSqFunction:
+    @pytest.mark.parametrize("index", [0, 1, 2, 4])
+    def test_numpy_twin_has_the_scalar_bits(self, index):
+        # on grids where the power x ** 0.5 and the square root round apart
+        cq = cli_verify_pool(1)[index]
+        hs = grid(cq)
+        f = ratio_sq_function(cq)
+        assert [f(h) for h in hs.tolist()] == numpy_ratio_sq(cq)(hs).tolist()
+        lam = (2.0 * hs - cq.v) / (cq.s - cq.v)
+        _, (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+        diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0
+        radicands = (diff * diff + b * b).tolist()
+        assert any(x ** 0.5 != math.sqrt(x) for x in radicands)
+
+
+def level_set_holds(cq, n=100_000) -> bool:
+    """``family._ratio_sq_below`` prunes no range of grid samples at the
+    highest value the range reaches, on ranges of 1 to 30000 samples near
+    the grid maximum, and prunes some of them at the maximum itself."""
+    hs = grid(cq, n).tolist()
+    vals = numpy_ratio_sq(cq)(np.array(hs))
+    level = family._ratio_sq_below(cq)
+    top = int(np.argmax(vals))
+    pruned = 0
+    for width in (1, 8, 64, 1000, 30_000):
+        if width > n // 2:
+            continue
+        for offset in (-3 * width, -width - 1, 1, 2 * width):
+            i = min(max(top + offset, 0), n - width)
+            j = i + width - 1
+            if level(float(vals[i:j + 1].max()))(hs[i], hs[j]):
+                return False
+            pruned += level(float(vals[top]))(hs[i], hs[j])
+    return pruned > 0
+
+
+BUDGET = 150        # most ratio_sq evaluations ratio_argmax may make at n = 100000
 
 
 class TestRatioArgmax:
@@ -101,42 +135,66 @@ class TestRatioArgmax:
 
     @staticmethod
     def brute_force(cq, n=100_000):
-        return grid_argmax(ratio_sq_function(cq), cq.interval, n)
+        return grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
 
     @pytest.mark.parametrize("name", sorted(SPECIAL_QUADS))
     def test_matches_brute_force(self, name):
         cq = canonicalize(SPECIAL_QUADS[name])
         assert ratio_argmax(cq) == self.brute_force(cq)
 
-    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("seed", range(1, 11))
     def test_matches_brute_force_on_cli_verify_pool(self, seed):
         for cq in cli_verify_pool(seed):
             assert ratio_argmax(cq) == self.brute_force(cq)
 
-    @pytest.mark.parametrize("n", [3, 99, 100, 101, 1001, 12345])
+    @pytest.mark.parametrize("n", [3, 4, 5, 99, 100, 101, 1001, 12345, 100_000])
     def test_matches_brute_force_at_any_grid_size(self, n):
-        # the last cell is partial unless CELL divides n
-        for cq in special_quads():
+        # the README quad, the kite, and quads below SV_MARGIN (|s - v| /
+        # diameter down to 1e-8), the thin optima and the near-trapezoids
+        for cq in special_quads()[:2] + sv_pool():
             assert ratio_argmax(cq, n) == self.brute_force(cq, n)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             ratio_argmax(canonicalize(Q5_VERTICES), 2)
 
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_ties_go_to_the_lowest_sample(self, n, monkeypatch):
+        # the ratio floored to a multiple of 1/64 has long runs of equal
+        # values; it is at most the ratio, so the level-set test still holds
+        make = family.ratio_sq_function
+
+        def plateaus(cq):
+            f = make(cq)
+            return lambda h: math.floor(f(h) * 64.0) / 64.0
+
+        monkeypatch.setattr(family, "ratio_sq_function", plateaus)
+        for cq in special_quads() + cli_verify_pool(1)[:16]:
+            twin = numpy_ratio_sq(cq)
+            expected = grid_argmax(lambda hs: np.floor(twin(hs) * 64.0) / 64.0, cq.interval, n)
+            assert ratio_argmax(cq, n) == expected
+
     @pytest.mark.parametrize("n", [100_000, 1000, 250])
     def test_bounds_hold_on_special_quads(self, n):
-        # on coarse grids a cell spans a good share of the interval, so it
-        # holds the vertex of a quadratic, or lam = 1/2, well inside
         for cq in special_quads():
-            assert cell_bounds_hold(cq, n)
+            assert level_set_holds(cq, n)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_bounds_hold_on_cli_verify_pool(self, seed):
         for cq in cli_verify_pool(seed):
-            assert cell_bounds_hold(cq)
+            assert level_set_holds(cq)
 
-    def test_evaluates_a_few_cells(self, monkeypatch):
-        # about 1000 cell heads plus the cells near the maximum
+    def test_bounds_hold_below_the_sv_margin(self):
+        for cq in sv_pool():
+            assert level_set_holds(cq)
+
+    def test_no_floor_that_is_not_finite_prunes(self, q5):
+        level = family._ratio_sq_below(q5)
+        for r in (math.nan, math.inf, 0.0, -1.0):
+            assert not level(r)(*q5.interval)
+
+    def test_evaluation_budget(self, monkeypatch):
+        # a golden-section floor and a few ranges next to the maximum
         counts = []
         make = family.ratio_sq_function
 
@@ -144,7 +202,7 @@ class TestRatioArgmax:
             f = make(cq)
 
             def g(h):
-                counts.append(np.size(h))
+                counts.append(h)
                 return f(h)
             return g
 
@@ -152,7 +210,12 @@ class TestRatioArgmax:
         for cq in special_quads():
             counts.clear()
             ratio_argmax(cq)
-            assert sum(counts) < 10_000
+            assert len(counts) <= BUDGET
+
+
+def containment_cases(quads):
+    for cq in quads:
+        yield solve(cq).conic, cq
 
 
 class TestContainment:
@@ -169,6 +232,32 @@ class TestContainment:
         rep = containment(coefficients(kite, closed_form_h(kite)), kite, 256)
         assert rep.passed
         assert rep.worst_residual <= 1e-9 * kite.diameter
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 256, 1000])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_matches_the_full_trace_on_cli_verify_pool(self, seed, n):
+        for conic, cq in containment_cases(cli_verify_pool(seed)):
+            assert containment(conic, cq, n) == numpy_containment(conic, cq, n)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 256, 1000])
+    def test_matches_the_full_trace_on_special_cases(self, n, q5, kite):
+        cases = [*containment_cases(special_quads()), (Conic(1, 0, 1, 0, 0, -1), q5),
+                 (coefficients(kite, closed_form_h(kite)), kite)]
+        assert geometry(cases[-1][0]).major_axis_angle is None      # a circle
+        for conic, cq in cases:
+            assert containment(conic, cq, n) == numpy_containment(conic, cq, n)
+
+    @pytest.mark.parametrize("n", [256, 1_000_000])
+    def test_matches_the_full_trace_next_to_a_thin_ellipse(self, n, q5):
+        # semi-axes 0.4 and 1e-7 along the side x = 0, 1.5e-7 from it: at
+        # n = 10^6 the samples next to theta* differ by less than the float
+        # slack, so the window widens before it can exclude the rest
+        b, x0, y0, a = 1e-7, 1.5e-7, 1.0, 0.4
+        conic = Conic(1.0, 0.0, (b / a) ** 2, -2.0 * x0, -2.0 * y0 * (b / a) ** 2,
+                      x0 * x0 + (y0 * b / a) ** 2 - b * b)
+        rep = containment(conic, q5, n)
+        assert rep == numpy_containment(conic, q5, n)
+        assert rep.location.endswith(f"side S2, sample {n // 4} of {n}")
 
 
 class TestIncircle:
