@@ -356,7 +356,7 @@ def _cmd_minimal(args) -> int:
     failed = False
     if args.verify:
         battery = oracle.verify(cq, res)
-        report["oracles"] = [dict(vars(r)) for r in battery]
+        report["oracles"] = [r._asdict() for r in battery]
         failed = not all(r.passed for r in battery)
     if args.svg:
         # the figure draws the input cycle; canonicalize keeps only the pose

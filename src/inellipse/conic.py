@@ -17,7 +17,6 @@ general-conic route that ``oracle.containment`` takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -56,8 +55,7 @@ class Conic(NamedTuple):
         return self.oriented().scaled(1.0 / n)
 
 
-@dataclass(frozen=True)
-class EllipseCheck:
+class EllipseCheck(NamedTuple):
     """Result of the two-part ellipse test; truthy iff both parts pass."""
 
     ok: bool
@@ -68,8 +66,7 @@ class EllipseCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class EllipseGeometry:
+class EllipseGeometry(NamedTuple):
     center: Point2
     a: float                       # semi-major
     b: float                       # semi-minor
@@ -77,8 +74,7 @@ class EllipseGeometry:
     major_axis_angle: Optional[float]   # None for circles
 
 
-@dataclass(frozen=True)
-class Line2:
+class Line2(NamedTuple):
     """Line in slope-intercept form; ``slope is None`` marks a vertical
     line whose ``intercept`` is then the x offset."""
 

@@ -33,7 +33,6 @@ the member, its center and its spectral quantities at a given lam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .conic import Conic
@@ -68,8 +67,7 @@ class TangentPoint(NamedTuple):
     lam: float
 
 
-@dataclass(frozen=True)
-class FamilyPoint:
+class FamilyPoint(NamedTuple):
     """One member of the inscribed family at center abscissa h."""
 
     h: float

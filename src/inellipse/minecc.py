@@ -26,9 +26,8 @@ result carries both angles and their residual so callers can check.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import family
 from .conic import (Conic, EllipseGeometry, _major_axis_angle,
@@ -37,14 +36,11 @@ from .errors import NotAnEllipse
 from .quad import (CanonicalQuad, QuadClass, QuadKind, classify,
                    diagonal_angle)
 
-log = logging.getLogger(__name__)
-
 CLOSED_FORM = "closed_form_type1"
 NUMERIC = "numeric"
 
 
-@dataclass(frozen=True)
-class CenterQuadratic:
+class CenterQuadratic(NamedTuple):
     """Quadratic in the center abscissa whose root inside the center
     interval locates the minimal-eccentricity member (type-1 case).
 
@@ -63,8 +59,7 @@ class CenterQuadratic:
         return (self.c2 * h + self.c1) * h + self.c0
 
 
-@dataclass(frozen=True)
-class MinEccResult:
+class MinEccResult(NamedTuple):
     h_star: float
     conic: Conic
     geom: EllipseGeometry
@@ -172,7 +167,9 @@ def _stationary_point(cq: CanonicalQuad, tol: float, max_iter: int) -> tuple[flo
         x -= step
         if abs(step) <= tol:
             return x, it
-    log.warning("stationarity root search did not converge in %d iterations", max_iter)
+    import logging
+    logging.getLogger(__name__).warning(
+        "stationarity root search did not converge in %d iterations", max_iter)
     return x, max_iter
 
 

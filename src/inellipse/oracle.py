@@ -15,8 +15,7 @@ between the two solver paths, not an independent oracle.  Plain ``math``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import family
 from .conic import Conic, Line2, LineConicRelation, geometry, line_tangency
@@ -25,8 +24,7 @@ from .minecc import CLOSED_FORM, MinEccResult, maximize_ratio_sq
 from .quad import CanonicalQuad, Point2, QuadKind, classify
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     name: str
     passed: bool
     worst_residual: float

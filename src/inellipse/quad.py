@@ -42,16 +42,12 @@ the mapped values, are mapped and compared in full.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from .errors import Degenerate, NoValidLabeling, NotConvex, Trapezoid
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-9
 
@@ -71,8 +67,7 @@ class Point2(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
-class Isometry2:
+class Isometry2(NamedTuple):
     """Plane isometry: optional reflection about the x axis, then rotation,
     then translation.
 
@@ -111,14 +106,7 @@ class Isometry2:
                          True)
 
 
-@dataclass(frozen=True)
-class CanonicalQuad:
-    """Quadrilateral in canonical pose plus the isometry that produced it.
-
-    ``iso`` maps raw input coordinates onto the canonical coordinates; its
-    inverse takes canonical-frame results back to the input frame.
-    """
-
+class _Pose(NamedTuple):
     s: float
     t: float
     u: float
@@ -126,14 +114,31 @@ class CanonicalQuad:
     w: float
     iso: Isometry2
 
-    def __post_init__(self) -> None:
-        s, t, u, v, w = self.s, self.t, self.u, self.v, self.w
+
+class CanonicalQuad(_Pose):
+    """Quadrilateral in canonical pose plus the isometry that produced it.
+
+    ``iso`` maps raw input coordinates onto the canonical coordinates; its
+    inverse takes canonical-frame results back to the input frame.  Every
+    construction, ``_make``, ``_replace`` and unpickling included, checks
+    (R0)-(R2) and raises ValueError when they fail.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, s: float, t: float, u: float, v: float, w: float,
+                iso: Isometry2) -> "CanonicalQuad":
         if not _pose_ok(s, t, u, v, w):
             raise ValueError("canonical parameters violate the pose constraints")
         if not _convex(s, t, u, v, w):
             raise ValueError("canonical parameters describe a non-convex cycle")
         if s == v or w * s - v * (t - u) == 0:
             raise ValueError("parallel side pair: quadrilateral unsupported")
+        return super().__new__(cls, s, t, u, v, w, iso)
+
+    @classmethod
+    def _make(cls, iterable) -> "CanonicalQuad":
+        return cls(*iterable)
 
     @classmethod
     def from_params(cls, s: float, t: float, u: float, v: float, w: float) -> "CanonicalQuad":
@@ -145,7 +150,7 @@ class CanonicalQuad:
 
     @property
     def params(self) -> tuple[float, float, float, float, float]:
-        return (self.s, self.t, self.u, self.v, self.w)
+        return self[:5]
 
     @property
     def vertices(self) -> list[Point2]:
@@ -188,16 +193,14 @@ class QuadKind(str, Enum):
     MDQ_TYPE2 = "mdq_type2"
 
 
-@dataclass(frozen=True)
-class QuadClass:
+class QuadClass(NamedTuple):
     kind: QuadKind
     tangential: bool
     orthodiagonal: bool
     residuals: dict[str, float]
 
 
-@dataclass(frozen=True)
-class NewtonSegment:
+class NewtonSegment(NamedTuple):
     """Open segment joining the diagonal midpoints: the locus of centers of
     inscribed ellipses."""
 
@@ -410,8 +413,10 @@ def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
     z, z_scale = _z_terms(s, t, u, v, w)
     z_rel = abs(z) / z_scale if z_scale > 0 else 0.0
     if tangential and z_rel > math.sqrt(tol):
-        log.warning("Pitot test says tangential but the polynomial residual "
-                    "disagrees (%.3e); trusting Pitot", z_rel)
+        import logging
+        logging.getLogger(__name__).warning(
+            "Pitot test says tangential but the polynomial residual "
+            "disagrees (%.3e); trusting Pitot", z_rel)
 
     m1, m2 = cq.diagonal_slopes
     ortho_res = abs(m1 * m2 + 1.0)

@@ -48,6 +48,20 @@ def test_cli_import_builds_no_parser_and_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_and_solve_load_no_dataclasses_inspect_or_logging():
+    # compared with the modules of just before the import, since site may
+    # preload some of them; logging loads only when a warning fires
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import inellipse.cli\n"
+            "inellipse.solve(inellipse.canonicalize([(0, 0), (0, 3), (4, 6), (2, 1)]))\n"
+            "print(' '.join(sorted({'dataclasses', 'inspect', 'logging'}\n"
+            "                      & (set(sys.modules) - before))))\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def imported_modules(importtime_stderr):
     return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()
             if line.startswith("import time:")}

@@ -330,7 +330,7 @@ class TestVerify:
     def test_matches_the_pinned_cli_oracles(self, case):
         # JSON floats at 17 digits re-parse exactly, so the comparison is exact
         pinned = json.loads(case["stdout"])["oracles"]
-        assert [vars(r) for r in battery(case["vertices"])] == pinned
+        assert [r._asdict() for r in battery(case["vertices"])] == pinned
 
     def test_kite_runs_the_incircle_oracle(self):
         reports = battery(KITE_VERTICES)

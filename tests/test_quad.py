@@ -239,6 +239,15 @@ class TestClassify:
         assert classify(cq).kind is QuadKind.GENERAL
         assert classify(cq, tol=1e-5).kind is QuadKind.MDQ_TYPE1
 
+    def test_pitot_disagreement_is_logged(self, caplog):
+        # the kite's Pitot residual is exactly 0 and its polynomial one is
+        # rounding noise, 1.6e-32, above sqrt(tol) for this tiny tol
+        import logging
+        cq = canonicalize([(0, 0), (1, 2), (0, 5), (-1, 2)])
+        with caplog.at_level(logging.WARNING, logger="inellipse.quad"):
+            assert classify(cq, tol=1e-70).tangential
+        assert any("trusting Pitot" in rec.message for rec in caplog.records)
+
     def test_tangential_and_mdq_implies_orthodiagonal(self):
         rng = np.random.default_rng(103)
         for _ in range(500):
@@ -362,6 +371,20 @@ class TestCanonicalQuadValidation:
     def test_exact_parallel_pair_rejected(self):
         with pytest.raises(ValueError):
             CanonicalQuad.from_params(2, 6, 2, 2, 1)   # s == v
+
+    @pytest.mark.parametrize("field, source", [("s", "v"), ("w", "t")])
+    def test_replace_cannot_make_a_parallel_side_pair(self, field, source):
+        cq = canonicalize(Q5_VERTICES)
+        with pytest.raises(ValueError):
+            cq._replace(**{field: getattr(cq, source)})
+
+    def test_make_checks_the_pose(self):
+        cq = canonicalize(Q5_VERTICES)
+        with pytest.raises(ValueError):
+            CanonicalQuad._make([cq.s, cq.t, cq.u, cq.s, cq.w, cq.iso])
+        assert CanonicalQuad._make(cq) == cq
+        same = cq._replace(w=cq.w)
+        assert type(same) is CanonicalQuad and same == cq
 
     def test_tiny_params_rejected_before_solve(self):
         # solve() of this quad used to raise ZeroDivisionError
