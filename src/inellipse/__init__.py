@@ -7,9 +7,8 @@ quadrilaterals the angle between its equal conjugate diameters equals the
 angle between the diagonals.
 """
 
-from .conic import (Conic, EllipseCheck, EllipseGeometry, Line2,
-                    LineConicRelation, conjugate_diameter_angle, geometry,
-                    is_ellipse, line_tangency)
+from .conic import (Conic, EllipseGeometry, Line2, LineConicRelation,
+                    conjugate_diameter_angle, line_tangency)
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, NotTangential,
                      Trapezoid)
@@ -26,16 +25,16 @@ from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalQuad", "CenterQuadratic", "Conic", "Degenerate", "EllipseCheck",
-    "EllipseGeometry", "FamilyPoint", "HOutOfRange", "InscribedEllipseError",
-    "Isometry2", "Line2", "LineConicRelation", "MinEccResult",
-    "NewtonSegment", "NoValidLabeling", "NotAnEllipse", "NotConvex",
-    "NotTangential", "OracleReport", "Point2", "QuadClass", "QuadKind",
-    "SideLinears", "Spectral", "TangentPoint", "Trapezoid",
+    "CanonicalQuad", "CenterQuadratic", "Conic", "Degenerate",
+    "EllipseGeometry", "FamilyPoint", "HOutOfRange",
+    "InscribedEllipseError", "Isometry2", "Line2", "LineConicRelation",
+    "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
+    "NotConvex", "NotTangential", "OracleReport", "Point2", "QuadClass",
+    "QuadKind", "SideLinears", "Spectral", "TangentPoint", "Trapezoid",
     "canonicalize", "center_quadratic", "classify", "coefficients",
     "conjugate_diameter_angle", "containment", "diagonal_angle",
-    "family_point", "fd_gradient", "geometry", "incircle", "is_ellipse",
-    "line_tangency", "maximize_ratio_sq", "newton_segment", "ratio_argmax",
+    "family_point", "fd_gradient", "incircle", "line_tangency",
+    "maximize_ratio_sq", "newton_segment", "ratio_argmax",
     "ratio_sq_function", "side_linears", "solve", "spectral",
     "tangency_points", "validate", "verify",
 ]

@@ -82,16 +82,10 @@ def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        # numpy scalars are flat too: to_json prints them through .item()
-        if all(isinstance(v, (int, float, str, bool, type(None)))
-               or callable(getattr(v, "item", None)) for v in obj):
+        if all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
             return "[" + ", ".join([to_json(v, 0, False) for v in obj]) + "]"
         items = [pad_in + to_json(v, indent + 1, pretty) for v in obj]
         return "[" + nl + sep.join(items) + nl + pad + "]"
-    if callable(getattr(obj, "item", None)):
-        # numpy scalars (np.bool_, np.integer, np.float32, ...) without
-        # importing numpy
-        return to_json(obj.item(), indent, pretty)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -1,4 +1,4 @@
-"""General conic-coefficient geometry.
+"""Conic coefficients and the shape records of an ellipse.
 
 A conic is stored as the six coefficients of
 
@@ -6,12 +6,12 @@ A conic is stored as the six coefficients of
 
 Coefficients are kept at whatever scale the caller supplies; several
 polynomial identities used elsewhere in the package hold only at the
-defining scale, so :func:`geometry` never rescales its input (it only
-flips the overall sign so that A + C > 0).  Use :meth:`Conic.normalized`
-when comparing shapes across scales; center, semi-axes and eccentricity
-are scale-invariant.  The solver reads its member's shape from the
-family model (``minecc.solve``), not from :func:`geometry`, which is the
-general-conic route that ``oracle.containment`` takes.
+defining scale.  Use :meth:`Conic.normalized` when comparing across
+scales.  The package has no general conic-to-shape route: the solved
+ellipse's :class:`EllipseGeometry` (center, semi-axes, eccentricity, axis
+angle) comes from the family model in ``minecc.solve``, and
+``oracle.verify`` traces that reported shape and checks the tangency of
+its conic separately.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .errors import NotAnEllipse
 from .quad import Point2, PointLike
 
 
@@ -53,17 +52,6 @@ class Conic(NamedTuple):
         if n == 0.0:
             raise ValueError("zero conic cannot be normalized")
         return self.oriented().scaled(1.0 / n)
-
-
-class EllipseCheck(NamedTuple):
-    """Result of the two-part ellipse test; truthy iff both parts pass."""
-
-    ok: bool
-    ellipse_disc: float       # 4AC - B^2
-    nondegeneracy: float      # CD^2 + AE^2 - BDE - F(4AC - B^2)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 class EllipseGeometry(NamedTuple):
@@ -101,18 +89,6 @@ class LineConicRelation(Enum):
     SECANT = "secant"
 
 
-def is_ellipse(c: Conic) -> EllipseCheck:
-    """True iff the conic is a nondegenerate real ellipse.
-
-    Requires 4AC - B^2 > 0 (elliptic type) and a positive nondegeneracy
-    quantity, both evaluated after orienting the sign so A + C > 0.
-    """
-    A, B, C, D, E, F = c.oriented()
-    disc = 4.0 * A * C - B * B
-    ndg = C * D * D + A * E * E - B * D * E - F * disc
-    return EllipseCheck(disc > 0.0 and ndg > 0.0, disc, ndg)
-
-
 def _major_axis_angle(c: Conic, trace: float, gap_sq: float) -> Optional[float]:
     """Major-axis angle of an ellipse with A + C = trace > 0 and
     (A - C)^2 + B^2 = gap_sq.
@@ -128,27 +104,6 @@ def _major_axis_angle(c: Conic, trace: float, gap_sq: float) -> Optional[float]:
         return None
     angle = 0.5 * math.atan2(c.B, c.A - c.C) + math.pi / 2.0
     return angle - math.pi if angle > math.pi / 2.0 else angle
-
-
-def geometry(c: Conic) -> EllipseGeometry:
-    """Center, semi-axes, eccentricity, and axis orientation of an ellipse
-    (:func:`_major_axis_angle`)."""
-    check = is_ellipse(c)
-    if not check:
-        raise NotAnEllipse("coefficients do not describe a nondegenerate ellipse")
-    c = c.oriented()
-    A, B, C, D, E, F = c
-    disc, ndg = check.ellipse_disc, check.nondegeneracy
-    delta = 4.0 * ndg / (disc * disc)
-    trace = A + C
-    gap = math.hypot(A - C, B)
-    a_sq = delta * (trace + gap) / 2.0
-    b_sq = delta * disc / (2.0 * (trace + gap))   # = delta (trace - gap) / 2, stable
-    ecc = math.sqrt(2.0 * gap / (trace + gap))
-    cx = (B * E - 2.0 * C * D) / disc
-    cy = (B * D - 2.0 * A * E) / disc
-    return EllipseGeometry(Point2(cx, cy), math.sqrt(a_sq), math.sqrt(b_sq),
-                           ecc, _major_axis_angle(c, trace, gap * gap))
 
 
 def conjugate_diameter_angle(g: EllipseGeometry) -> float:

@@ -15,9 +15,9 @@ explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
 type 2, and the root is its closed form in lam in the quad's own frame;
 every other quad gets the root of p by bracketed, safeguarded Newton.
 No path searches over values of the ratio.  The conic, the center, the
-semi-axes and the axis angle are then read from the model at that lam,
-not from ``conic.geometry``; the center abscissa h* is reported, never
-converted back.
+semi-axes and the axis angle are then read from the model at that lam;
+the package has no route from a conic's six coefficients back to its
+shape.  The center abscissa h* is reported, never converted back.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -127,13 +127,6 @@ def _type2_root(cq: CanonicalQuad) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Abscissa(float):
-    """A center abscissa that keeps the segment coordinate ``lam`` it was
-    taken from, as h gives lam back only to within 1/(s - v)."""
-
-    __slots__ = ("lam",)
-
-
 def _stationary_point(cq: CanonicalQuad, tol: float, max_iter: int) -> tuple[float, int]:
     """Segment coordinate of the root of p (``family.stationarity``), and
     the steps taken.
@@ -177,15 +170,12 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
                       max_iter: int = 200) -> tuple[float, int]:
     """Maximize the squared axis ratio: the root of the stationarity quartic.
 
-    Returns (h, steps) with h the center abscissa of the root, which keeps
-    the root's segment coordinate as ``h.lam``; ``tol`` is in units of the
-    segment coordinate, the share of the center interval (see
-    :func:`_stationary_point`).  Never uses the closed form.
+    Returns (lam, steps) with lam the root's segment coordinate (its center
+    abscissa is ``family._abscissa(cq, lam)``); ``tol`` is in units of lam,
+    the share of the center interval (see :func:`_stationary_point`).
+    Never uses the closed form.
     """
-    lam, steps = _stationary_point(cq, tol, max_iter)
-    h = _Abscissa(family._abscissa(cq, lam))
-    h.lam = lam
-    return h, steps
+    return _stationary_point(cq, tol, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +195,8 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq) and e^2 = 2 gap / S: no
     cancellation of 4AC - B^2, of the determinant or of 1 - (b/a)^2 on
     thin or near-circular members.  The major-axis angle is
-    1/2 atan2(B, A - C) + pi/2 of that conic, as ``conic.geometry`` gives
-    it (trace > 0, so no sign flip).  h* is the center's abscissa.
+    1/2 atan2(B, A - C) + pi/2 of that conic (``conic._major_axis_angle``;
+    trace > 0, so no sign flip).  h* is the center's abscissa.
     Tangential midpoint-diagonal quads are the inscribed circle exactly,
     reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
@@ -215,8 +205,7 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     qc = classify(cq, tol=tol)
     if qc.kind is QuadKind.GENERAL:
         method = NUMERIC
-        h, iterations = maximize_ratio_sq(cq)
-        lam = h.lam
+        lam, iterations = maximize_ratio_sq(cq)
     else:
         method, iterations = CLOSED_FORM, 0
         lam = _type1_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)

@@ -8,8 +8,11 @@ returns, bit for bit), and the incircle is built from angle bisectors
 rather than family coefficients.  Oracle tolerances are deliberately
 looser than the claims they validate, so a failing oracle indicates a
 real defect rather than noise.  :func:`verify` runs the battery on a
-``minecc.solve`` result; its ``solver_agreement`` report is a cross-check
-between the two solver paths, not an independent oracle.  Plain ``math``.
+``minecc.solve`` result: ``containment`` traces the ellipse it reports
+(center, semi-axes, axis angle) and ``side_tangency`` checks its conic, so
+both forms of the answer are checked; its ``solver_agreement`` report is a
+cross-check between the two solver paths, not an independent oracle.
+Plain ``math``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from typing import Callable, NamedTuple
 
 from . import family
-from .conic import Conic, Line2, LineConicRelation, geometry, line_tangency
+from .conic import EllipseGeometry, Line2, LineConicRelation, line_tangency
 from .errors import NotTangential
 from .minecc import CLOSED_FORM, MinEccResult, maximize_ratio_sq
 from .quad import CanonicalQuad, Point2, QuadKind, classify
@@ -94,10 +97,10 @@ def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
     return lines
 
 
-def containment(conic: Conic, cq: CanonicalQuad, n: int = 256, *,
+def containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256, *,
                 tol: float = 1e-9) -> OracleReport:
-    """Trace the ellipse at theta_k = k (2 pi / n), k < n; pass means no
-    sample pokes outside by more than tol * diameter (the residual).  For
+    """Trace the ellipse ``g`` at theta_k = k (2 pi / n), k < n; pass means
+    no sample pokes outside by more than tol * diameter (the residual).  For
     center (x0, y0), semi-axes a, b and axis (ca, sa), sample k's signed
     distance from the side line (nx, ny, c) is exactly c0 - rad cos(theta_k
     - theta*): c0 = nx x0 + ny y0 + c, p = a (nx ca + ny sa), q = b (ny ca -
@@ -109,7 +112,6 @@ def containment(conic: Conic, cq: CanonicalQuad, n: int = 256, *,
     + |nx| (|x0| + a + b) + |ny| (|y0| + a + b)) a sample (cos and sin are
     within 1 ulp), c0, rad and the test.
     """
-    g = geometry(conic)
     ang = g.major_axis_angle or 0.0
     ca, sa = math.cos(ang), math.sin(ang)
     x0, y0, a, b, step, eps = g.center.x, g.center.y, g.a, g.b, 2.0 * math.pi / n, 2.0 ** -53
@@ -183,17 +185,18 @@ def incircle(cq: CanonicalQuad) -> tuple[Point2, float]:
 
 def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     """The oracle battery on ``res = minecc.solve(cq)``, in report order:
-    ``containment``; ``side_tangency`` (the side lines tangent, the
-    tangency points on the conic and inside their sides); ``grid_argmax``
-    (within two steps of h*); ``stationarity`` (a central difference
-    vanishing at h*, or changing sign across a circular optimum);
-    ``solver_agreement`` for a closed-form result; and ``incircle`` for a
-    tangential midpoint-diagonal quad, classified at the default tolerance
-    so that the incircle's own test holds.
+    ``containment`` (of the reported ellipse ``res.geom``); ``side_tangency``
+    (the side lines tangent to ``res.conic``, the tangency points on it and
+    inside their sides); ``grid_argmax`` (within two steps of h*);
+    ``stationarity`` (a central difference vanishing at h*, or changing
+    sign across a circular optimum); ``solver_agreement`` for a
+    closed-form result; and ``incircle`` for a tangential
+    midpoint-diagonal quad, classified at the default tolerance so that
+    the incircle's own test holds.
     """
     lo, hi = cq.interval
     width = hi - lo
-    reports = [containment(res.conic, cq, 256)]
+    reports = [containment(res.geom, cq, 256)]
 
     # Tangency of the four side lines, plus the tangency points themselves.
     conic_n = res.conic.normalized()
@@ -246,7 +249,7 @@ def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
 
     # Closed form vs numeric maximizer: a cross-check of the solver paths.
     if res.method == CLOSED_FORM:
-        h_num, _ = maximize_ratio_sq(cq)
+        h_num = family._abscissa(cq, maximize_ratio_sq(cq)[0])
         gap, tol = abs(h_num - res.h_star), 1e-9 * width
         reports.append(OracleReport("solver_agreement", gap <= tol, gap,
                                     f"numeric maximizer at {h_num!r}", tol))

@@ -13,10 +13,13 @@ brute-force grid argmax that ``oracle.ratio_argmax`` must reproduce bit
 for bit (run on ``numpy_ratio_sq``, the numpy twin of
 ``family.ratio_sq_function``), the full trace whose report
 ``oracle.containment`` must give, 50-digit references built from the
-defining coefficient formulas, float references that the package does not need (the tangent
-slope of a conic, the analytic derivative of the squared axis ratio, the
-type-1 closed forms), named quads shared by several test modules, and
-the input pools of the benchmark (``bench/``, imported, never edited).
+defining coefficient formulas, float references that the package does
+not need (the general conic-to-shape route ``geometry`` with its
+``is_ellipse`` test, the tangent slope of a conic, the analytic
+derivative of the squared axis ratio, the type-1 closed forms, the
+numeric root as a center abscissa), named quads shared by several test
+modules, and the input pools of the benchmark (``bench/``, imported,
+never edited).
 """
 
 from __future__ import annotations
@@ -27,14 +30,17 @@ import math
 import os
 import random
 import sys
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
-                       NoValidLabeling, OracleReport, Point2, QuadKind, Trapezoid,
-                       canonicalize, center_quadratic, classify, geometry, is_ellipse)
+from inellipse import (CanonicalQuad, Degenerate, EllipseGeometry, Isometry2,
+                       NotAnEllipse, NotConvex, NoValidLabeling, OracleReport, Point2,
+                       QuadKind, Trapezoid, canonicalize, center_quadratic, classify,
+                       maximize_ratio_sq)
 from inellipse import family
+from inellipse.conic import _major_axis_angle
 from inellipse.minecc import _type1_root
 from inellipse.oracle import side_distance_lines
 
@@ -321,9 +327,55 @@ def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class EllipseCheck(NamedTuple):
+    """Result of the two-part ellipse test; truthy iff both parts pass."""
+
+    ok: bool
+    ellipse_disc: float       # 4AC - B^2
+    nondegeneracy: float      # CD^2 + AE^2 - BDE - F(4AC - B^2)
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def is_ellipse(c) -> EllipseCheck:
+    """True iff the conic is a nondegenerate real ellipse.
+
+    Requires 4AC - B^2 > 0 (elliptic type) and a positive nondegeneracy
+    quantity, both evaluated after orienting the sign so A + C > 0.
+    """
+    A, B, C, D, E, F = c.oriented()
+    disc = 4.0 * A * C - B * B
+    ndg = C * D * D + A * E * E - B * D * E - F * disc
+    return EllipseCheck(disc > 0.0 and ndg > 0.0, disc, ndg)
+
+
+def geometry(c) -> EllipseGeometry:
+    """Center, semi-axes, eccentricity and axis angle of an ellipse from its
+    six coefficients, at any scale or sign: the general conic route, a
+    reference for the shape ``minecc.solve`` reads from the family model.
+    Its (4AC - B^2)^2 is of degree 16 in the diameter of a family member."""
+    check = is_ellipse(c)
+    if not check:
+        raise NotAnEllipse("coefficients do not describe a nondegenerate ellipse")
+    c = c.oriented()
+    A, B, C, D, E, F = c
+    disc, ndg = check.ellipse_disc, check.nondegeneracy
+    delta = 4.0 * ndg / (disc * disc)
+    trace = A + C
+    gap = math.hypot(A - C, B)
+    a_sq = delta * (trace + gap) / 2.0
+    b_sq = delta * disc / (2.0 * (trace + gap))   # = delta (trace - gap) / 2, stable
+    ecc = math.sqrt(2.0 * gap / (trace + gap))
+    cx = (B * E - 2.0 * C * D) / disc
+    cy = (B * D - 2.0 * A * E) / disc
+    return EllipseGeometry(Point2(cx, cy), math.sqrt(a_sq), math.sqrt(b_sq),
+                           ecc, _major_axis_angle(c, trace, gap * gap))
+
+
 def ellipse_delta(c) -> float:
     """delta = 4 nondegeneracy / (4AC - B^2)^2 of an ellipse, from the same
-    floats as ``conic.geometry``; 1-homogeneous in the coefficients."""
+    floats as :func:`geometry`; 1-homogeneous in the coefficients."""
     check = is_ellipse(c)
     return 4.0 * check.nondegeneracy / (check.ellipse_disc * check.ellipse_disc)
 
@@ -350,6 +402,13 @@ def tangent_slope(c, p, *, tol: float = 1e-9):
     if abs(gy) <= tol * gnorm:
         return None
     return -gx / gy
+
+
+def maximize_h(cq: CanonicalQuad, **kwargs) -> tuple[float, int]:
+    """``minecc.maximize_ratio_sq`` with its root taken to the center
+    abscissa: (h, steps)."""
+    lam, steps = maximize_ratio_sq(cq, **kwargs)
+    return family._abscissa(cq, lam), steps
 
 
 def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:

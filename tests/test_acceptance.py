@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from helpers import (Q5_VERTICES, canonical_vertices, closed_form_h, ellipse_delta,
-                     grid_argmax, interior_points, moved_vertices, numpy_ratio_sq,
-                     random_general, random_isometry, random_kite, random_type1,
-                     random_type2, ratio_sq_closed_form, ratio_sq_prime, tangent_slope,
-                     type1_factored_quartic)
+                     grid_argmax, interior_points, maximize_h, moved_vertices,
+                     numpy_ratio_sq, random_general, random_isometry, random_kite,
+                     random_type1, random_type2, ratio_sq_closed_form, ratio_sq_prime,
+                     tangent_slope, type1_factored_quartic)
 from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
                        classify, coefficients, diagonal_angle, fd_gradient,
-                       line_tangency, maximize_ratio_sq, ratio_sq_function,
+                       line_tangency, ratio_sq_function,
                        side_linears, solve, spectral, tangency_points)
 from inellipse.family import stationarity
 from inellipse.minecc import center_quadratic
@@ -159,7 +159,7 @@ def test_criterion_6_solver_cross_validation():
         cq = random_type1(rng)
         lo, hi = cq.interval
         h_closed = closed_form_h(cq)
-        h_num, _ = maximize_ratio_sq(cq)
+        h_num, _ = maximize_h(cq)
         gap = abs(h_closed - h_num) / (hi - lo)
         worst = max(worst, gap)
         assert gap <= 1e-9
@@ -168,7 +168,7 @@ def test_criterion_6_solver_cross_validation():
     for _ in range(100):
         cq = random_general(rng)
         lo, hi = cq.interval
-        h_num, _ = maximize_ratio_sq(cq)
+        h_num, _ = maximize_h(cq)
         h_grid, _ = grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
         assert abs(h_num - h_grid) <= 2.0 * (hi - lo) / n
     report(6, f"solver cross-validation, worst closed-vs-numeric {worst:.2e} of |I|")

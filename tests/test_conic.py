@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (closed_form_h, ellipse_delta, make_quad, random_general,
-                     random_h, tangent_slope)
+from helpers import (closed_form_h, ellipse_delta, geometry, is_ellipse,
+                     make_quad, random_general, random_h, tangent_slope)
 from inellipse import (Conic, Isometry2, Line2, LineConicRelation,
                        NotAnEllipse, Point2, coefficients,
-                       conjugate_diameter_angle, geometry, is_ellipse,
-                       line_tangency)
+                       conjugate_diameter_angle, line_tangency)
 
 UNIT_CIRCLE = Conic(1, 0, 1, 0, 0, -1)
 

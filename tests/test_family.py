@@ -4,13 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (closed_form_h, ellipse_delta, interior_points, make_quad,
-                     mp_conic, mp_family, random_general, random_h, random_type1,
-                     ratio_sq_prime, tangent_slope, type1_factored_quartic)
+from helpers import (closed_form_h, ellipse_delta, geometry, interior_points,
+                     is_ellipse, make_quad, mp_conic, mp_family, random_general,
+                     random_h, random_type1, ratio_sq_prime, tangent_slope,
+                     type1_factored_quartic)
 from inellipse import (Conic, HOutOfRange, LineConicRelation, Line2,
-                       coefficients, containment, family_point, geometry,
-                       is_ellipse, line_tangency, ratio_sq_function,
-                       side_linears, spectral, tangency_points)
+                       coefficients, containment, family_point, line_tangency,
+                       ratio_sq_function, side_linears, spectral,
+                       tangency_points)
 from inellipse import canonicalize, newton_segment
 from inellipse.family import stationarity
 
@@ -294,7 +295,7 @@ class TestFamilyPoint:
         for _ in range(20):
             cq = random_general(rng)
             fp = family_point(cq, random_h(cq, rng))
-            report = containment(fp.conic, cq, 256)
+            report = containment(geometry(fp.conic), cq, 256)
             assert report.passed, report
 
     def test_all_sides_tangent(self):

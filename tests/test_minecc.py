@@ -4,14 +4,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, closed_form_h,
-                     grid_argmax, make_quad, moved_vertices, mp_family, numpy_ratio_sq,
-                     mp_semi_axes, random_general, random_isometry, random_kite,
-                     random_type1, random_type2, ratio_sq_closed_form,
+from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, closed_form_h, geometry,
+                     grid_argmax, make_quad, maximize_h, moved_vertices, mp_family,
+                     numpy_ratio_sq, mp_semi_axes, random_general, random_isometry,
+                     random_kite, random_type1, random_type2, ratio_sq_closed_form,
                      ratio_sq_prime)
 from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       geometry, incircle, maximize_ratio_sq, newton_segment,
-                       ratio_sq_function, solve, spectral)
+                       incircle, newton_segment, ratio_sq_function, solve,
+                       spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
 from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
                               center_quadratic)
@@ -124,13 +124,13 @@ class TestRatioSqClosedForm:
 
 class TestMaximize:
     def test_matches_closed_form_golden(self, q5):
-        h, iters = maximize_ratio_sq(q5)
+        h, iters = maximize_h(q5)
         lo, hi = q5.interval
         assert abs(h - H_PLUS_GOLDEN) <= 1e-9 * (hi - lo)
         assert 0 < iters < 200
 
     def test_kite_reaches_the_circle(self, kite):
-        h, _ = maximize_ratio_sq(kite)
+        h, _ = maximize_h(kite)
         lo, hi = kite.interval
         assert abs(h - (math.sqrt(10.0) - 2.0)) <= 1e-9 * (hi - lo)
         assert ratio_sq_function(kite)(h) >= 1.0 - 1e-8
@@ -140,7 +140,7 @@ class TestMaximize:
         for _ in range(100):
             cq = random_type1(rng)
             lo, hi = cq.interval
-            h, _ = maximize_ratio_sq(cq)
+            h, _ = maximize_h(cq)
             assert abs(h - closed_form_h(cq)) <= 1e-9 * (hi - lo)
 
     def test_brackets_grid_argmax_on_general_quads(self):
@@ -149,14 +149,14 @@ class TestMaximize:
         for _ in range(20):
             cq = random_general(rng)
             lo, hi = cq.interval
-            h, _ = maximize_ratio_sq(cq)
+            h, _ = maximize_h(cq)
             hg, _ = grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
             assert abs(h - hg) <= 2.0 * (hi - lo) / n
 
     def test_budget_exhaustion_flags_max_iterations(self, q5, caplog):
         import logging
         with caplog.at_level(logging.WARNING, logger="inellipse.minecc"):
-            h, iters = maximize_ratio_sq(q5, max_iter=3)
+            h, iters = maximize_h(q5, max_iter=3)
         assert iters == 3
         assert any("did not converge" in rec.message for rec in caplog.records)
         lo, hi = q5.interval
@@ -275,8 +275,9 @@ class TestSolve:
     @pytest.mark.parametrize("make", [random_general, random_type1, random_type2, random_kite])
     def test_axis_angle_is_the_geometry_angle(self, make):
         # solve takes the angle from the model's trace and gap, not from
-        # conic.geometry: the bits agree, and both are None together.  The
-        # tangential-MDQ branch (every kite) reports the circle, angle None.
+        # the general conic route (helpers.geometry): the bits agree, and
+        # both are None together.  The tangential-MDQ branch (every kite)
+        # reports the circle, angle None.
         rng = np.random.default_rng(414)
         for _ in range(200):
             res = solve(make(rng))
@@ -325,7 +326,7 @@ class TestStationarityRoot:
         for _ in range(500):
             cq = random_type1(rng)
             lo, hi = cq.interval
-            h, _ = maximize_ratio_sq(cq)
+            h, _ = maximize_h(cq)
             assert abs(h - closed_form_h(cq)) <= 1e-9 * (hi - lo)
 
     def test_matches_grid_argmax_on_general_quads(self):
@@ -334,7 +335,7 @@ class TestStationarityRoot:
         for _ in range(20):
             cq = random_general(rng)
             lo, hi = cq.interval
-            h, iters = maximize_ratio_sq(cq)
+            h, iters = maximize_h(cq)
             hg, _ = grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
             assert abs(h - hg) <= 2.0 * (hi - lo) / n
             assert 0 < iters < 200
@@ -344,7 +345,7 @@ class TestStationarityRoot:
         qc = classify(cq)
         assert qc.kind is QuadKind.GENERAL and qc.tangential
         lo, hi = cq.interval
-        h, _ = maximize_ratio_sq(cq)
+        h, _ = maximize_h(cq)
         center, radius = incircle(cq)
         assert abs(radius - 1.0) <= 1e-12
         assert abs(h - center.x) <= 1e-9 * (hi - lo)
@@ -482,7 +483,7 @@ class TestThinRatio:
 
     @pytest.mark.parametrize("vertices", THIN_TYPE1)
     def test_semi_axes_match_50_digits(self, vertices):
-        # a and b from geometry's 4AC - B^2 and determinant missed the
+        # a and b from helpers.geometry's 4AC - B^2 and determinant missed the
         # 50-digit semi-axes of these quads by 4e-13 to 4e-10 relative
         cq = canonicalize(vertices)
         res = solve(cq)

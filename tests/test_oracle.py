@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     cli_verify_pool, closed_form_h, grid_argmax, make_quad,
+                     cli_verify_pool, closed_form_h, geometry, grid_argmax, make_quad,
                      numpy_containment, numpy_ratio_sq, random_general, random_kite,
                      ratio_sq_prime, sv_pool)
 from inellipse import (Conic, NotTangential, canonicalize, coefficients,
-                       containment, fd_gradient, geometry, incircle, ratio_argmax,
+                       containment, fd_gradient, incircle, ratio_argmax,
                        ratio_sq_function, solve, verify)
 from inellipse import family
+from inellipse.oracle import side_distance_lines
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -220,16 +221,16 @@ def containment_cases(quads):
 
 class TestContainment:
     def test_minimal_ellipse_is_inside(self, q5):
-        rep = containment(coefficients(q5, closed_form_h(q5)), q5, 256)
+        rep = containment(geometry(coefficients(q5, closed_form_h(q5))), q5, 256)
         assert rep.passed and rep.worst_residual <= rep.tolerance
 
     def test_unit_circle_pokes_outside(self, q5):
-        rep = containment(Conic(1, 0, 1, 0, 0, -1), q5, 256)
+        rep = containment(geometry(Conic(1, 0, 1, 0, 0, -1)), q5, 256)
         assert not rep.passed
         assert rep.worst_residual > 0.1
 
     def test_kite_incircle_touches(self, kite):
-        rep = containment(coefficients(kite, closed_form_h(kite)), kite, 256)
+        rep = containment(geometry(coefficients(kite, closed_form_h(kite))), kite, 256)
         assert rep.passed
         assert rep.worst_residual <= 1e-9 * kite.diameter
 
@@ -237,7 +238,7 @@ class TestContainment:
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_matches_the_full_trace_on_cli_verify_pool(self, seed, n):
         for conic, cq in containment_cases(cli_verify_pool(seed)):
-            assert containment(conic, cq, n) == numpy_containment(conic, cq, n)
+            assert containment(geometry(conic), cq, n) == numpy_containment(conic, cq, n)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 256, 1000])
     def test_matches_the_full_trace_on_special_cases(self, n, q5, kite):
@@ -245,7 +246,7 @@ class TestContainment:
                  (coefficients(kite, closed_form_h(kite)), kite)]
         assert geometry(cases[-1][0]).major_axis_angle is None      # a circle
         for conic, cq in cases:
-            assert containment(conic, cq, n) == numpy_containment(conic, cq, n)
+            assert containment(geometry(conic), cq, n) == numpy_containment(conic, cq, n)
 
     @pytest.mark.parametrize("n", [256, 1_000_000])
     def test_matches_the_full_trace_next_to_a_thin_ellipse(self, n, q5):
@@ -255,7 +256,7 @@ class TestContainment:
         b, x0, y0, a = 1e-7, 1.5e-7, 1.0, 0.4
         conic = Conic(1.0, 0.0, (b / a) ** 2, -2.0 * x0, -2.0 * y0 * (b / a) ** 2,
                       x0 * x0 + (y0 * b / a) ** 2 - b * b)
-        rep = containment(conic, q5, n)
+        rep = containment(geometry(conic), q5, n)
         assert rep == numpy_containment(conic, q5, n)
         assert rep.location.endswith(f"side S2, sample {n // 4} of {n}")
 
@@ -269,7 +270,6 @@ class TestIncircle:
         assert abs(radius - expected) <= 1e-12
 
     def test_side_distances_agree(self):
-        from inellipse.oracle import side_distance_lines
         rng = np.random.default_rng(501)
         for _ in range(100):
             cq = random_kite(rng)
@@ -342,3 +342,30 @@ class TestVerify:
         assert "solver_agreement" in type1 and "solver_agreement" not in general
         assert type1[:4] == general == ["containment", "side_tangency",
                                         "grid_argmax", "stationarity"]
+
+    @pytest.mark.parametrize("vertices", [Q5_VERTICES, [(0, 0), (0, 3), (4, 6), (2, 1)],
+                                          KITE_VERTICES], ids=["type1", "general", "kite"])
+    def test_containment_checks_the_reported_ellipse(self, vertices):
+        # the conic is untouched, so only the traced res.geom can fail
+        cq = canonicalize(vertices)
+        res = solve(cq)
+        assert all(r.passed for r in verify(cq, res))
+        inflated = res._replace(geom=res.geom._replace(a=1.01 * res.geom.a))
+        reports = {r.name: r for r in verify(cq, inflated)}
+        assert not reports["containment"].passed
+        assert reports["side_tangency"].passed
+
+    def test_kite_circle_touches_at_exact_samples(self):
+        # the reported circle, center (r, r) and radius r, meets the side
+        # lines S1 (y = 0) and S2 (x = 0) at samples 192 and 128 of 256,
+        # where its traced points are 0.0 from them
+        cq = canonicalize(KITE_VERTICES)
+        g = solve(cq).geom
+        rep = containment(g, cq)
+        assert rep.worst_residual == 0.0 and rep.passed
+        assert rep.location == "min signed distance 0.000e+00 at side S1, sample 192 of 256"
+        lines = side_distance_lines(cq)
+        for k, (nx, ny, c) in [(192, lines[0]), (128, lines[1])]:
+            theta = k * (2.0 * math.pi / 256)
+            x, y = g.center.x + g.a * math.cos(theta), g.center.y + g.b * math.sin(theta)
+            assert nx * x + ny * y + c == 0.0

@@ -240,13 +240,27 @@ class TestClassify:
         assert classify(cq, tol=1e-5).kind is QuadKind.MDQ_TYPE1
 
     def test_pitot_disagreement_is_logged(self, caplog):
+        # Pitot residual 0.033, within tol = 0.05, but z = 0.88
+        import logging
+        cq = canonicalize([(4.494421263649125, -1.8524568935856767),
+                           (0.5462553959407677, 4.298243007746429),
+                           (3.9772254394948483, -2.2229062811981404),
+                           (3.8685572622791753, -2.1898868968865925)])
+        with caplog.at_level(logging.WARNING, logger="inellipse.quad"):
+            qc = classify(cq, tol=0.05)
+        assert qc.tangential and qc.residuals["z"] > math.sqrt(0.05)
+        assert any("trusting Pitot" in rec.message for rec in caplog.records)
+
+    def test_rounding_noise_in_z_is_no_disagreement(self, caplog):
         # the kite's Pitot residual is exactly 0 and its polynomial one is
-        # rounding noise, 1.6e-32, above sqrt(tol) for this tiny tol
+        # rounding noise, 1.6e-32: above sqrt(tol) for this tiny tol, but
+        # below the floor of z's own rounding
         import logging
         cq = canonicalize([(0, 0), (1, 2), (0, 5), (-1, 2)])
         with caplog.at_level(logging.WARNING, logger="inellipse.quad"):
-            assert classify(cq, tol=1e-70).tangential
-        assert any("trusting Pitot" in rec.message for rec in caplog.records)
+            qc = classify(cq, tol=1e-70)
+        assert qc.tangential and qc.residuals["z"] > math.sqrt(1e-70)
+        assert not caplog.records
 
     def test_tangential_and_mdq_implies_orthodiagonal(self):
         rng = np.random.default_rng(103)

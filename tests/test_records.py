@@ -7,11 +7,11 @@ import pickle
 import pytest
 
 from helpers import Q5_VERTICES
-from inellipse import (CanonicalQuad, CenterQuadratic, EllipseCheck,
-                       EllipseGeometry, FamilyPoint, Isometry2, Line2,
-                       MinEccResult, NewtonSegment, OracleReport, QuadClass,
-                       canonicalize, center_quadratic, family_point,
-                       is_ellipse, newton_segment, solve, verify)
+from inellipse import (CanonicalQuad, CenterQuadratic, EllipseGeometry,
+                       FamilyPoint, Isometry2, Line2, MinEccResult,
+                       NewtonSegment, OracleReport, QuadClass, canonicalize,
+                       center_quadratic, family_point, newton_segment, solve,
+                       verify)
 from inellipse.minecc import CLOSED_FORM, NUMERIC
 
 GENERAL_VERTICES = [(0, 0), (0, 3), (4, 6), (2, 1)]
@@ -35,7 +35,6 @@ def records(cq, res):
         Isometry2: cq.iso,
         QuadClass: res.qclass,
         NewtonSegment: newton_segment(cq),
-        EllipseCheck: is_ellipse(res.conic),
         EllipseGeometry: res.geom,
         Line2: Line2.through(*cq.vertices[2:]),
         FamilyPoint: family_point(cq, 0.5 * (lo + hi)),
