@@ -13,11 +13,11 @@ from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, NotTangential,
                      Trapezoid)
 from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
-                     coefficients, family_point, ratio_sq_function,
-                     side_linears, spectral, tangency_points)
+                     coefficients, family_point, side_linears, spectral,
+                     tangency_points)
 from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
                      maximize_ratio_sq, solve)
-from .oracle import OracleReport, containment, fd_gradient, incircle, ratio_argmax, verify
+from .oracle import OracleReport, containment, incircle, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
                    diagonal_angle, newton_segment, validate)
@@ -33,8 +33,7 @@ __all__ = [
     "QuadKind", "SideLinears", "Spectral", "TangentPoint", "Trapezoid",
     "canonicalize", "center_quadratic", "classify", "coefficients",
     "conjugate_diameter_angle", "containment", "diagonal_angle",
-    "family_point", "fd_gradient", "incircle", "line_tangency",
-    "maximize_ratio_sq", "newton_segment", "ratio_argmax",
-    "ratio_sq_function", "side_linears", "solve", "spectral",
+    "family_point", "incircle", "line_tangency", "maximize_ratio_sq",
+    "newton_segment", "side_linears", "solve", "spectral",
     "tangency_points", "validate", "verify",
 ]

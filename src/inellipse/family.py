@@ -28,6 +28,8 @@ the polynomial identities among them (for example trace^2 - gap_sq =
 16 u (s-v)^2 cubic) hold only there.  The solver stays in lam:
 ``stationarity`` is the quartic whose root is the optimum, and ``_at``
 the member, its center and its spectral quantities at a given lam.
+``_model`` is written in the pose parameters with integer literals, so
+``oracle.optimum`` evaluates the same model exactly on ``int`` poses.
 """
 
 from __future__ import annotations
@@ -97,16 +99,17 @@ def side_linears(cq: CanonicalQuad, h: float) -> SideLinears:
     )
 
 
-def _model(cq: CanonicalQuad) -> tuple:
+def _model(s, t, u, v, w) -> tuple:
     """The family over (s-v)^2: the Bernstein triples (b0, b1, b2) of its
-    quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F."""
-    s, t, u, v, w = cq.params
-    return (((u - w) ** 2, t * (u + w) - 2.0 * u * w, t * t),
-            (2.0 * v * (u - w), 2.0 * u * v - s * (u + w) - t * v, -2.0 * s * t),
+    quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F.  Integer
+    literals only, so float poses give the same bits and ``int`` poses
+    (``oracle._slope_sign``) stay exact."""
+    return (((u - w) ** 2, t * (u + w) - 2 * u * w, t * t),
+            (2 * v * (u - w), 2 * u * v - s * (u + w) - t * v, -2 * s * t),
             (v * v, v * s, s * s),
-            (2.0 * u * v * (w - u), u * (2.0 * s * w - t * v), 0.0),
-            (-2.0 * u * v * v, -u * v * s, 0.0),
-            ((u * v) ** 2, 0.0, 0.0))
+            (2 * u * v * (w - u), u * (2 * s * w - t * v), 0),
+            (-2 * u * v * v, -u * v * s, 0),
+            ((u * v) ** 2, 0, 0))
 
 
 def _member(cq: CanonicalQuad, lam: float, scale: float = 1.0) -> Conic:
@@ -114,7 +117,7 @@ def _member(cq: CanonicalQuad, lam: float, scale: float = 1.0) -> Conic:
     over (s-v)^2, or at the defining scale for scale = (s-v)^2."""
     mu = 1.0 - lam
     m2, lm, l2 = scale * mu * mu, 2.0 * scale * lam * mu, scale * lam * lam
-    return Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(cq)])
+    return Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(*cq.params)])
 
 
 def _l5(cq: CanonicalQuad, lam):
@@ -150,13 +153,13 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
 def _spectral_quadratics(cq: CanonicalQuad):
     """Monomial lam-coefficients (c2, c1, c0) of trace = A + C, A - C and B
     of the model."""
-    (a0, a1, a2), b, (c0, c1, c2) = _model(cq)[:3]
+    (a0, a1, a2), b, (c0, c1, c2) = _model(*cq.params)[:3]
     return [(x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0)
             for x0, x1, x2 in ((a0 + c0, a1 + c1, a2 + c2), (a0 - c0, a1 - c1, a2 - c2), b)]
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):
-    """lam = (2h - v) / (s - v), rounded as in ``ratio_sq_function``."""
+    """lam = (2h - v) / (s - v)."""
     return (2.0 * h - cq.v) / (cq.s - cq.v)
 
 
@@ -226,95 +229,6 @@ def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> S
     coefficients, if at hand), the ratio in the product form."""
     c = coefficients(cq, h) if conic is None else conic
     return _spectral(cq, _segment_coordinate(cq, h), c, (cq.s - cq.v) ** 2)
-
-
-def ratio_sq_function(cq: CanonicalQuad) -> Callable[[float], float]:
-    """Fast callable h -> squared axis ratio (b/a)^2 of the member at h.
-
-    Evaluated in the segment coordinate as 16 u lam (1-lam) l5 /
-    (trace + gap)^2 of the model: the identity trace^2 - gap_sq =
-    16 u lam (1-lam) l5 turns (trace - gap) / (trace + gap) into a quotient
-    of products, so a thin member ((b/a)^2 near 0) keeps full relative
-    precision instead of the cancellation of trace - gap.  Scalar; the gap
-    is ``math.sqrt``, correctly rounded.  No interval validation.
-    """
-    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = _spectral_quadratics(cq)
-    e0, e1 = _l5(cq, 0.0), _l5(cq, 1.0)
-    v, sv, k, sqrt = cq.v, cq.s - cq.v, 16.0 * cq.u, math.sqrt
-
-    def ratio_sq(h: float) -> float:
-        lam = (2.0 * h - v) / sv
-        trace = (t2 * lam + t1) * lam + t0
-        diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0     # A - C, B
-        den = trace + sqrt(diff * diff + b * b)                               # trace + gap
-        return ((1.0 - lam) * e0 + lam * e1) * lam * (1.0 - lam) * k / (den * den)
-
-    return ratio_sq
-
-
-def _ratio_sq_below(cq: CanonicalQuad) -> Callable[[float], Callable[[float, float], bool]]:
-    """Callable r -> below(ha, hb): True only if ``ratio_sq_function`` is
-    below r at every float h between ha and hb in the closed interval.
-
-    Stored floats taken as exact: T, D = A - C, B (``_spectral_quadratics``,
-    absolute coefficient sums ct, cd, cb), K = k lam (1-lam) l5, k = 16u,
-    l5 = (1-lam) e0 + lam e1, le = |e0| + |e1|, G = hypot(D, B), R = T^2 -
-    G^2 - K; eps = 2^-53; j roundings err by < 1.0001 j eps (Higham).  The
-    function rounds lam monotonically into [0, 1], where Horner errs by
-    4.0001 eps ct (cd, cb), so its trace + gap is >= P - Delta, P = T + G,
-    Delta = 8 eps (ct + cd + cb) + 2^-536 (a flushed square), and 8 roundings
-    on each side of the bar give f <= rho K / (P - Delta)^2, rho = ((1+eps) /
-    (1-eps))^8 < 1 + 16.001 eps.  With r1 = fl(r (1 - 32 eps)), f >= r > 0
-    gives K >= r1 (P - Delta)^2; as K = (T - G) P - R and P >= T >= tlo >
-    Delta, T (1-r1) + e >= G (1+r1) >= 0, e = 2 r1 Delta + rmax / tlo; then
-    with G^2 = T^2 - K - R: phi = (1+r1)^2 K - 4 r1 T^2 >= -M, M = 2 (1+r1)
-    ct e + e^2 + (1+r1)^2 rmax (exactly, phi >= 0 iff ratio >= r1).  tlo: T
-    least at 0, 1 and an inner vertex, less 8 eps ct (3 roundings); rmax:
-    sum |computed R coefficient| + 16 eps (ct^2 + cd^2 + cb^2 + 4 k le), each
-    <= 7 terms through <= 7 roundings.  At the lam midpoint m, phi(m + x) =
-    sum c_j x^j, c4 = -4 r1 t2^2 <= 0, so on |x| <= w (rounded up) phi <= U =
-    c0 + |c1| w + max(c2, 0) w^2 + |c3| w^3, whose terms pass <= 24 roundings
-    and sum in absolute value to <= S = 4.5 (1+r1)^2 k le + 60 r1 ct^2 (|m
-    (1-m)| <= 1/4; |1-2m|, w <= 1; |l5(m)|, |e1-e0| <= le; |T(m)| <= ct;
-    |T'(m)| <= 2 ct).  below: U + 32 eps S + 2 M < 0 (2 M for M's rounding);
-    never if tlo <= Delta, e0 or e1 <= 0 (K >= 0 needs both), not r > 0.
-    """
-    eps = 2.0 ** -53
-    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = quads = _spectral_quadratics(cq)
-    e0, e1 = _l5(cq, 0.0), _l5(cq, 1.0)
-    v, sv, k, le, l1 = cq.v, cq.s - cq.v, 16.0 * cq.u, abs(e0) + abs(e1), e1 - e0
-    ct, cd, cb = (sum(map(abs, q)) for q in quads)
-    delta = 8.0 * eps * (ct + cd + cb) + 2.0 ** -536
-    vertex = t0 - t1 * t1 / (4.0 * t2) if -2.0 * t2 <= t1 <= 0.0 < t2 else t0
-    tlo = min(t0, t2 + t1 + t0, vertex) - 8.0 * eps * ct
-    residual = (t2 * t2 - d2 * d2 - b2 * b2, 2.0 * (t2 * t1 - d2 * d1 - b2 * b1) - k * (e0 - e1),
-                t1 * t1 + 2.0 * t2 * t0 - d1 * d1 - 2.0 * d2 * d0 - b1 * b1 - 2.0 * b2 * b0
-                - k * (e1 - 2.0 * e0), 2.0 * (t1 * t0 - d1 * d0 - b1 * b0) - k * e0,
-                t0 * t0 - d0 * d0 - b0 * b0)                     # R, lam^4 down to lam^0
-    rmax = sum(map(abs, residual)) + 16.0 * eps * (ct * ct + cd * cd + cb * cb + 4.0 * k * le)
-
-    def level(r: float) -> Callable[[float, float], bool]:
-        r1 = r * (1.0 - 32.0 * eps)
-        a, b = (1.0 + r1) * (1.0 + r1), 4.0 * r1
-        ak, e = a * k, 2.0 * r1 * delta + rmax / max(tlo, delta)
-        slack = (2.0 * (2.0 * (1.0 + r1) * ct * e + e * e + a * rmax)
-                 + 32.0 * eps * (4.5 * ak * le + 15.0 * b * ct * ct)
-                 if tlo > delta and e0 > 0.0 and e1 > 0.0 and r > 0.0 else math.inf)
-
-        def below(ha: float, hb: float) -> bool:
-            la, lb = (2.0 * ha - v) / sv, (2.0 * hb - v) / sv        # as ratio_sq takes them
-            m = 0.5 * (la + lb)
-            w = max(abs(m - la), abs(lb - m)) * (1.0 + 4.0 * eps)
-            p0, p1, l0 = m * (1.0 - m), 1.0 - 2.0 * m, (1.0 - m) * e0 + m * e1
-            tm, tp = (t2 * m + t1) * m + t0, 2.0 * t2 * m + t1
-            c1 = ak * (p0 * l1 + p1 * l0) - b * 2.0 * tm * tp
-            c2 = ak * (p1 * l1 - l0) - b * (tp * tp + 2.0 * tm * t2)
-            return (ak * p0 * l0 - b * tm * tm + abs(c1) * w + max(c2, 0.0) * w * w
-                    + abs(ak * l1 + b * 2.0 * tp * t2) * w * w * w + slack < 0.0)   # |c3|
-
-        return below
-
-    return level
 
 
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:

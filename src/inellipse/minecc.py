@@ -10,14 +10,16 @@ where A, B, C are quadratics in lam with no division by s - v.  The sign
 of its lam-derivative is the sign of the stationarity quartic
 p = 2 T' G - T G' (``family.stationarity``), which is positive at the
 left end of the segment, negative at the right, and changes sign exactly
-once between; the maximizer is that root.  For a midpoint-diagonal quadrilateral p has an
-explicit quadratic factor, the paper's o(h) for type 1 and q2(h) for
-type 2, and the root is its closed form in lam in the quad's own frame;
-every other quad gets the root of p by bracketed, safeguarded Newton.
-No path searches over values of the ratio.  The conic, the center, the
-semi-axes and the axis angle are then read from the model at that lam;
-the package has no route from a conic's six coefficients back to its
-shape.  The center abscissa h* is reported, never converted back.
+once between (the unique optimum of the paper's [H1]); the maximizer is
+that root.  ``oracle.optimum`` certifies it by two exact signs of p, one
+on each side.  For a midpoint-diagonal quadrilateral p has an explicit
+quadratic factor, the paper's o(h) for type 1 and q2(h) for type 2, and
+the root is its closed form in lam in the quad's own frame; every other
+quad gets the root of p by bracketed, safeguarded Newton.  No path
+searches over values of the ratio.  The conic, the center, the semi-axes
+and the axis angle are then read from the model at that lam; the package
+has no route from a conic's six coefficients back to its shape.  The
+center abscissa h* is reported, never converted back.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the

@@ -1,29 +1,23 @@
-"""Brute-force verifiers and the battery that runs them on a solution.
+"""Verifiers and the battery that runs them on a solution.
 
-Every oracle here is implementation-independent of the machinery it
-checks: the finite-difference slope never calls the analytic derivative,
-the grid argmax uses neither the stationarity quartic nor a closed form
-(it prunes the grid by a level-set bound and returns what a full sweep
-returns, bit for bit), and the incircle is built from angle bisectors
-rather than family coefficients.  Oracle tolerances are deliberately
-looser than the claims they validate, so a failing oracle indicates a
-real defect rather than noise.  :func:`verify` runs the battery on a
-``minecc.solve`` result: ``containment`` traces the ellipse it reports
-(center, semi-axes, axis angle) and ``side_tangency`` checks its conic, so
-both forms of the answer are checked; its ``solver_agreement`` report is a
-cross-check between the two solver paths, not an independent oracle.
-Plain ``math``.
+Every oracle is independent of what it checks: :func:`optimum` takes the
+model's slope in exact ``int`` arithmetic, without the float stationarity
+quartic, its root search or a closed form; the tangency points come from
+the side linears; the incircle from angle bisectors.  :func:`verify` runs
+the battery on a ``minecc.solve`` result: ``containment`` traces the
+reported ellipse (center, semi-axes, axis angle), ``side_tangency``
+checks its conic and ``optimum`` its h*.  Plain ``math`` and ``int``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import family
-from .conic import EllipseGeometry, Line2, LineConicRelation, line_tangency
+from .conic import Conic, EllipseGeometry, Line2, LineConicRelation, line_tangency
 from .errors import NotTangential
-from .minecc import CLOSED_FORM, MinEccResult, maximize_ratio_sq
+from .minecc import MinEccResult
 from .quad import CanonicalQuad, Point2, QuadKind, classify
 
 
@@ -33,50 +27,6 @@ class OracleReport(NamedTuple):
     worst_residual: float
     location: str
     tolerance: float
-
-
-def fd_gradient(f: Callable[[float], float], h: float, step: float) -> float:
-    """Central difference (f(h+step) - f(h-step)) / (2 step)."""
-    return (f(h + step) - f(h - step)) / (2.0 * step)
-
-
-def ratio_argmax(cq: CanonicalQuad, n: int = 100_000) -> tuple[float, float]:
-    """Argmax of (b/a)^2 over the samples h_i = lo + (hi - lo) (i / (n + 1)),
-    i = 1..n, of the center interval: what ``family.ratio_sq_function`` at
-    every sample gives, bit for bit, ties to the lowest i.  A golden-section
-    walk over i sets a floor (any sample's value is one); a depth-first
-    bisection of [1, n], nearer half first, evaluates ranges of at most 8
-    samples and skips those ``family._ratio_sq_below`` shows are below it.
-    """
-    if n < 3:
-        raise ValueError("need at least 3 samples")
-    f, level = family.ratio_sq_function(cq), family._ratio_sq_below(cq)
-    (lo, hi), vals = cq.interval, {}
-
-    def h(i):
-        return lo + (hi - lo) * (i / (n + 1.0))
-
-    def at(i):
-        return vals[i] if i in vals else vals.setdefault(i, f(h(i)))
-
-    a, b, golden = 1, n, (math.sqrt(5.0) - 1.0) / 2.0
-    while b - a > 3:
-        c, d = b - round(golden * (b - a)), a + round(golden * (b - a))
-        a, b = (c, b) if at(c) < at(d) else (a, d)
-    best = min([*vals, *range(a, b + 1)], key=lambda i: (-at(i), i))
-    below, stack, top = level(vals[best]), [(1, n)], vals[best]
-    while stack:
-        i, j = stack.pop()
-        if not i <= best <= j and below(h(i), h(j)):
-            continue
-        if j - i < 8:
-            for k in range(i, j + 1):
-                if at(k) > top or (vals[k] == top and k < best):
-                    best, top, below = k, vals[k], level(vals[k])
-            continue
-        m = (i + j) // 2
-        stack += [(m + 1, j), (i, m)] if best <= m else [(i, m), (m + 1, j)]
-    return h(best), top
 
 
 def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
@@ -183,27 +133,17 @@ def incircle(cq: CanonicalQuad) -> tuple[Point2, float]:
     return center, radius
 
 
-def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
-    """The oracle battery on ``res = minecc.solve(cq)``, in report order:
-    ``containment`` (of the reported ellipse ``res.geom``); ``side_tangency``
-    (the side lines tangent to ``res.conic``, the tangency points on it and
-    inside their sides); ``grid_argmax`` (within two steps of h*);
-    ``stationarity`` (a central difference vanishing at h*, or changing
-    sign across a circular optimum); ``solver_agreement`` for a
-    closed-form result; and ``incircle`` for a tangential
-    midpoint-diagonal quad, classified at the default tolerance so that
-    the incircle's own test holds.
-    """
-    lo, hi = cq.interval
-    width = hi - lo
-    reports = [containment(res.geom, cq, 256)]
-
-    # Tangency of the four side lines, plus the tangency points themselves.
+def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
+    """The side lines tangent to ``res.conic`` (normalized, so it must be
+    finite and not zero), and the tangency points at h* on it and inside
+    their sides; the residual is the largest |conic(point)| over its term
+    scale, which is at most 1."""
     conic_n = res.conic.normalized()
-    a_, b_, c_, d_, e_, f_ = conic_n
-    all_tangent = True
-    worst = 0.0
-    where = ""
+    if not (any(conic_n) and all(map(math.isfinite, conic_n))):
+        return OracleReport("side_tangency", False, 1.0,
+                            "normalized conic is zero or not finite", 1e-9)
+    terms = Conic._make(map(abs, conic_n))
+    all_tangent, worst, where = True, 0.0, ""
     for j, side in enumerate(cq.sides):
         relation, _ = line_tangency(conic_n, Line2.through(*side))
         if relation is not LineConicRelation.TANGENT:
@@ -211,50 +151,76 @@ def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
             where = f"side S{j + 1} is {relation.value}"
     for tp in family.tangency_points(cq, res.h_star):
         x, y = tp.zeta
-        scale = (abs(a_ * x * x) + abs(b_ * x * y) + abs(c_ * y * y)
-                 + abs(d_ * x) + abs(e_ * y) + abs(f_)) or 1.0
-        worst = max(worst, abs(conic_n(x, y)) / scale)
+        worst = max(worst, abs(conic_n(x, y)) / (terms(abs(x), abs(y)) or 1.0))
         if not (0.0 < tp.lam < 1.0):
             all_tangent = False
             where = f"tangency parameter {tp.lam!r} outside (0, 1)"
-    reports.append(OracleReport("side_tangency", all_tangent and worst <= 1e-9,
-                                worst, where or "all side lines tangent", 1e-9))
+    return OracleReport("side_tangency", all_tangent and worst <= 1e-9, worst,
+                        where or "all side lines tangent", 1e-9)
 
-    # Grid argmax against the solver result.
-    n = 100_000
-    hg, _ = ratio_argmax(cq, n)
-    gap, tol = abs(hg - res.h_star), 2.0 * width / n
-    reports.append(OracleReport("grid_argmax", gap <= tol, gap, f"grid argmax at {hg!r}", tol))
 
-    # Finite-difference stationarity at the solution.  A circle member sits
-    # at a corner of the ratio curve where a centered difference measures
-    # the kink asymmetry, so there the oracle checks the slope sign change
-    # across the optimum instead.
-    f = family.ratio_sq_function(cq)
-    step = 1e-6 * width
-    if res.ratio_sq >= 1.0 - 1e-9:
-        probe = 1e-4 * width
-        left = fd_gradient(f, res.h_star - probe, step)
-        right = fd_gradient(f, res.h_star + probe, step)
-        ok = left > 0.0 > right
-        reports.append(OracleReport("stationarity", ok, 0.0 if ok else max(-left, right),
-                                    "slope sign change across a circular optimum", 0.0))
-    else:
-        fd = fd_gradient(f, res.h_star, step)
-        scale = max(abs(fd_gradient(f, min(max(p, lo + 0.01 * width), hi - 0.01 * width), step))
-                    for p in (res.h_star - width / 8.0, res.h_star + width / 8.0))
-        tol = 1e-6 * max(scale, 1e-12)
-        reports.append(OracleReport("stationarity", abs(fd) <= tol, abs(fd),
-                                    "central difference at h_star", tol))
+def _slope_sign(cq: CanonicalQuad, h: float) -> int:
+    """The sign (-1, 0 or 1) of d(b/a)^2/dh at h for the float pose, exact.
 
-    # Closed form vs numeric maximizer: a cross-check of the solver paths.
-    if res.method == CLOSED_FORM:
-        h_num = family._abscissa(cq, maximize_ratio_sq(cq)[0])
-        gap, tol = abs(h_num - res.h_star), 1e-9 * width
-        reports.append(OracleReport("solver_agreement", gap <= tol, gap,
-                                    f"numeric maximizer at {h_num!r}", tol))
+    Floats are dyadic: s, t, u, v, w and h are integers over one power of
+    two, lam = m/q with m = 2h - v, q = s - v, n = q - m.  A triple (x0, x1,
+    x2) of ``family._model`` on the integer pose gives q^2 X = x0 n^2 + 2 x1
+    m n + x2 m^2 and q X'/2 = (x1 - x0) n + (x2 - x1) m (X = A, B, C; ' =
+    d/dlam).  So q^5 p/4, p = 2 T' G - T G' (T = A + C, G = (A - C)^2 + B^2)
+    of sign d(b/a)^2/dlam, is an ``int`` whose q^5 has the sign of dlam/dh.
+    """
+    ratios = [x.as_integer_ratio() for x in (*cq.params, h)]
+    e = max(d.bit_length() for _, d in ratios)
+    s, t, u, v, w, x = [k << e - d.bit_length() for k, d in ratios]
+    m, q = 2 * x - v, s - v
+    n = q - m
+    nn, mn, mm = n * n, m * n, m * m
+    (a, da), (b, db), (c, dc) = [(x0 * nn + 2 * x1 * mn + x2 * mm, (x1 - x0) * n + (x2 - x1) * m)
+                                 for x0, x1, x2 in family._model(s, t, u, v, w)[:3]]
+    p = (da + dc) * ((a - c) ** 2 + b * b) - (a + c) * ((a - c) * (da - dc) + b * db)
+    return (p > 0) - (p < 0)
 
-    # Incircle consistency for tangential MDQs.
+
+def optimum(cq: CanonicalQuad, h: float) -> OracleReport:
+    """Certify that the exact maximizer of (b/a)^2 for the float pose lies
+    within d of h, d the residual.
+
+    The slope of (b/a)^2 changes sign once on the interval (the paper's
+    [H1]; the ``minecc`` docstring), so an exact slope >= 0 at h - d and
+    <= 0 at h + d (:func:`_slope_sign`) puts the maximizer between them.
+    Per side, d starts at 2^-52 of the interval width (or one ulp of h, if
+    more) and doubles until the sign holds or d passes limit = max(1e-9
+    width, 2 ulp(h)): one ulp of h is up to 1.1e-8 of a near-trapezoid's
+    interval.  d is the larger distance from h to the two probes.
+    """
+    width = cq.interval[1] - cq.interval[0]
+    limit = max(1e-9 * width, 2.0 * math.ulp(h))
+    probes = []
+    for side in (1, -1):
+        d = max(2.0 ** -52 * width, math.ulp(h))
+        while True:
+            x = h - side * d
+            holds = side * _slope_sign(cq, x) >= 0
+            if holds or d > limit:
+                break
+            d *= 2.0
+        probes.append((x, holds))
+    (xl, left), (xr, right) = probes
+    d = max(h - xl, xr - h)
+    return OracleReport("optimum", left and right and d <= limit, d,
+                        f"slope {'>=' if left else '<'} 0 at {xl!r}, "
+                        f"{'<=' if right else '>'} 0 at {xr!r}", limit)
+
+
+def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
+    """The oracle battery on ``res = minecc.solve(cq)``, in report order:
+    ``containment`` (of the reported ellipse ``res.geom``);
+    ``side_tangency`` (of the reported conic ``res.conic``); ``optimum``
+    (h* within a certified half-width of the exact maximizer); and
+    ``incircle`` for a tangential midpoint-diagonal quad, classified at
+    the default tolerance so that the incircle's own test holds.
+    """
+    reports = [containment(res.geom, cq, 256), side_tangency(cq, res), optimum(cq, res.h_star)]
     qc = classify(cq)
     if qc.tangential and qc.kind is not QuadKind.GENERAL:
         center, radius = incircle(cq)

@@ -9,13 +9,14 @@ abscissa h and the tangency points, which divide by s - v, lose digits
 (``sv_pool`` draws below that floor on purpose).
 The module also holds a brute-force canonical pose (every labeling mapped
 and compared) that ``canonicalize`` must reproduce exactly, the
-brute-force grid argmax that ``oracle.ratio_argmax`` must reproduce bit
-for bit (run on ``numpy_ratio_sq``, the numpy twin of
-``family.ratio_sq_function``), the full trace whose report
+brute-force grid argmax, a global check of ``solve``'s h* that needs no
+theorem (run on ``numpy_ratio_sq``, the numpy twin of
+:func:`ratio_sq_function`), the full trace whose report
 ``oracle.containment`` must give, 50-digit references built from the
 defining coefficient formulas, float references that the package does
-not need (the general conic-to-shape route ``geometry`` with its
-``is_ellipse`` test, the tangent slope of a conic, the analytic
+not need (the squared axis ratio as a function of h and its central
+difference ``fd_gradient``, the general conic-to-shape route ``geometry``
+with its ``is_ellipse`` test, the tangent slope of a conic, the analytic
 derivative of the squared axis ratio, the type-1 closed forms, the
 numeric root as a center abscissa), named quads shared by several test
 modules, and the input pools of the benchmark (``bench/``, imported,
@@ -245,9 +246,8 @@ def grid_argmax(f, interval: tuple[float, float], n: int = 100_000
                 ) -> tuple[float, float]:
     """Argmax of f over n uniform interior samples; ties pick the lowest h.
 
-    The brute force that ``oracle.ratio_argmax`` must reproduce bit for
-    bit.  Vectorizes through f when it accepts numpy arrays, otherwise
-    falls back to a scalar loop.
+    Vectorizes through f when it accepts numpy arrays, otherwise falls
+    back to a scalar loop.
     """
     if n < 3:
         raise ValueError("need at least 3 samples")
@@ -263,8 +263,37 @@ def grid_argmax(f, interval: tuple[float, float], n: int = 100_000
     return float(hs[i]), float(vals[i])
 
 
+def ratio_sq_function(cq: CanonicalQuad):
+    """Callable h -> squared axis ratio (b/a)^2 of the member at h.
+
+    Evaluated in the segment coordinate as 16 u lam (1-lam) l5 /
+    (trace + gap)^2 of the model: the identity trace^2 - gap_sq =
+    16 u lam (1-lam) l5 turns (trace - gap) / (trace + gap) into a quotient
+    of products, so a thin member ((b/a)^2 near 0) keeps full relative
+    precision instead of the cancellation of trace - gap.  Scalar; the gap
+    is ``math.sqrt``, correctly rounded.  No interval validation.
+    """
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+    e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
+    v, sv, k, sqrt = cq.v, cq.s - cq.v, 16.0 * cq.u, math.sqrt
+
+    def ratio_sq(h: float) -> float:
+        lam = (2.0 * h - v) / sv
+        trace = (t2 * lam + t1) * lam + t0
+        diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0     # A - C, B
+        den = trace + sqrt(diff * diff + b * b)                               # trace + gap
+        return ((1.0 - lam) * e0 + lam * e1) * lam * (1.0 - lam) * k / (den * den)
+
+    return ratio_sq
+
+
+def fd_gradient(f, h: float, step: float) -> float:
+    """Central difference (f(h+step) - f(h-step)) / (2 step)."""
+    return (f(h + step) - f(h - step)) / (2.0 * step)
+
+
 def numpy_ratio_sq(cq: CanonicalQuad):
-    """The numpy twin of ``family.ratio_sq_function``: callable h (an array)
+    """The numpy twin of :func:`ratio_sq_function`: callable h (an array)
     -> (b/a)^2, with the same float operations in the same order and the
     gap from ``np.sqrt``, which rounds correctly as ``math.sqrt`` does, so
     each entry has the scalar function's bits.  The brute force

@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from helpers import (Q5_VERTICES, canonical_vertices, closed_form_h, ellipse_delta,
-                     grid_argmax, interior_points, maximize_h, moved_vertices,
-                     numpy_ratio_sq, random_general, random_isometry, random_kite,
-                     random_type1, random_type2, ratio_sq_closed_form, ratio_sq_prime,
-                     tangent_slope, type1_factored_quartic)
+                     fd_gradient, grid_argmax, interior_points, maximize_h,
+                     moved_vertices, numpy_ratio_sq, random_general, random_isometry,
+                     random_kite, random_type1, random_type2, ratio_sq_closed_form,
+                     ratio_sq_function, ratio_sq_prime, tangent_slope,
+                     type1_factored_quartic)
 from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
-                       classify, coefficients, diagonal_angle, fd_gradient,
-                       line_tangency, ratio_sq_function,
+                       classify, coefficients, diagonal_angle, line_tangency,
                        side_linears, solve, spectral, tangency_points)
 from inellipse.family import stationarity
 from inellipse.minecc import center_quadratic

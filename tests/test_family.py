@@ -6,12 +6,11 @@ import pytest
 
 from helpers import (closed_form_h, ellipse_delta, geometry, interior_points,
                      is_ellipse, make_quad, mp_conic, mp_family, random_general,
-                     random_h, random_type1, ratio_sq_prime, tangent_slope,
-                     type1_factored_quartic)
+                     random_h, random_type1, ratio_sq_function, ratio_sq_prime,
+                     tangent_slope, type1_factored_quartic)
 from inellipse import (Conic, HOutOfRange, LineConicRelation, Line2,
                        coefficients, containment, family_point, line_tangency,
-                       ratio_sq_function, side_linears, spectral,
-                       tangency_points)
+                       side_linears, spectral, tangency_points)
 from inellipse import canonicalize, newton_segment
 from inellipse.family import stationarity
 

@@ -84,15 +84,17 @@ def test_cli_verify_loads_no_numpy_and_prints_the_same_report(tmp_path):
     proc = run_python("-X", "importtime", "-m", "inellipse.cli", "verify", "--input", str(path))
     assert proc.returncode == 0, proc.stderr
     loaded = imported_modules(proc.stderr)
-    assert "inellipse.oracle" in loaded and "numpy" not in loaded
+    assert "inellipse.oracle" in loaded
+    assert {"numpy", "fractions", "decimal"}.isdisjoint(loaded)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert cli.main(["verify", "--input", str(path)]) == 0
     assert proc.stdout == buf.getvalue()
 
 
-def imports_numpy(path):
-    """Lines of a module that import numpy, at any level of its code."""
+def imports_of(path, modules):
+    """Lines of a module that import any of ``modules``, at any level of
+    its code."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
@@ -101,7 +103,7 @@ def imports_numpy(path):
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "numpy" for name in names):
+        if any(name.split(".")[0] in modules for name in names):
             lines.append(node.lineno)
     return lines
 
@@ -109,7 +111,16 @@ def imports_numpy(path):
 def test_no_module_imports_numpy():
     modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
     assert len(modules) > 1
-    assert {p.name: found for p in modules if (found := imports_numpy(p))} == {}
+    assert {p.name: found for p in modules if (found := imports_of(p, {"numpy"}))} == {}
+
+
+def test_no_module_imports_fractions_or_decimal():
+    # the exact arithmetic of ``oracle.optimum`` is plain ``int``s: a
+    # ``Fraction`` sign costs about 28 times an ``int`` one
+    modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    found = {p.name: lines for p in modules if (lines := imports_of(p, {"fractions", "decimal"}))}
+    assert found == {}
 
 
 def test_numpy_is_a_test_dependency_only():

@@ -4,14 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, closed_form_h, geometry,
-                     grid_argmax, make_quad, maximize_h, moved_vertices, mp_family,
+from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, cli_verify_pool, closed_form_h,
+                     geometry, grid_argmax, make_quad, maximize_h, moved_vertices, mp_family,
                      numpy_ratio_sq, mp_semi_axes, random_general, random_isometry,
                      random_kite, random_type1, random_type2, ratio_sq_closed_form,
-                     ratio_sq_prime)
+                     ratio_sq_function, ratio_sq_prime, sv_pool)
 from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       incircle, newton_segment, ratio_sq_function, solve,
-                       spectral)
+                       incircle, newton_segment, solve, spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
 from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
                               center_quadratic)
@@ -172,6 +171,18 @@ class TestMaximize:
             signs = np.sign([ratio_sq_prime(cq, float(h)) for h in hs])
             changes = int(np.sum(signs[:-1] * signs[1:] < 0))
             assert changes == 1
+
+    def test_derivative_changes_sign_once_for_general_quads(self):
+        # exactly: the quartic p of the float pose has one root in [0, 1],
+        # on the seed-1 cli_verify pool's general quads and below SV_MARGIN;
+        # ``oracle.optimum``'s two signs prove the optimum's place by it
+        sp = pytest.importorskip("sympy")
+        lam = sp.symbols("lam")
+        quads = [cq for cq in cli_verify_pool(1) if classify(cq).kind is QuadKind.GENERAL]
+        for cq in quads + sv_pool():
+            params = (sp.Rational(x) for x in cq.params)
+            p = TestCenterQuadraticDividesStationarity.quartic(sp, *params, lam)
+            assert sp.Poly(p, lam).count_roots(0, 1) == 1
 
 
 class TestSolve:

@@ -2,18 +2,19 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     cli_verify_pool, closed_form_h, geometry, grid_argmax, make_quad,
-                     numpy_containment, numpy_ratio_sq, random_general, random_kite,
-                     ratio_sq_prime, sv_pool)
-from inellipse import (Conic, NotTangential, canonicalize, coefficients,
-                       containment, fd_gradient, incircle, ratio_argmax,
-                       ratio_sq_function, solve, verify)
-from inellipse import family
-from inellipse.oracle import side_distance_lines
+                     cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
+                     interior_points, make_quad, mp_family, numpy_containment,
+                     numpy_ratio_sq, random_general, random_kite, random_type2,
+                     ratio_sq_function, ratio_sq_prime, sv_pool)
+from inellipse import (Conic, NotTangential, QuadKind, canonicalize, coefficients,
+                       containment, incircle, solve, verify)
+from inellipse import family, minecc
+from inellipse.oracle import _slope_sign, side_distance_lines
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -87,7 +88,7 @@ def special_quads():
 
 
 def grid(cq, n=100_000):
-    """The n samples h_i of ``ratio_argmax``."""
+    """The n interior samples of ``grid_argmax``."""
     lo, hi = cq.interval
     return lo + (hi - lo) * (np.arange(1, n + 1) / (n + 1.0))
 
@@ -105,113 +106,6 @@ class TestRatioSqFunction:
         diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0
         radicands = (diff * diff + b * b).tolist()
         assert any(x ** 0.5 != math.sqrt(x) for x in radicands)
-
-
-def level_set_holds(cq, n=100_000) -> bool:
-    """``family._ratio_sq_below`` prunes no range of grid samples at the
-    highest value the range reaches, on ranges of 1 to 30000 samples near
-    the grid maximum, and prunes some of them at the maximum itself."""
-    hs = grid(cq, n).tolist()
-    vals = numpy_ratio_sq(cq)(np.array(hs))
-    level = family._ratio_sq_below(cq)
-    top = int(np.argmax(vals))
-    pruned = 0
-    for width in (1, 8, 64, 1000, 30_000):
-        if width > n // 2:
-            continue
-        for offset in (-3 * width, -width - 1, 1, 2 * width):
-            i = min(max(top + offset, 0), n - width)
-            j = i + width - 1
-            if level(float(vals[i:j + 1].max()))(hs[i], hs[j]):
-                return False
-            pruned += level(float(vals[top]))(hs[i], hs[j])
-    return pruned > 0
-
-
-BUDGET = 150        # most ratio_sq evaluations ratio_argmax may make at n = 100000
-
-
-class TestRatioArgmax:
-    """Branch and bound returns the brute-force grid argmax, bit for bit."""
-
-    @staticmethod
-    def brute_force(cq, n=100_000):
-        return grid_argmax(numpy_ratio_sq(cq), cq.interval, n)
-
-    @pytest.mark.parametrize("name", sorted(SPECIAL_QUADS))
-    def test_matches_brute_force(self, name):
-        cq = canonicalize(SPECIAL_QUADS[name])
-        assert ratio_argmax(cq) == self.brute_force(cq)
-
-    @pytest.mark.parametrize("seed", range(1, 11))
-    def test_matches_brute_force_on_cli_verify_pool(self, seed):
-        for cq in cli_verify_pool(seed):
-            assert ratio_argmax(cq) == self.brute_force(cq)
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 99, 100, 101, 1001, 12345, 100_000])
-    def test_matches_brute_force_at_any_grid_size(self, n):
-        # the README quad, the kite, and quads below SV_MARGIN (|s - v| /
-        # diameter down to 1e-8), the thin optima and the near-trapezoids
-        for cq in special_quads()[:2] + sv_pool():
-            assert ratio_argmax(cq, n) == self.brute_force(cq, n)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            ratio_argmax(canonicalize(Q5_VERTICES), 2)
-
-    @pytest.mark.parametrize("n", [1000, 100_000])
-    def test_ties_go_to_the_lowest_sample(self, n, monkeypatch):
-        # the ratio floored to a multiple of 1/64 has long runs of equal
-        # values; it is at most the ratio, so the level-set test still holds
-        make = family.ratio_sq_function
-
-        def plateaus(cq):
-            f = make(cq)
-            return lambda h: math.floor(f(h) * 64.0) / 64.0
-
-        monkeypatch.setattr(family, "ratio_sq_function", plateaus)
-        for cq in special_quads() + cli_verify_pool(1)[:16]:
-            twin = numpy_ratio_sq(cq)
-            expected = grid_argmax(lambda hs: np.floor(twin(hs) * 64.0) / 64.0, cq.interval, n)
-            assert ratio_argmax(cq, n) == expected
-
-    @pytest.mark.parametrize("n", [100_000, 1000, 250])
-    def test_bounds_hold_on_special_quads(self, n):
-        for cq in special_quads():
-            assert level_set_holds(cq, n)
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_bounds_hold_on_cli_verify_pool(self, seed):
-        for cq in cli_verify_pool(seed):
-            assert level_set_holds(cq)
-
-    def test_bounds_hold_below_the_sv_margin(self):
-        for cq in sv_pool():
-            assert level_set_holds(cq)
-
-    def test_no_floor_that_is_not_finite_prunes(self, q5):
-        level = family._ratio_sq_below(q5)
-        for r in (math.nan, math.inf, 0.0, -1.0):
-            assert not level(r)(*q5.interval)
-
-    def test_evaluation_budget(self, monkeypatch):
-        # a golden-section floor and a few ranges next to the maximum
-        counts = []
-        make = family.ratio_sq_function
-
-        def counting(cq):
-            f = make(cq)
-
-            def g(h):
-                counts.append(h)
-                return f(h)
-            return g
-
-        monkeypatch.setattr(family, "ratio_sq_function", counting)
-        for cq in special_quads():
-            counts.clear()
-            ratio_argmax(cq)
-            assert len(counts) <= BUDGET
 
 
 def containment_cases(quads):
@@ -290,6 +184,95 @@ class TestIncircle:
             incircle(q5)
 
 
+def mp_slope(cq, h):
+    """d(b/a)^2/dh at h, at 50 digits, from the defining coefficient formulas."""
+    with mpmath.workdps(50):
+        return mpmath.diff(mp_family(cq)[0], mpmath.mpf(h))
+
+
+def moved_solve(monkeypatch, shift):
+    """Make ``solve``'s root, closed form or numeric, land ``shift`` off in
+    lam, the share of the interval; ``solve`` still recomputes every
+    reported quantity at that lam (``family._at``)."""
+    for name in ("_type1_root", "_type2_root"):
+        root = getattr(minecc, name)
+        monkeypatch.setattr(minecc, name, lambda cq, root=root: root(cq) + shift)
+    numeric = minecc.maximize_ratio_sq
+
+    def moved(cq):
+        lam, steps = numeric(cq)
+        return lam + shift, steps
+
+    monkeypatch.setattr(minecc, "maximize_ratio_sq", moved)
+
+
+class TestOptimum:
+    """The exact sign certificate of h* (``oracle.optimum``)."""
+
+    def test_slope_sign_matches_50_digits(self):
+        # both orientations of the segment, below SV_MARGIN; points at least
+        # 1e-6 of the interval from the optimum
+        quads = sv_pool()
+        assert {cq.s > cq.v for cq in quads} == {True, False}
+        for cq in quads:
+            lo, hi = cq.interval
+            width, h = hi - lo, solve(cq).h_star
+            points = [h + k * width for k in (-1e-2, -1e-4, -2e-6, 2e-6, 1e-4, 1e-2)]
+            points += [x for x in interior_points(cq, 5) if abs(x - h) >= 2e-6 * width]
+            for x in points:
+                slope = mp_slope(cq, x)
+                assert _slope_sign(cq, x) == (slope > 0) - (slope < 0)
+
+    @pytest.mark.parametrize("shift", [1e-8, -1e-8])
+    @pytest.mark.parametrize("kind", ["type1", "type2", "general", "kite"])
+    def test_a_moved_optimum_fails(self, kind, shift, monkeypatch):
+        cq, qkind = {"type1": (canonicalize(Q5_VERTICES), QuadKind.MDQ_TYPE1),
+                     "type2": (random_type2(np.random.default_rng(504)), QuadKind.MDQ_TYPE2),
+                     "general": (canonicalize([(0, 0), (0, 3), (4, 6), (2, 1)]),
+                                 QuadKind.GENERAL),
+                     "kite": (canonicalize(KITE_VERTICES), QuadKind.MDQ_TYPE1)}[kind]
+        res = solve(cq)
+        assert res.qclass.kind is qkind
+        assert {r.name: r.passed for r in verify(cq, res)}["optimum"]
+        moved_solve(monkeypatch, shift)
+        moved = solve(cq)
+        lo, hi = cq.interval
+        assert abs(moved.h_star - res.h_star) == pytest.approx(1e-8 * (hi - lo), rel=1e-6)
+        reports = {r.name: r for r in verify(cq, moved)}
+        assert not reports["optimum"].passed
+        assert reports["side_tangency"].passed
+
+    def test_an_offset_quartic_fails(self, monkeypatch):
+        # the numeric root of p + 1e-9 |p'| is 1e-9 of the interval off;
+        # the containment and tangency of the moved member still pass
+        quads = [cq for cq in cli_verify_pool(1) if solve(cq).method == minecc.NUMERIC]
+        assert len(quads) == 32
+        stationarity = family.stationarity
+
+        def offset(cq):
+            p = stationarity(cq)
+
+            def q(lam):
+                value, slope = p(lam)
+                return value + 1e-9 * abs(slope), slope
+            return q
+
+        monkeypatch.setattr(family, "stationarity", offset)
+        for cq in quads:
+            reports = {r.name: r for r in verify(cq, solve(cq))}
+            assert not reports["optimum"].passed
+            assert reports["containment"].passed and reports["side_tangency"].passed
+
+    @pytest.mark.parametrize("vertices", NEAR_TRAPEZOIDS)
+    def test_near_trapezoids_pass(self, vertices):
+        # one ulp of h is about 1e-8 of their interval: the limit is 2 ulp
+        cq = canonicalize(vertices)
+        res = solve(cq)
+        rep = {r.name: r for r in verify(cq, res)}["optimum"]
+        lo, hi = cq.interval
+        assert rep.passed and rep.tolerance == 2.0 * math.ulp(res.h_star) > 1e-9 * (hi - lo)
+
+
 class TestIndependence:
     """The oracles must not share code paths with what they check."""
 
@@ -336,12 +319,24 @@ class TestVerify:
         reports = battery(KITE_VERTICES)
         assert any(r.name == "incircle" and r.passed for r in reports)
 
-    def test_solver_agreement_only_for_closed_forms(self):
+    def test_report_order(self):
         type1 = [r.name for r in battery(Q5_VERTICES)]
         general = [r.name for r in battery([(0, 0), (0, 3), (4, 6), (2, 1)])]
-        assert "solver_agreement" in type1 and "solver_agreement" not in general
-        assert type1[:4] == general == ["containment", "side_tangency",
-                                        "grid_argmax", "stationarity"]
+        kite = [r.name for r in battery(KITE_VERTICES)]
+        assert type1 == general == ["containment", "side_tangency", "optimum"]
+        assert kite == general + ["incircle"]
+
+    def test_side_tangency_fails_on_a_conic_whose_norm_overflows(self):
+        # normalized() of that conic is all zeros, which every line touches
+        cq = canonicalize(Q5_VERTICES)
+        res = solve(cq)
+        bad = res._replace(conic=res.conic._replace(A=-res.conic.A).scaled(2.0 ** 600))
+        assert not any(bad.conic.normalized())
+        reports = {r.name: r for r in verify(cq, bad)}
+        assert not reports["side_tangency"].passed
+        assert reports["side_tangency"].location == "normalized conic is zero or not finite"
+        nan = res._replace(conic=res.conic._replace(B=math.nan))
+        assert not {r.name: r for r in verify(cq, nan)}["side_tangency"].passed
 
     @pytest.mark.parametrize("vertices", [Q5_VERTICES, [(0, 0), (0, 3), (4, 6), (2, 1)],
                                           KITE_VERTICES], ids=["type1", "general", "kite"])
