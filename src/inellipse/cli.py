@@ -4,13 +4,16 @@ Subcommands:
 
     classify   classification report only
     family     one inscribed-family member (--h) or a sweep (--sweep)
-    minimal    minimal-eccentricity ellipse report (--verify, --svg)
-    verify     minimal --verify: the battery of ``oracle.verify``; exit 4 unless all pass
+    minimal    minimal-eccentricity ellipse report (--svg)
+    verify     the minimal report plus the battery of ``oracle.verify``
+               (--svg); exit 4 unless all pass
 
 Input is a JSON document with a top-level "vertices" array of four [x, y]
-pairs (file via --input, or standard input).  Output is JSON on standard
-output with floats at 17 significant digits, so reports re-parse
-losslessly and identical inputs produce byte-identical reports.
+pairs (file via --input, or standard input); other keys are ignored.  The
+classification tolerance is the package's one, ``quad.DEFAULT_TOL``, and
+no option sets another.  Output is JSON on standard output with floats
+at 17 significant digits, so reports re-parse losslessly and identical
+inputs produce byte-identical reports.
 
 Exit codes: 0 ok, 2 parse error, 3 geometry rejection, 4 verification
 failure.
@@ -94,7 +97,7 @@ def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_input(path: Optional[str]) -> dict:
+def _load_input(path: Optional[str]) -> list[tuple[float, float]]:
     try:
         if path in (None, "-"):
             text = sys.stdin.read()
@@ -120,10 +123,7 @@ def _load_input(path: Optional[str]) -> dict:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("vertex coordinates must be finite")
         clean.append((x, y))
-    tol = data.get("tol")
-    if tol is not None:
-        tol = _json_number(tol, "tol must be a number")
-    return {"vertices": clean, "tol": tol}
+    return clean
 
 
 def _json_number(x, message: str) -> float:
@@ -136,20 +136,6 @@ def _json_number(x, message: str) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
-
-
-def _tolerance(args, data: dict) -> float:
-    """Classification tolerance: --tol, else the input's "tol", else 1e-9.
-
-    Only an absent value means the default; a tolerance that is not a
-    finite positive number is a parse error.
-    """
-    tol = args.tol if args.tol is not None else data["tol"]
-    if tol is None:
-        return 1e-9
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParseError(f"tol must be a finite positive number, got {tol!r}")
-    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +281,11 @@ def _error_object(code: str, message: str) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    data = _load_input(args.input)
-    tol = _tolerance(args, data)
-    cq = canonicalize(data["vertices"], tol=tol)
+    vertices = _load_input(args.input)
+    cq = canonicalize(vertices)
     report = {
-        "input": {"vertices": [list(v) for v in data["vertices"]]},
-        "classification": _classification_block(classify(cq, tol=tol)),
+        "input": {"vertices": [list(v) for v in vertices]},
+        "classification": _classification_block(classify(cq)),
         "canonical": _canonical_block(cq),
         "newton": _newton_block(cq),
     }
@@ -309,12 +294,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    data = _load_input(args.input)
-    tol = _tolerance(args, data)
+    vertices = _load_input(args.input)
     n = args.sweep
     if n is not None and n < 1:
         raise ParseError(f"--sweep must be a positive integer, got {n}")
-    cq = canonicalize(data["vertices"], tol=tol)
+    cq = canonicalize(vertices)
     lo, hi = cq.interval
     hs = [args.h] if n is None else (lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n))
     ns = newton_segment(cq)
@@ -336,12 +320,11 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    data = _load_input(args.input)
-    tol = _tolerance(args, data)
-    cq = canonicalize(data["vertices"], tol=tol)
-    res = minecc.solve(cq, tol=tol)
+    vertices = _load_input(args.input)
+    cq = canonicalize(vertices)
+    res = minecc.solve(cq)
     report = {
-        "input": {"vertices": [list(v) for v in data["vertices"]]},
+        "input": {"vertices": [list(v) for v in vertices]},
         "classification": _classification_block(res.qclass),
         "canonical": _canonical_block(cq),
         "newton": _newton_block(cq),
@@ -354,7 +337,7 @@ def _cmd_minimal(args) -> int:
         failed = not all(r.passed for r in battery)
     if args.svg:
         # the figure draws the input cycle; canonicalize keeps only the pose
-        _render_svg(args.svg, validate(data["vertices"]), cq, res)
+        _render_svg(args.svg, validate(vertices), cq, res)
     _emit(report)
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -369,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", default=None, metavar="PATH",
                        help="JSON input file (default: standard input)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="classification tolerance (default 1e-9)")
 
     p_cls = sub.add_parser("classify", help="classification report only")
     common(p_cls)
@@ -387,11 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_min = sub.add_parser("minimal", help="minimal-eccentricity ellipse")
     common(p_min)
-    p_min.add_argument("--verify", action="store_true",
-                       help="run the oracle battery; exit 4 unless all pass")
     p_min.add_argument("--svg", default=None, metavar="PATH",
                        help="write an SVG figure")
-    p_min.set_defaults(func=_cmd_minimal)
+    p_min.set_defaults(func=_cmd_minimal, verify=False)
 
     p_ver = sub.add_parser("verify", help="minimal + full oracle battery")
     common(p_ver)

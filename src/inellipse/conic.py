@@ -119,13 +119,12 @@ def conjugate_diameter_angle(g: EllipseGeometry) -> float:
     return 2.0 * math.atan(ratio)
 
 
-def line_tangency(c: Conic, line: Line2, *, tol: float = 1e-9
-                  ) -> tuple[LineConicRelation, float]:
+def line_tangency(c: Conic, line: Line2) -> tuple[LineConicRelation, float]:
     """Classify a line against an ellipse by the substituted discriminant.
 
     Substituting the line into the conic leaves a quadratic in one
     variable; its discriminant is negative/zero/positive for
-    disjoint/tangent/secant.  "Zero" means small relative to the squared
+    disjoint/tangent/secant.  "Zero" means at most 1e-9 of the squared
     coefficient scale of that quadratic.
     """
     A, B, C, D, E, F = c
@@ -139,7 +138,7 @@ def line_tangency(c: Conic, line: Line2, *, tol: float = 1e-9
         q0 = C * b0 * b0 + E * b0 + F
     disc = q1 * q1 - 4.0 * q2 * q0
     scale = max(q1 * q1, abs(4.0 * q2 * q0)) or 1.0
-    if abs(disc) <= tol * scale:
+    if abs(disc) <= 1e-9 * scale:
         return LineConicRelation.TANGENT, disc
     if disc > 0.0:
         return LineConicRelation.SECANT, disc

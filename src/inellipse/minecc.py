@@ -71,7 +71,7 @@ class MinEccResult(NamedTuple):
     method: str             # CLOSED_FORM or NUMERIC
     iterations: int         # root-search steps (0 for the closed form)
     residual: float         # |gamma - alpha|
-    qclass: QuadClass       # classification of the solved quad at the caller's tol
+    qclass: QuadClass       # classification of the solved quad, which picked the path
 
 
 def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
@@ -129,16 +129,20 @@ def _type2_root(cq: CanonicalQuad) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _stationary_point(cq: CanonicalQuad, tol: float, max_iter: int) -> tuple[float, int]:
-    """Segment coordinate of the root of p (``family.stationarity``), and
-    the steps taken.
+def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
+                      max_iter: int = 200) -> tuple[float, int]:
+    """Maximize the squared axis ratio: the root of the stationarity quartic
+    p (``family.stationarity``).  Never uses the closed form.
 
-    p is positive left of the root and negative right of it, so the guarded
-    ends of (0, 1) bracket it.  Safeguarded Newton: the sign of p at each
-    iterate shrinks the bracket; the Newton step is taken when it stays
-    inside and at least halves the step before last, else the bracket is
-    bisected.  Stops once a step is below ``tol``; after ``max_iter`` steps
-    it logs a warning and returns the last iterate with ``max_iter``.
+    Returns (lam, steps) with lam the root's segment coordinate (its center
+    abscissa is ``family._abscissa(cq, lam)``).  p is positive left of the
+    root and negative right of it, so the guarded ends of (0, 1) bracket
+    it.  Safeguarded Newton: the sign of p at each iterate shrinks the
+    bracket; the Newton step is taken when it stays inside and at least
+    halves the step before last, else the bracket is bisected.  Stops once
+    a step is below ``tol``, in units of lam, the share of the center
+    interval; after ``max_iter`` steps it logs a warning and returns the
+    last iterate with ``max_iter``.
     """
     guard = family.RELATIVE_ENDPOINT_GUARD
     a, b = guard, 1.0 - guard
@@ -168,27 +172,16 @@ def _stationary_point(cq: CanonicalQuad, tol: float, max_iter: int) -> tuple[flo
     return x, max_iter
 
 
-def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
-                      max_iter: int = 200) -> tuple[float, int]:
-    """Maximize the squared axis ratio: the root of the stationarity quartic.
-
-    Returns (lam, steps) with lam the root's segment coordinate (its center
-    abscissa is ``family._abscissa(cq, lam)``); ``tol`` is in units of lam,
-    the share of the center interval (see :func:`_stationary_point`).
-    Never uses the closed form.
-    """
-    return _stationary_point(cq, tol, max_iter)
-
-
 # ---------------------------------------------------------------------------
 # solver front end
 # ---------------------------------------------------------------------------
 
 
-def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
+def solve(cq: CanonicalQuad) -> MinEccResult:
     """Minimal-eccentricity inscribed ellipse of a canonical quadrilateral.
 
-    The quad is classified once.  Midpoint-diagonal quads of either type
+    The quad is classified once, at ``quad.DEFAULT_TOL``; the result
+    carries that classification.  Midpoint-diagonal quads of either type
     are solved in closed form in their own canonical frame; everything
     else is the root of the stationarity quartic (:func:`maximize_ratio_sq`).
     Both give the segment coordinate lam* of the optimum, at which the
@@ -204,7 +197,7 @@ def solve(cq: CanonicalQuad, *, tol: float = 1e-9) -> MinEccResult:
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
     model's certificate of a real ellipse.
     """
-    qc = classify(cq, tol=tol)
+    qc = classify(cq)
     if qc.kind is QuadKind.GENERAL:
         method = NUMERIC
         lam, iterations = maximize_ratio_sq(cq)

@@ -47,10 +47,9 @@ def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
     return lines
 
 
-def containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256, *,
-                tol: float = 1e-9) -> OracleReport:
+def containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256) -> OracleReport:
     """Trace the ellipse ``g`` at theta_k = k (2 pi / n), k < n; pass means
-    no sample pokes outside by more than tol * diameter (the residual).  For
+    no sample pokes outside by more than 1e-9 diameter (the residual).  For
     center (x0, y0), semi-axes a, b and axis (ca, sa), sample k's signed
     distance from the side line (nx, ny, c) is exactly c0 - rad cos(theta_k
     - theta*): c0 = nx x0 + ny y0 + c, p = a (nx ca + ny sa), q = b (ny ca -
@@ -83,7 +82,7 @@ def containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256, *,
                 break
         if d < worst:
             worst, where = d, f"side S{j + 1}, sample {i} of {n}"
-    tol_abs = tol * cq.diameter
+    tol_abs = 1e-9 * cq.diameter
     residual = max(0.0, -worst)
     return OracleReport("containment", residual <= tol_abs, residual,
                         f"min signed distance {worst:.3e} at {where}", tol_abs)
@@ -217,11 +216,11 @@ def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     ``containment`` (of the reported ellipse ``res.geom``);
     ``side_tangency`` (of the reported conic ``res.conic``); ``optimum``
     (h* within a certified half-width of the exact maximizer); and
-    ``incircle`` for a tangential midpoint-diagonal quad, classified at
-    the default tolerance so that the incircle's own test holds.
+    ``incircle`` when ``res.qclass``, the classification ``solve`` made,
+    is a tangential midpoint-diagonal quad.
     """
     reports = [containment(res.geom, cq, 256), side_tangency(cq, res), optimum(cq, res.h_star)]
-    qc = classify(cq)
+    qc = res.qclass
     if qc.tangential and qc.kind is not QuadKind.GENERAL:
         center, radius = incircle(cq)
         dev = math.hypot(center.x - res.geom.center.x, center.y - res.geom.center.y)

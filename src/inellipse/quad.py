@@ -38,6 +38,14 @@ one swaps s and v.  So the anchor is the shortest side with a positive dot
 product, its larger turn picks the labeling, and only that labeling is
 mapped.  Sides of equal length, and signs or orders within rounding of
 the mapped values, are mapped and compared in full.
+
+One tolerance, ``DEFAULT_TOL`` = 1e-9, relative to the scale of each
+test, decides every classification: parallel sides in
+:func:`canonicalize`, and the MDQ types, tangency and orthodiagonality in
+:func:`classify`.  No caller can set another, so the input alone picks a
+quad's class and with it ``minecc.solve``'s path.  ``classify`` reports
+each test's value in ``residuals`` for callers who want a threshold of
+their own.
 """
 
 from __future__ import annotations
@@ -316,20 +324,20 @@ def _margin(coords: Sequence[float], lengths: Sequence[float]) -> float:
     return 256.0 * sys.float_info.epsilon * (max(map(abs, coords)) + scale) * scale
 
 
-def canonicalize(vertices: Sequence[PointLike], *, tol: float = DEFAULT_TOL) -> CanonicalQuad:
+def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
     """Move a convex quadrilateral into canonical pose by an isometry.
 
     The labeling follows the anchor rule of the module docstring.  Raises
     :class:`Trapezoid` when a pair of opposite sides is parallel within
-    ``tol`` and :class:`NoValidLabeling` when no labeling admits the
-    canonical pose.
+    ``DEFAULT_TOL`` and :class:`NoValidLabeling` when no labeling admits
+    the canonical pose.
     """
     cw = validate(vertices)
     edges = [(q.x - p.x, q.y - p.y) for p, q in zip(cw, cw[1:] + cw[:1])]
     lengths = [math.hypot(ex, ey) for ex, ey in edges]
     for i in (0, 1):
         (ax, ay), (bx, by) = edges[i], edges[i + 2]
-        if abs(ax * by - ay * bx) <= tol * lengths[i] * lengths[i + 2]:
+        if abs(ax * by - ay * bx) <= DEFAULT_TOL * lengths[i] * lengths[i + 2]:
             raise Trapezoid("opposite sides are parallel within tolerance; "
                             "trapezoids and parallelograms are unsupported")
     margin = _margin([x for p in cw for x in p], lengths)
@@ -381,13 +389,13 @@ def _z_terms(s: float, t: float, u: float, v: float, w: float) -> tuple[float, f
     return t1 * t1 - t2, scale * scale + abs(t2)
 
 
-def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
+def classify(cq: CanonicalQuad) -> QuadClass:
     """Classify a canonical quad: MDQ type, tangential, orthodiagonal.
 
-    All comparisons are relative to the natural scale of the compared
-    expression.  The Pitot side-length test decides tangentiality (the
-    polynomial quantity ``z`` is only a cross-check because it subtracts
-    huge squares); the residuals map reports every test.
+    Each test compares its expression with ``DEFAULT_TOL`` times the
+    expression's natural scale.  The Pitot side-length test decides
+    tangentiality; the polynomial quantity ``z``, which subtracts huge
+    squares, is only reported.  The residuals map reports every test.
     """
     s, t, u, v, w = cq.params
     vtws = v * t - w * s
@@ -396,8 +404,8 @@ def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
     scale1 = max(abs(u * s), abs(v * t), abs(w * s))
     r2 = u * (2.0 * v - s) - vtws
     scale2 = max(abs(u * (2.0 * v - s)), abs(v * t), abs(w * s))
-    is1 = abs(r1) <= tol * scale1
-    is2 = abs(r2) <= tol * scale2
+    is1 = abs(r1) <= DEFAULT_TOL * scale1
+    is2 = abs(r2) <= DEFAULT_TOL * scale2
     if is1 and is2:
         # Simultaneous fit needs s = v, which (R2) excludes: keep the better.
         if abs(r1) * scale2 <= abs(r2) * scale1:
@@ -408,16 +416,7 @@ def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
 
     sides = cq.side_lengths
     pitot_rel = abs((sides[0] + sides[2]) - (sides[1] + sides[3])) / sum(sides)
-    tangential = pitot_rel <= tol
     z, z_scale = _z_terms(s, t, u, v, w)
-    z_rel = abs(z) / z_scale if z_scale > 0 else 0.0
-    # z's own rounding reaches about 30 eps of its scale on tangential quads,
-    # so a z_rel up to 256 eps is noise, not a disagreement, at any tol
-    if tangential and z_rel > max(math.sqrt(tol), 256.0 * sys.float_info.epsilon):
-        import logging
-        logging.getLogger(__name__).warning(
-            "Pitot test says tangential but the polynomial residual "
-            "disagrees (%.3e); trusting Pitot", z_rel)
 
     m1, m2 = cq.diagonal_slopes
     ortho_res = abs(m1 * m2 + 1.0)
@@ -426,10 +425,10 @@ def classify(cq: CanonicalQuad, *, tol: float = DEFAULT_TOL) -> QuadClass:
         "type1": abs(r1) / scale1,
         "type2": abs(r2) / scale2,
         "pitot": pitot_rel,
-        "z": z_rel,
+        "z": abs(z) / z_scale if z_scale > 0 else 0.0,
         "orthodiagonal": ortho_res,
     }
-    return QuadClass(kind, tangential, ortho_res <= tol, residuals)
+    return QuadClass(kind, pitot_rel <= DEFAULT_TOL, ortho_res <= DEFAULT_TOL, residuals)
 
 
 def newton_segment(cq: CanonicalQuad) -> NewtonSegment:

@@ -457,19 +457,19 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
 
 
-def _require_type1(cq: CanonicalQuad, tol: float) -> None:
-    if classify(cq, tol=tol).kind is not QuadKind.MDQ_TYPE1:
+def _require_type1(cq: CanonicalQuad) -> None:
+    if classify(cq).kind is not QuadKind.MDQ_TYPE1:
         raise ValueError("closed form requires a type-1 midpoint-diagonal quadrilateral")
 
 
-def closed_form_h(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
+def closed_form_h(cq: CanonicalQuad) -> float:
     """Maximizing abscissa of a type-1 midpoint-diagonal quad, from the
     closed-form root that ``solve`` uses."""
-    _require_type1(cq, tol)
+    _require_type1(cq)
     return family._abscissa(cq, _type1_root(cq))
 
 
-def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
+def ratio_sq_closed_form(cq: CanonicalQuad) -> float:
     """Closed-form maximal squared axis ratio for a type-1 MDQ.
 
     (major - minor) / (major + minor) with major = sqrt((s^2+t^2) p1) and
@@ -479,7 +479,7 @@ def ratio_sq_closed_form(cq: CanonicalQuad, *, tol: float = 1e-9) -> float:
     digits to the difference.  At most 1: above it only by rounding, on
     a circle.
     """
-    _require_type1(cq, tol)
+    _require_type1(cq)
     s, t, v, w = cq.s, cq.t, cq.v, cq.w
     st2 = s * s + t * t
     p1 = center_quadratic(cq).p1

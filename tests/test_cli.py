@@ -88,7 +88,7 @@ class TestMinimal:
         assert abs(norm - 1.0) <= 1e-12
 
     def test_verify_passes(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "minimal", "--verify", "--input",
+        code, out = run_cli(capsys, "verify", "--input",
                             write_input(tmp_path, Q5_VERTICES))
         assert code == EXIT_OK
         oracles = json.loads(out)["oracles"]
@@ -96,7 +96,7 @@ class TestMinimal:
         assert all(o["passed"] for o in oracles)
 
     def test_kite_short_circuit(self, tmp_path, capsys):
-        code, out = run_cli(capsys, "minimal", "--verify", "--input",
+        code, out = run_cli(capsys, "verify", "--input",
                             write_input(tmp_path, KITE_VERTICES))
         assert code == EXIT_OK
         report = json.loads(out)
@@ -120,8 +120,8 @@ class TestMinimal:
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_input(tmp_path, Q5_VERTICES)
-        _, out1 = run_cli(capsys, "minimal", "--verify", "--input", path)
-        _, out2 = run_cli(capsys, "minimal", "--verify", "--input", path)
+        _, out1 = run_cli(capsys, "verify", "--input", path)
+        _, out2 = run_cli(capsys, "verify", "--input", path)
         assert out1 == out2
 
     def test_report_round_trips_losslessly(self, tmp_path, capsys):
@@ -192,15 +192,12 @@ class TestVerifySubcommand:
         assert report["result"]["method"] == "numeric"
         assert all(o["passed"] for o in report["oracles"])
 
-    @pytest.mark.parametrize("vertices, exit_code", [
-        (Q5_VERTICES, EXIT_OK),
-        ([(0, 0), (1, 0), (1, 1), (0, 1)], EXIT_GEOMETRY),
-    ])
-    def test_same_as_minimal_verify(self, tmp_path, capsys, vertices, exit_code):
-        path = write_input(tmp_path, vertices)
-        runs = [run_cli(capsys, "verify", "--input", path),
-                run_cli(capsys, "minimal", "--verify", "--input", path)]
-        assert runs[0] == runs[1] and runs[0][0] == exit_code
+    def test_minimal_has_no_verify_flag(self, tmp_path, capsys):
+        # ``verify`` is the one route to the battery
+        with pytest.raises(SystemExit) as exc:
+            main(["minimal", "--verify", "--input", write_input(tmp_path, Q5_VERTICES)])
+        assert exc.value.code == EXIT_PARSE
+        capsys.readouterr()
 
 
 class TestJsonNumbers:
@@ -219,30 +216,23 @@ class TestJsonNumbers:
 
 
 class TestTolerance:
-    def write(self, tmp_path, tol):
+    """The classification tolerance is the package's one: no flag sets
+    another, and a JSON "tol" is ignored like any other extra key."""
+
+    NEAR_MDQ = [(0, 0), (0, 2.0002), (4, 6), (2, 1)]
+
+    def write(self, tmp_path, tol, vertices=Q5_VERTICES):
         path = tmp_path / "tol.json"
-        path.write_text(json.dumps({"vertices": [list(v) for v in Q5_VERTICES],
-                                    "tol": tol}))
+        path.write_text(json.dumps({"vertices": [list(v) for v in vertices], "tol": tol}))
         return str(path)
 
-    @pytest.mark.parametrize("tol", [0, -1e-9])
-    def test_non_positive_json_tol_is_a_parse_error(self, tmp_path, capsys, tol):
-        code, out = run_cli(capsys, "classify", "--input", self.write(tmp_path, tol))
-        assert code == EXIT_PARSE
-        assert "tol" in json.loads(out)["error"]["message"]
-
-    def test_nan_json_tol_is_a_parse_error(self, tmp_path, capsys):
-        path = tmp_path / "nan.json"
-        path.write_text('{"vertices": [[0,0],[0,2],[4,6],[2,1]], "tol": NaN}')
-        code, _ = run_cli(capsys, "minimal", "--input", str(path))
-        assert code == EXIT_PARSE
-
-    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-3"])
     def test_bad_flag_tol_is_a_parse_error(self, tmp_path, capsys, tol):
-        code, out = run_cli(capsys, "minimal", "--tol", tol, "--input",
-                            write_input(tmp_path, Q5_VERTICES))
-        assert code == EXIT_PARSE
-        assert json.loads(out)["error"]["code"] == "parse"
+        # there is no --tol, so argparse rejects every value with exit 2
+        with pytest.raises(SystemExit) as exc:
+            main(["minimal", "--tol", tol, "--input", write_input(tmp_path, Q5_VERTICES)])
+        assert exc.value.code == EXIT_PARSE
+        capsys.readouterr()
 
     def test_null_tol_means_the_default(self, tmp_path, capsys):
         _, default = run_cli(capsys, "classify", "--input",
@@ -250,24 +240,18 @@ class TestTolerance:
         code, out = run_cli(capsys, "classify", "--input", self.write(tmp_path, None))
         assert code == EXIT_OK and out == default
 
-    @pytest.mark.parametrize("tol", [True, "1e-3", pytest.param(10**400, id="1e400")])
-    def test_json_tol_must_be_a_finite_number(self, tmp_path, capsys, tol):
-        # float() takes strings and booleans, and a boolean tol of 1.0
-        # made the README quad a trapezoid
-        code, out = run_cli(capsys, "minimal", "--input", self.write(tmp_path, tol))
-        assert code == EXIT_PARSE
-        assert json.loads(out)["error"]["code"] == "parse"
-        assert "tol" in json.loads(out)["error"]["message"]
-
-    def test_json_tol_is_used(self, tmp_path, capsys):
-        # a loose tolerance makes this near-MDQ a type-1 quad
-        vertices = [(0, 0), (0, 2 * (1 + 1e-6)), (4, 6), (2, 1)]
-        path = tmp_path / "loose.json"
-        path.write_text(json.dumps({"vertices": vertices, "tol": 1e-3}))
-        _, out = run_cli(capsys, "classify", "--input", str(path))
-        assert json.loads(out)["classification"]["kind"] == "mdq_type1"
-        _, out = run_cli(capsys, "classify", "--input", write_input(tmp_path, vertices))
-        assert json.loads(out)["classification"]["kind"] == "general"
+    @pytest.mark.parametrize("command", ["classify", "minimal", "verify"])
+    def test_json_tol_is_ignored(self, tmp_path, capsys, command):
+        # "tol": 1e-3 used to make this near-MDQ take the closed form of its
+        # type-1 neighbour, h* = 1.1100576175169203 against 1.1100626490693792
+        plain = run_cli(capsys, command, "--input", write_input(tmp_path, self.NEAR_MDQ))
+        loose = run_cli(capsys, command, "--input", self.write(tmp_path, 1e-3, self.NEAR_MDQ))
+        assert loose == plain and plain[0] == EXIT_OK
+        report = json.loads(plain[1])
+        assert report["classification"]["kind"] == "general"
+        if command != "classify":
+            assert report["result"]["method"] == "numeric"
+            assert abs(report["result"]["h_star"] - 1.1100626490693792) <= 1e-15
 
 
 class TestValidateOnce:
@@ -424,10 +408,25 @@ class TestClassifiesOnce:
         calls = []
         monkeypatch.setattr(cli, "classify", lambda *a, **k: calls.append(1))
         for vertices in (Q5_VERTICES, KITE_VERTICES):
-            code, out = run_cli(capsys, "minimal", "--tol", "1e-3",
-                                "--input", write_input(tmp_path, vertices))
+            code, out = run_cli(capsys, "minimal", "--input", write_input(tmp_path, vertices))
             assert code == EXIT_OK and calls == []
             assert json.loads(out)["classification"]["kind"] == "mdq_type1"
+
+    @pytest.mark.parametrize("vertices, calls", [([(0, 0), (0, 3), (4, 6), (2, 1)], 0),
+                                                  (KITE_VERTICES, 1)], ids=["general", "kite"])
+    def test_verify_reads_the_solver_classification(self, tmp_path, capsys, monkeypatch,
+                                                    vertices, calls):
+        # the battery picks its oracles from res.qclass; only incircle,
+        # which is public and guards itself, classifies again
+        from inellipse import oracle, quad
+        seen = []
+
+        def counting(cq):
+            seen.append(1)
+            return quad.classify(cq)
+        monkeypatch.setattr(oracle, "classify", counting)
+        code, _ = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
+        assert code == EXIT_OK and len(seen) == calls
 
 
 class TestScaleRange:

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
+                     bench_module, cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
                      interior_points, make_quad, mp_family, numpy_containment,
                      numpy_ratio_sq, random_general, random_kite, random_type2,
                      ratio_sq_function, ratio_sq_prime, sv_pool)
-from inellipse import (Conic, NotTangential, QuadKind, canonicalize, coefficients,
-                       containment, incircle, solve, verify)
+from inellipse import (CanonicalQuad, Conic, NotTangential, QuadKind, canonicalize,
+                       classify, coefficients, containment, incircle, solve, verify)
 from inellipse import family, minecc
-from inellipse.oracle import _slope_sign, side_distance_lines
+from inellipse.oracle import _slope_sign, optimum, side_distance_lines
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -271,6 +271,45 @@ class TestOptimum:
         rep = {r.name: r for r in verify(cq, res)}["optimum"]
         lo, hi = cq.interval
         assert rep.passed and rep.tolerance == 2.0 * math.ulp(res.h_star) > 1e-9 * (hi - lo)
+
+    # A type-1 residual of 6.4e-10, inside the classification tolerance, so
+    # ``solve`` takes the closed form of the exact MDQ next to this pose.
+    # One of 2850 type-1 quads with residuals uniform in +-0.99e-9.
+    EDGE = (1.070782426010505, 3.215676550905802, 3.580214990229722,
+            1.8535669556211998, 1.9862489768191058)
+
+    def test_closed_form_at_the_tolerance_edge_is_within_tol_l(self):
+        checks, reference = bench_module("checks"), bench_module("reference")
+        cq = CanonicalQuad.from_params(*self.EDGE)
+        qc = classify(cq)
+        assert qc.kind is QuadKind.MDQ_TYPE1 and 6e-10 < qc.residuals["type1"] < 7e-10
+        res = solve(cq)
+        assert res.method == minecc.CLOSED_FORM
+        error = reference.center_error(reference.reference(cq.vertices), list(res.geom.center))
+        assert error <= checks.TOL_L
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Known defect: the closed form at the 1e-9 classification "
+                              "edge is farther from the float pose's maximizer than "
+                              "optimum's limit (4.66e-10 against 3.91e-10)")
+    def test_closed_form_at_the_tolerance_edge_passes_optimum(self):
+        cq = CanonicalQuad.from_params(*self.EDGE)
+        assert optimum(cq, solve(cq).h_star).passed
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="Known defect: on a short y-axis side the closed form of a "
+                              "quad inside the classification tolerance misses TOL_L "
+                              "(1.2e-7 L); the numeric root is 3.2e-13 L off")
+    def test_closed_form_inside_the_tolerance_is_within_tol_l(self):
+        # type-1 residual 2.6e-10 with u = 9.7e-5
+        checks, reference = bench_module("checks"), bench_module("reference")
+        cq = CanonicalQuad.from_params(8.856545510315483, 5.821201664370912,
+                                       9.703980618962552e-05, 8.238606689687675,
+                                       5.414947788421461)
+        res = solve(cq)
+        assert res.method == minecc.CLOSED_FORM
+        error = reference.center_error(reference.reference(cq.vertices), list(res.geom.center))
+        assert error <= checks.TOL_L
 
 
 class TestIndependence:

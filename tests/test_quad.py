@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
                        diagonal_angle, newton_segment, solve, validate)
 from inellipse.family import _at, _segment_coordinate
+from inellipse.quad import DEFAULT_TOL
 
 REJECTED = [
     ([(0, 0), (0, 3), (1, 1), (3, 0)], NotConvex),
@@ -234,33 +236,14 @@ class TestClassify:
         assert qc.kind is QuadKind.GENERAL
         assert qc.residuals["type1"] > 1e-3 and qc.residuals["type2"] > 1e-3
 
-    def test_tolerance_knob(self):
-        cq = make_quad(4, 6, 2 * (1 + 1e-7), 2, 1)
-        assert classify(cq).kind is QuadKind.GENERAL
-        assert classify(cq, tol=1e-5).kind is QuadKind.MDQ_TYPE1
-
-    def test_pitot_disagreement_is_logged(self, caplog):
-        # Pitot residual 0.033, within tol = 0.05, but z = 0.88
-        import logging
-        cq = canonicalize([(4.494421263649125, -1.8524568935856767),
-                           (0.5462553959407677, 4.298243007746429),
-                           (3.9772254394948483, -2.2229062811981404),
-                           (3.8685572622791753, -2.1898868968865925)])
-        with caplog.at_level(logging.WARNING, logger="inellipse.quad"):
-            qc = classify(cq, tol=0.05)
-        assert qc.tangential and qc.residuals["z"] > math.sqrt(0.05)
-        assert any("trusting Pitot" in rec.message for rec in caplog.records)
-
-    def test_rounding_noise_in_z_is_no_disagreement(self, caplog):
-        # the kite's Pitot residual is exactly 0 and its polynomial one is
-        # rounding noise, 1.6e-32: above sqrt(tol) for this tiny tol, but
-        # below the floor of z's own rounding
-        import logging
-        cq = canonicalize([(0, 0), (1, 2), (0, 5), (-1, 2)])
-        with caplog.at_level(logging.WARNING, logger="inellipse.quad"):
-            qc = classify(cq, tol=1e-70)
-        assert qc.tangential and qc.residuals["z"] > math.sqrt(1e-70)
-        assert not caplog.records
+    def test_one_tolerance_and_no_knob(self):
+        # 1e-7 off the type-1 locus is a general quad; only the residual
+        # tells how near it is, and no argument sets another threshold
+        qc = classify(make_quad(4, 6, 2 * (1 + 1e-7), 2, 1))
+        assert qc.kind is QuadKind.GENERAL
+        assert DEFAULT_TOL < qc.residuals["type1"] < 2e-7
+        for f in (canonicalize, classify, solve):
+            assert "tol" not in inspect.signature(f).parameters
 
     def test_tangential_and_mdq_implies_orthodiagonal(self):
         rng = np.random.default_rng(103)
