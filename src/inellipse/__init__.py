@@ -10,14 +10,13 @@ angle between the diagonals.
 from .conic import (Conic, EllipseGeometry, Line2, LineConicRelation,
                     conjugate_diameter_angle, line_tangency)
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
-                     NoValidLabeling, NotAnEllipse, NotConvex, NotTangential,
-                     Trapezoid)
+                     NoValidLabeling, NotAnEllipse, NotConvex, Trapezoid)
 from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
                      coefficients, family_point, side_linears, spectral,
                      tangency_points)
 from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
                      maximize_ratio_sq, solve)
-from .oracle import OracleReport, containment, incircle, verify
+from .oracle import OracleReport, containment, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
                    diagonal_angle, newton_segment, validate)
@@ -29,11 +28,11 @@ __all__ = [
     "EllipseGeometry", "FamilyPoint", "HOutOfRange",
     "InscribedEllipseError", "Isometry2", "Line2", "LineConicRelation",
     "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
-    "NotConvex", "NotTangential", "OracleReport", "Point2", "QuadClass",
+    "NotConvex", "OracleReport", "Point2", "QuadClass",
     "QuadKind", "SideLinears", "Spectral", "TangentPoint", "Trapezoid",
     "canonicalize", "center_quadratic", "classify", "coefficients",
     "conjugate_diameter_angle", "containment", "diagonal_angle",
-    "family_point", "incircle", "line_tangency", "maximize_ratio_sq",
+    "family_point", "line_tangency", "maximize_ratio_sq",
     "newton_segment", "side_linears", "solve", "spectral",
     "tangency_points", "validate", "verify",
 ]

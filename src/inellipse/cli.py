@@ -15,8 +15,8 @@ no option sets another.  Output is JSON on standard output with floats
 at 17 significant digits, so reports re-parse losslessly and identical
 inputs produce byte-identical reports.
 
-Exit codes: 0 ok, 2 parse error, 3 geometry rejection, 4 verification
-failure.
+Exit codes: 0 ok, 2 parse error (also an --svg path that cannot be
+written), 3 geometry rejection, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -263,8 +263,11 @@ def _render_svg(path: str, raw_cw: list[Point2], cq: CanonicalQuad,
         lines.append(f'<circle class="tangency" fill="#c33" '
                      f'cx="{fmt(x)}" cy="{fmt(y)}" r="{fmt(marker_r)}"/>')
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write SVG: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ defining scale.  Use :meth:`Conic.normalized` when comparing across
 scales.  The package has no general conic-to-shape route: the solved
 ellipse's :class:`EllipseGeometry` (center, semi-axes, eccentricity, axis
 angle) comes from the family model in ``minecc.solve``, and
-``oracle.verify`` traces that reported shape and checks the tangency of
-its conic separately.
+``oracle.verify`` checks that reported shape against the side lines by
+its support distances and the tangency of its conic separately.
 """
 
 from __future__ import annotations

@@ -27,7 +27,3 @@ class HOutOfRange(InscribedEllipseError):
 
 class NotAnEllipse(InscribedEllipseError):
     """Conic coefficients do not describe a nondegenerate real ellipse."""
-
-
-class NotTangential(InscribedEllipseError):
-    """Operation requires a tangential quadrilateral."""

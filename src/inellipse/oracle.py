@@ -3,10 +3,11 @@
 Every oracle is independent of what it checks: :func:`optimum` takes the
 model's slope in exact ``int`` arithmetic, without the float stationarity
 quartic, its root search or a closed form; the tangency points come from
-the side linears; the incircle from angle bisectors.  :func:`verify` runs
-the battery on a ``minecc.solve`` result: ``containment`` traces the
-reported ellipse (center, semi-axes, axis angle), ``side_tangency``
-checks its conic and ``optimum`` its h*.  Plain ``math`` and ``int``.
+the side linears; the support distances from the side lines alone.
+:func:`verify` runs the battery on a ``minecc.solve`` result:
+``containment`` checks that the reported ellipse (center, semi-axes, axis
+angle) is inscribed, ``side_tangency`` checks its conic and ``optimum``
+its h*.  Plain ``math`` and ``int``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from typing import NamedTuple
 
 from . import family
 from .conic import Conic, EllipseGeometry, Line2, LineConicRelation, line_tangency
-from .errors import NotTangential
 from .minecc import MinEccResult
-from .quad import CanonicalQuad, Point2, QuadKind, classify
+from .quad import CanonicalQuad
 
 
 class OracleReport(NamedTuple):
@@ -47,89 +47,24 @@ def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
     return lines
 
 
-def containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256) -> OracleReport:
-    """Trace the ellipse ``g`` at theta_k = k (2 pi / n), k < n; pass means
-    no sample pokes outside by more than 1e-9 diameter (the residual).  For
-    center (x0, y0), semi-axes a, b and axis (ca, sa), sample k's signed
-    distance from the side line (nx, ny, c) is exactly c0 - rad cos(theta_k
-    - theta*): c0 = nx x0 + ny y0 + c, p = a (nx ca + ny sa), q = b (ny ca -
-    nx sa), rad = hypot(p, q), theta* = atan2(-q, -p).  The samples within
-    w = 2 of the nearest to theta* are traced; w doubles until all others,
-    (w + 1/2) steps - dtheta off or more, are above the least (ties to the
-    lowest k).  dtheta = 32 eps (1 + a/b) covers rounding theta* (p, q off
-    by 6 eps (a + b), rad >= b), its index and theta_k; slack = 32 eps (|c|
-    + |nx| (|x0| + a + b) + |ny| (|y0| + a + b)) a sample (cos and sin are
-    within 1 ulp), c0, rad and the test.
+def containment(g: EllipseGeometry, cq: CanonicalQuad) -> OracleReport:
+    """The ellipse ``g`` inscribed in the quad: inside it and tangent to
+    every side line, to 1e-9 of the diameter.  For center (x0, y0),
+    semi-axes a, b and axis (ca, sa), the least signed distance of the
+    ellipse from the side line (nx, ny, c) is its support distance d = nx
+    x0 + ny y0 + c - hypot(a (nx ca + ny sa), b (ny ca - nx sa)).  Pass
+    means every |d| is at most the tolerance (a NaN fails); the residual
+    is the largest |d|, located at its side (ties to the lowest).
     """
     ang = g.major_axis_angle or 0.0
     ca, sa = math.cos(ang), math.sin(ang)
-    x0, y0, a, b, step, eps = g.center.x, g.center.y, g.a, g.b, 2.0 * math.pi / n, 2.0 ** -53
-    dtheta = 32.0 * eps * (1.0 + a / b) if b > 0.0 else math.inf
-
-    def dist(k: int, nx: float, ny: float, c: float) -> float:
-        ex, ey = a * math.cos(k * step), b * math.sin(k * step)
-        return nx * (x0 + ex * ca - ey * sa) + ny * (y0 + ex * sa + ey * ca) + c
-
-    worst, where = math.inf, ""
-    for j, (nx, ny, c) in enumerate(side_distance_lines(cq)):
-        p, q = a * (nx * ca + ny * sa), b * (ny * ca - nx * sa)
-        c0, rad, k0 = nx * x0 + ny * y0 + c, math.hypot(p, q), round(math.atan2(-q, -p) / step)
-        slack = 32.0 * eps * (abs(c) + abs(nx) * (abs(x0) + a + b) + abs(ny) * (abs(y0) + a + b))
-        for w in (2 ** e for e in range(1, 64)):
-            d, i = min((dist(k % n, nx, ny, c), k % n) for k in range(k0 - w, k0 + w + 1))
-            alpha = min((w + 0.5) * step - dtheta, math.pi)
-            if 2 * w + 1 >= n or (alpha > 0.0 and c0 - rad * math.cos(alpha) - slack > d):
-                break
-        if d < worst:
-            worst, where = d, f"side S{j + 1}, sample {i} of {n}"
-    tol_abs = 1e-9 * cq.diameter
-    residual = max(0.0, -worst)
-    return OracleReport("containment", residual <= tol_abs, residual,
-                        f"min signed distance {worst:.3e} at {where}", tol_abs)
-
-
-def incircle(cq: CanonicalQuad) -> tuple[Point2, float]:
-    """Center and radius of the inscribed circle of a tangential quad.
-
-    Constructed as the intersection of the internal angle bisectors at two
-    adjacent vertices (bisectors at opposite vertices can coincide, e.g. on
-    a kite's symmetry axis); the radius is the distance to a side line.
-    Raises :class:`NotTangential` when the quad is not tangential or the
-    four side distances fail to agree.
-    """
-    if not classify(cq).tangential:
-        raise NotTangential("quadrilateral fails the side-length test for an incircle")
-    verts = cq.vertices
-
-    def unit(p: Point2, q: Point2) -> tuple[float, float]:
-        dx, dy = q.x - p.x, q.y - p.y
-        norm = math.hypot(dx, dy)
-        return dx / norm, dy / norm
-
-    # Bisector at the origin, between sides toward (v, w) and (0, u).
-    o = verts[0]
-    d1 = unit(o, verts[3])
-    d2 = unit(o, verts[1])
-    ba = (d1[0] + d2[0], d1[1] + d2[1])
-    # Bisector at (0, u), between sides toward the origin and (s, t).
-    p1 = verts[1]
-    e1 = unit(p1, verts[0])
-    e2 = unit(p1, verts[2])
-    bb = (e1[0] + e2[0], e1[1] + e2[1])
-
-    det = ba[0] * (-bb[1]) - ba[1] * (-bb[0])
-    if det == 0.0:
-        raise NotTangential("angle bisectors do not intersect")
-    rx, ry = p1.x - o.x, p1.y - o.y
-    tau = (rx * (-bb[1]) - ry * (-bb[0])) / det
-    center = Point2(o.x + tau * ba[0], o.y + tau * ba[1])
-
-    dists = [nx * center.x + ny * center.y + c
+    x0, y0, a, b = g.center.x, g.center.y, g.a, g.b
+    dists = [nx * x0 + ny * y0 + c - math.hypot(a * (nx * ca + ny * sa), b * (ny * ca - nx * sa))
              for nx, ny, c in side_distance_lines(cq)]
-    radius = dists[0]
-    if radius <= 0.0 or max(dists) - min(dists) > 1e-6 * cq.diameter:
-        raise NotTangential("bisector intersection is not equidistant from the sides")
-    return center, radius
+    j = max(range(4), key=lambda k: math.inf if math.isnan(dists[k]) else abs(dists[k]))
+    d, tol_abs = dists[j], 1e-9 * cq.diameter
+    return OracleReport("containment", abs(d) <= tol_abs, abs(d),
+                        f"support distance {d:.3e} from side S{j + 1}", tol_abs)
 
 
 def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
@@ -213,18 +148,8 @@ def optimum(cq: CanonicalQuad, h: float) -> OracleReport:
 
 def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     """The oracle battery on ``res = minecc.solve(cq)``, in report order:
-    ``containment`` (of the reported ellipse ``res.geom``);
+    ``containment`` (the reported ellipse ``res.geom`` inscribed);
     ``side_tangency`` (of the reported conic ``res.conic``); ``optimum``
-    (h* within a certified half-width of the exact maximizer); and
-    ``incircle`` when ``res.qclass``, the classification ``solve`` made,
-    is a tangential midpoint-diagonal quad.
+    (h* within a certified half-width of the exact maximizer).
     """
-    reports = [containment(res.geom, cq, 256), side_tangency(cq, res), optimum(cq, res.h_star)]
-    qc = res.qclass
-    if qc.tangential and qc.kind is not QuadKind.GENERAL:
-        center, radius = incircle(cq)
-        dev = math.hypot(center.x - res.geom.center.x, center.y - res.geom.center.y)
-        tol = 1e-6 * cq.diameter
-        reports.append(OracleReport("incircle", dev <= tol, dev,
-                                    f"bisector center {tuple(center)!r}, radius {radius!r}", tol))
-    return reports
+    return [containment(res.geom, cq), side_tangency(cq, res), optimum(cq, res.h_star)]

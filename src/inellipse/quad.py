@@ -61,7 +61,7 @@ DEFAULT_TOL = 1e-9
 
 # Accepted diameters, 2^-56 to 2^56.  ``solve`` and ``verify`` hold far
 # wider: built without this check, [(0,0),(0,3),(4,6),(2,1)] scaled by 2^k
-# passes every oracle for k in [-132, 84]: beyond, the conic's norm
+# passes every oracle for k in [-131, 84]: beyond, the conic's norm
 # (degree 16 in the diameter) overflows or the family model (degree 8)
 # goes subnormal.  Widening the accepted range is a behaviour change.
 DIAMETER_RANGE = (2.0 ** -56, 2.0 ** 56)

@@ -11,8 +11,9 @@ The module also holds a brute-force canonical pose (every labeling mapped
 and compared) that ``canonicalize`` must reproduce exactly, the
 brute-force grid argmax, a global check of ``solve``'s h* that needs no
 theorem (run on ``numpy_ratio_sq``, the numpy twin of
-:func:`ratio_sq_function`), the full trace whose report
-``oracle.containment`` must give, 50-digit references built from the
+:func:`ratio_sq_function`), the sampled trace and the 50-digit support
+distances that bracket ``oracle.containment``, the angle-bisector
+incircle, 50-digit references built from the
 defining coefficient formulas, float references that the package does
 not need (the squared axis ratio as a function of h and its central
 difference ``fd_gradient``, the general conic-to-shape route ``geometry``
@@ -37,7 +38,7 @@ import mpmath
 import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, EllipseGeometry, Isometry2,
-                       NotAnEllipse, NotConvex, NoValidLabeling, OracleReport, Point2,
+                       NotAnEllipse, NotConvex, NoValidLabeling, Point2,
                        QuadKind, Trapezoid, canonicalize, center_quadratic, classify,
                        maximize_ratio_sq)
 from inellipse import family
@@ -313,10 +314,12 @@ def numpy_ratio_sq(cq: CanonicalQuad):
     return ratio_sq
 
 
-def numpy_containment(conic, cq: CanonicalQuad, n: int = 256, *, tol: float = 1e-9):
-    """``oracle.containment`` by the full numpy trace of all n samples per
-    side: the reference its report must equal, field for field."""
-    g = geometry(conic)
+def numpy_containment(g: EllipseGeometry, cq: CanonicalQuad, n: int = 256) -> list[float]:
+    """The sampled twin of ``oracle.containment``: per side line, the least
+    signed distance of the n points at theta_k = k (2 pi / n) of the
+    ellipse ``g``, traced in numpy.  The exact support distance is at most
+    this, and at least this minus rad (1 - cos(pi / n)) (rad of
+    :func:`mp_support_distances`), up to rounding."""
     ang = g.major_axis_angle or 0.0
     ca, sa = math.cos(ang), math.sin(ang)
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
@@ -324,18 +327,115 @@ def numpy_containment(conic, cq: CanonicalQuad, n: int = 256, *, tol: float = 1e
     ey = g.b * np.sin(th)
     xs = g.center.x + ex * ca - ey * sa
     ys = g.center.y + ex * sa + ey * ca
-    worst = math.inf
-    where = ""
-    for j, (nx, ny, c) in enumerate(side_distance_lines(cq)):
-        d = nx * xs + ny * ys + c
-        i = int(np.argmin(d))
-        if d[i] < worst:
-            worst = float(d[i])
-            where = f"side S{j + 1}, sample {i} of {n}"
-    tol_abs = tol * cq.diameter
-    residual = max(0.0, -worst)
-    return OracleReport("containment", residual <= tol_abs, residual,
-                        f"min signed distance {worst:.3e} at {where}", tol_abs)
+    return [float(np.min(nx * xs + ny * ys + c)) for nx, ny, c in side_distance_lines(cq)]
+
+
+def mp_support_distances(g: EllipseGeometry, cq: CanonicalQuad) -> list[tuple]:
+    """(d, rad) per side line at 50 digits: d is the least signed distance
+    of the ellipse ``g`` (its floats taken exactly) from the line through
+    the side's float end points, positive toward the quad, and rad the
+    half-width of the ellipse across that line, so the farthest point is
+    at d + 2 rad."""
+    with mpmath.workdps(50):
+        cx = sum(mpmath.mpf(p.x) for p in cq.vertices) / 4
+        cy = sum(mpmath.mpf(p.y) for p in cq.vertices) / 4
+        ang = mpmath.mpf(g.major_axis_angle or 0.0)
+        ca, sa = mpmath.cos(ang), mpmath.sin(ang)
+        x0, y0, a, b = (mpmath.mpf(x) for x in (*g.center, g.a, g.b))
+        out = []
+        for px, py, qx, qy in (map(mpmath.mpf, (*p, *q)) for p, q in cq.sides):
+            nx, ny = qy - py, px - qx
+            norm = mpmath.sqrt(nx * nx + ny * ny)
+            nx, ny = nx / norm, ny / norm
+            c = -(nx * px + ny * py)
+            if nx * cx + ny * cy + c < 0:
+                nx, ny, c = -nx, -ny, -c
+            rad = mpmath.sqrt((a * (nx * ca + ny * sa)) ** 2 + (b * (ny * ca - nx * sa)) ** 2)
+            out.append((nx * x0 + ny * y0 + c - rad, rad))
+        return out
+
+
+def support_rounding(g: EllipseGeometry, cq: CanonicalQuad) -> float:
+    """A bound on the float error of a support distance of ``g`` or of a
+    traced point's signed distance, from the side lines' rounding (their
+    normals within 2 eps, c within 3 eps of |p|, p a vertex) and from the
+    center, semi-axes and axis terms: 16 eps (|x0| + |y0| + max |p| + a + b)."""
+    reach = max(abs(p.x) + abs(p.y) for p in cq.vertices)
+    return 16.0 * 2.0 ** -53 * (abs(g.center.x) + abs(g.center.y) + reach + g.a + g.b)
+
+
+def incircle(cq: CanonicalQuad) -> tuple[Point2, float]:
+    """Center and radius of the inscribed circle of a tangential quad, by
+    angle bisectors: a reference for the circle ``solve`` reports.
+
+    Constructed as the intersection of the internal angle bisectors at two
+    adjacent vertices (bisectors at opposite vertices can coincide, e.g. on
+    a kite's symmetry axis); the radius is the distance to a side line.
+    Raises ValueError when the quad is not tangential or the four side
+    distances fail to agree to 1e-6 of the diameter.
+    """
+    if not classify(cq).tangential:
+        raise ValueError("quadrilateral fails the side-length test for an incircle")
+    verts = cq.vertices
+
+    def unit(p: Point2, q: Point2) -> tuple[float, float]:
+        dx, dy = q.x - p.x, q.y - p.y
+        norm = math.hypot(dx, dy)
+        return dx / norm, dy / norm
+
+    # Bisector at the origin, between sides toward (v, w) and (0, u).
+    o = verts[0]
+    d1 = unit(o, verts[3])
+    d2 = unit(o, verts[1])
+    ba = (d1[0] + d2[0], d1[1] + d2[1])
+    # Bisector at (0, u), between sides toward the origin and (s, t).
+    p1 = verts[1]
+    e1 = unit(p1, verts[0])
+    e2 = unit(p1, verts[2])
+    bb = (e1[0] + e2[0], e1[1] + e2[1])
+
+    det = ba[0] * (-bb[1]) - ba[1] * (-bb[0])
+    if det == 0.0:
+        raise ValueError("angle bisectors do not intersect")
+    rx, ry = p1.x - o.x, p1.y - o.y
+    tau = (rx * (-bb[1]) - ry * (-bb[0])) / det
+    center = Point2(o.x + tau * ba[0], o.y + tau * ba[1])
+
+    dists = [nx * center.x + ny * center.y + c
+             for nx, ny, c in side_distance_lines(cq)]
+    radius = dists[0]
+    if radius <= 0.0 or max(dists) - min(dists) > 1e-6 * cq.diameter:
+        raise ValueError("bisector intersection is not equidistant from the sides")
+    return center, radius
+
+
+def near_tangential_kites(count: int, seed: int) -> list[CanonicalQuad]:
+    """Type-1 midpoint-diagonal quads next to a kite (s, s, v, v, 0), with
+    v / s log-uniform in [1e-3, 2] and a signed Pitot residual drawn
+    uniformly in +-1e-9, so ``classify`` calls each tangential.  The kite
+    moves along a random direction of (t, w), with u = (vt - ws)/s keeping
+    it on the type-1 locus; the step is the drawn residual over the
+    Pitot residual per unit step in that direction, taken at 1e-6."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    while len(quads) < count:
+        s = float(rng.uniform(LO, HI))
+        v = s * 10.0 ** float(rng.uniform(-3.0, math.log10(2.0)))
+        phi = float(rng.uniform(-math.pi, math.pi))
+
+        def pose(eps):
+            t, w = s * (1.0 + eps * math.cos(phi)), s * eps * math.sin(phi)
+            return try_params(s, t, (v * t - w * s) / s, v, w)
+
+        probe = pose(1e-6)
+        if probe is None:
+            continue
+        cq = pose(float(rng.uniform(-1e-9, 1e-9)) * 1e-6 / classify(probe).residuals["pitot"])
+        if cq is not None:
+            qc = classify(cq)
+            if qc.tangential and qc.kind is QuadKind.MDQ_TYPE1:
+                quads.append(cq)
+    return quads
 
 
 def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:

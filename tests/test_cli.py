@@ -103,8 +103,8 @@ class TestMinimal:
         assert report["result"]["eccentricity"] == 0.0
         assert report["result"]["method"] == "closed_form_type1"
         assert report["result"]["tan_sq_gamma"] is None
-        assert any(o["name"] == "incircle" and o["passed"]
-                   for o in report["oracles"])
+        assert [(o["name"], o["passed"]) for o in report["oracles"]] == [
+            ("containment", True), ("side_tangency", True), ("optimum", True)]
 
     def test_svg_structure(self, tmp_path, capsys):
         svg_path = tmp_path / "figure.svg"
@@ -117,6 +117,17 @@ class TestMinimal:
         assert svg.count('class="tangency"') == 4
         assert svg.count('class="diagonal"') == 2
         assert svg.count('class="newton"') == 1
+
+    @pytest.mark.parametrize("command", ["minimal", "verify"])
+    def test_unwritable_svg_is_a_parse_error(self, tmp_path, capsys, command):
+        # it used to exit 1 with a FileNotFoundError traceback
+        svg_path = tmp_path / "no such dir" / "figure.svg"
+        code, out = run_cli(capsys, command, "--svg", str(svg_path), "--input",
+                            write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_PARSE
+        err = json.loads(out)["error"]
+        assert err["code"] == "parse" and err["message"].startswith("cannot write SVG: ")
+        assert not svg_path.parent.exists()
 
     def test_deterministic_output(self, tmp_path, capsys):
         path = write_input(tmp_path, Q5_VERTICES)
@@ -412,21 +423,22 @@ class TestClassifiesOnce:
             assert code == EXIT_OK and calls == []
             assert json.loads(out)["classification"]["kind"] == "mdq_type1"
 
-    @pytest.mark.parametrize("vertices, calls", [([(0, 0), (0, 3), (4, 6), (2, 1)], 0),
-                                                  (KITE_VERTICES, 1)], ids=["general", "kite"])
+    @pytest.mark.parametrize("vertices", [[(0, 0), (0, 3), (4, 6), (2, 1)], KITE_VERTICES],
+                             ids=["general", "kite"])
     def test_verify_reads_the_solver_classification(self, tmp_path, capsys, monkeypatch,
-                                                    vertices, calls):
-        # the battery picks its oracles from res.qclass; only incircle,
-        # which is public and guards itself, classifies again
-        from inellipse import oracle, quad
+                                                    vertices):
+        # the one classify call of a verify op is solve's; the battery runs
+        # the same oracles on every quad and never classifies
+        from inellipse import minecc, oracle, quad
         seen = []
 
         def counting(cq):
             seen.append(1)
             return quad.classify(cq)
-        monkeypatch.setattr(oracle, "classify", counting)
+        monkeypatch.setattr(minecc, "classify", counting)
         code, _ = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
-        assert code == EXIT_OK and len(seen) == calls
+        assert code == EXIT_OK and len(seen) == 1
+        assert not hasattr(oracle, "classify")
 
 
 class TestScaleRange:
@@ -459,6 +471,17 @@ class TestScaleRange:
         center = reference.to_input_frame(doc["result"]["center"], iso["angle"],
                                           iso["translation"], iso["reflect"])
         assert reference.center_error(reference.reference(vertices), center) <= checks.TOL_L
+
+    @pytest.mark.parametrize("k, failing", [(-132, ["containment"]), (-131, []), (84, []),
+                                            (85, ["side_tangency"])])
+    def test_verify_edges_beyond_the_accepted_range(self, monkeypatch, k, failing):
+        # built without the range check: from 2^-132 the degree-8 model goes
+        # subnormal and the reported b = a sqrt(ratio_sq) no longer touches
+        # its sides; from 2^85 the conic's norm (degree 16) overflows
+        from inellipse import canonicalize, quad, solve, verify
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in self.GENERAL])
+        assert [r.name for r in verify(cq, solve(cq)) if not r.passed] == failing
 
     def test_unit_quad_far_away(self, tmp_path, capsys):
         # at offset 1e200 the float vertices of a diameter-1 quad coincide

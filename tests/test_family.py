@@ -294,7 +294,7 @@ class TestFamilyPoint:
         for _ in range(20):
             cq = random_general(rng)
             fp = family_point(cq, random_h(cq, rng))
-            report = containment(geometry(fp.conic), cq, 256)
+            report = containment(geometry(fp.conic), cq)
             assert report.passed, report
 
     def test_all_sides_tangent(self):

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, cli_verify_pool, closed_form_h,
-                     geometry, grid_argmax, make_quad, maximize_h, moved_vertices, mp_family,
+                     geometry, grid_argmax, incircle, make_quad, maximize_h, moved_vertices, mp_family,
                      numpy_ratio_sq, mp_semi_axes, random_general, random_isometry,
                      random_kite, random_type1, random_type2, ratio_sq_closed_form,
                      ratio_sq_function, ratio_sq_prime, sv_pool)
 from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       incircle, newton_segment, solve, spectral)
+                       newton_segment, solve, spectral)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
 from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
                               center_quadratic)
