@@ -7,8 +7,7 @@ quadrilaterals the angle between its equal conjugate diameters equals the
 angle between the diagonals.
 """
 
-from .conic import (Conic, EllipseGeometry, Line2, LineConicRelation,
-                    conjugate_diameter_angle, line_tangency)
+from .conic import Conic, EllipseGeometry, conjugate_diameter_angle
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, Trapezoid)
 from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
@@ -26,13 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalQuad", "CenterQuadratic", "Conic", "Degenerate",
     "EllipseGeometry", "FamilyPoint", "HOutOfRange",
-    "InscribedEllipseError", "Isometry2", "Line2", "LineConicRelation",
-    "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
-    "NotConvex", "OracleReport", "Point2", "QuadClass",
-    "QuadKind", "SideLinears", "Spectral", "TangentPoint", "Trapezoid",
-    "canonicalize", "center_quadratic", "classify", "coefficients",
-    "conjugate_diameter_angle", "containment", "diagonal_angle",
-    "family_point", "line_tangency", "maximize_ratio_sq",
+    "InscribedEllipseError", "Isometry2", "MinEccResult", "NewtonSegment",
+    "NoValidLabeling", "NotAnEllipse", "NotConvex", "OracleReport",
+    "Point2", "QuadClass", "QuadKind", "SideLinears", "Spectral",
+    "TangentPoint", "Trapezoid", "canonicalize", "center_quadratic",
+    "classify", "coefficients", "conjugate_diameter_angle", "containment",
+    "diagonal_angle", "family_point", "maximize_ratio_sq",
     "newton_segment", "side_linears", "solve", "spectral",
     "tangency_points", "validate", "verify",
 ]

@@ -15,8 +15,8 @@ no option sets another.  Output is JSON on standard output with floats
 at 17 significant digits, so reports re-parse losslessly and identical
 inputs produce byte-identical reports.
 
-Exit codes: 0 ok, 2 parse error (also an --svg path that cannot be
-written), 3 geometry rejection, 4 verification failure.
+Exit codes: 0 ok, 2 parse error (unreadable input included, and an
+unwritable --svg path), 3 geometry rejection, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -104,11 +104,11 @@ def _load_input(path: Optional[str]) -> list[tuple[float, float]]:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read input: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also an int past the 4300-digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "vertices" not in data:
         raise ParseError('input must be an object with a "vertices" array')

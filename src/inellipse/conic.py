@@ -7,20 +7,19 @@ A conic is stored as the six coefficients of
 Coefficients are kept at whatever scale the caller supplies; several
 polynomial identities used elsewhere in the package hold only at the
 defining scale.  Use :meth:`Conic.normalized` when comparing across
-scales.  The package has no general conic-to-shape route: the solved
-ellipse's :class:`EllipseGeometry` (center, semi-axes, eccentricity, axis
-angle) comes from the family model in ``minecc.solve``, and
-``oracle.verify`` checks that reported shape against the side lines by
-its support distances and the tangency of its conic separately.
+scales.  The package has no general conic-to-shape route and no line
+type: the solved ellipse's :class:`EllipseGeometry` (center, semi-axes,
+eccentricity, axis angle) comes from the family model in ``minecc.solve``;
+``oracle.verify`` checks that shape by its support distances from the side
+lines, and the conic's tangency to each side line by l^T adj(M) l.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple, Optional
 
-from .quad import Point2, PointLike
+from .quad import Point2
 
 
 class Conic(NamedTuple):
@@ -62,33 +61,6 @@ class EllipseGeometry(NamedTuple):
     major_axis_angle: Optional[float]   # None for circles
 
 
-class Line2(NamedTuple):
-    """Line in slope-intercept form; ``slope is None`` marks a vertical
-    line whose ``intercept`` is then the x offset."""
-
-    slope: Optional[float]
-    intercept: float
-
-    @classmethod
-    def through(cls, p: PointLike, q: PointLike) -> "Line2":
-        dx = q[0] - p[0]
-        dy = q[1] - p[1]
-        if abs(dx) <= 1e-15 * (abs(dx) + abs(dy)):
-            return cls(None, p[0])
-        m = dy / dx
-        return cls(m, p[1] - m * p[0])
-
-    @property
-    def is_vertical(self) -> bool:
-        return self.slope is None
-
-
-class LineConicRelation(Enum):
-    DISJOINT = "disjoint"
-    TANGENT = "tangent"
-    SECANT = "secant"
-
-
 def _major_axis_angle(c: Conic, trace: float, gap_sq: float) -> Optional[float]:
     """Major-axis angle of an ellipse with A + C = trace > 0 and
     (A - C)^2 + B^2 = gap_sq.
@@ -117,29 +89,3 @@ def conjugate_diameter_angle(g: EllipseGeometry) -> float:
     if ratio >= 1.0 - 1e-12:
         return math.pi / 2.0
     return 2.0 * math.atan(ratio)
-
-
-def line_tangency(c: Conic, line: Line2) -> tuple[LineConicRelation, float]:
-    """Classify a line against an ellipse by the substituted discriminant.
-
-    Substituting the line into the conic leaves a quadratic in one
-    variable; its discriminant is negative/zero/positive for
-    disjoint/tangent/secant.  "Zero" means at most 1e-9 of the squared
-    coefficient scale of that quadratic.
-    """
-    A, B, C, D, E, F = c
-    if line.is_vertical:
-        x0 = line.intercept
-        q2, q1, q0 = C, B * x0 + E, (A * x0 + D) * x0 + F
-    else:
-        m, b0 = line.slope, line.intercept
-        q2 = A + B * m + C * m * m
-        q1 = B * b0 + 2.0 * C * m * b0 + D + E * m
-        q0 = C * b0 * b0 + E * b0 + F
-    disc = q1 * q1 - 4.0 * q2 * q0
-    scale = max(q1 * q1, abs(4.0 * q2 * q0)) or 1.0
-    if abs(disc) <= 1e-9 * scale:
-        return LineConicRelation.TANGENT, disc
-    if disc > 0.0:
-        return LineConicRelation.SECANT, disc
-    return LineConicRelation.DISJOINT, disc

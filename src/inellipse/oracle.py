@@ -3,11 +3,11 @@
 Every oracle is independent of what it checks: :func:`optimum` takes the
 model's slope in exact ``int`` arithmetic, without the float stationarity
 quartic, its root search or a closed form; the tangency points come from
-the side linears; the support distances from the side lines alone.
-:func:`verify` runs the battery on a ``minecc.solve`` result:
-``containment`` checks that the reported ellipse (center, semi-axes, axis
-angle) is inscribed, ``side_tangency`` checks its conic and ``optimum``
-its h*.  Plain ``math`` and ``int``.
+the side linears; the support distances and the line residual l^T adj(M)
+l from the side lines alone.  :func:`verify` runs the battery on a
+``minecc.solve`` result: ``containment`` checks that the reported ellipse
+(center, semi-axes, axis angle) is inscribed, ``side_tangency`` checks its
+conic and ``optimum`` its h*.  Plain ``math`` and ``int``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import math
 from typing import NamedTuple
 
 from . import family
-from .conic import Conic, EllipseGeometry, Line2, LineConicRelation, line_tangency
+from .conic import Conic, EllipseGeometry
 from .minecc import MinEccResult
-from .quad import CanonicalQuad
+from .quad import CanonicalQuad, Point2
+
+TANGENCY_TOL = 1e-12    # band of both side_tangency residuals, each at most 1
 
 
 class OracleReport(NamedTuple):
@@ -67,30 +69,43 @@ def containment(g: EllipseGeometry, cq: CanonicalQuad) -> OracleReport:
                         f"support distance {d:.3e} from side S{j + 1}", tol_abs)
 
 
+def _line_residual(conic: Conic, p: Point2, q: Point2) -> float:
+    """|l^T adj(2M) l| over the sum of its 12 monomials' magnitudes: 0 when
+    the line l = (a, b, c) through p and q is tangent to the conic of
+    symmetric matrix M, and at most 1.  It takes no parametrization of the
+    line, and (q, p), which negates l, gives the same bits."""
+    A, B, C, D, E, F = conic
+    a, b, c = q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y
+    aa, bb, cc, ab, ac, bc = a * a, b * b, c * c, 2.0 * a * b, 2.0 * a * c, 2.0 * b * c
+    terms = (4.0 * aa * C * F, -aa * E * E, 4.0 * bb * A * F, -bb * D * D,
+             4.0 * cc * A * C, -cc * B * B, ab * D * E, -2.0 * ab * B * F,
+             ac * B * E, -2.0 * ac * C * D, bc * B * D, -2.0 * bc * A * E)
+    return abs(sum(terms)) / (sum(map(abs, terms)) or 1.0)
+
+
 def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
     """The side lines tangent to ``res.conic`` (normalized, so it must be
     finite and not zero), and the tangency points at h* on it and inside
-    their sides; the residual is the largest |conic(point)| over its term
-    scale, which is at most 1."""
+    their sides.  Each side's :func:`_line_residual` and its point's
+    |conic(point)| over its term scale, both at most 1, must be within
+    ``TANGENCY_TOL``.  The residual is the largest of the eight, located at
+    its side and half (ties to the first line, then the first point)."""
     conic_n = res.conic.normalized()
     if not (any(conic_n) and all(map(math.isfinite, conic_n))):
         return OracleReport("side_tangency", False, 1.0,
-                            "normalized conic is zero or not finite", 1e-9)
+                            "normalized conic is zero or not finite", TANGENCY_TOL)
     terms = Conic._make(map(abs, conic_n))
-    all_tangent, worst, where = True, 0.0, ""
-    for j, side in enumerate(cq.sides):
-        relation, _ = line_tangency(conic_n, Line2.through(*side))
-        if relation is not LineConicRelation.TANGENT:
-            all_tangent = False
-            where = f"side S{j + 1} is {relation.value}"
-    for tp in family.tangency_points(cq, res.h_star):
-        x, y = tp.zeta
-        worst = max(worst, abs(conic_n(x, y)) / (terms(abs(x), abs(y)) or 1.0))
-        if not (0.0 < tp.lam < 1.0):
-            all_tangent = False
-            where = f"tangency parameter {tp.lam!r} outside (0, 1)"
-    return OracleReport("side_tangency", all_tangent and worst <= 1e-9, worst,
-                        where or "all side lines tangent", 1e-9)
+    points = family.tangency_points(cq, res.h_star)
+    outside = [tp.lam for tp in points if not 0.0 < tp.lam < 1.0]
+    residuals = [(_line_residual(conic_n, p, q), j, "line") for j, (p, q) in enumerate(cq.sides)]
+    residuals += [(abs(conic_n(x, y)) / (terms(abs(x), abs(y)) or 1.0), j, "tangency point")
+                  for j, ((x, y), _) in enumerate(points)]
+    worst, j, half = max(residuals, key=lambda r: r[0])
+    passed = worst <= TANGENCY_TOL and not outside
+    where = ("all side lines tangent" if passed else
+             f"tangency parameter {outside[0]!r} outside (0, 1)" if outside else
+             f"{half} residual {worst:.3e} on side S{j + 1}")
+    return OracleReport("side_tangency", passed, worst, where, TANGENCY_TOL)
 
 
 def _slope_sign(cq: CanonicalQuad, h: float) -> int:
@@ -149,7 +164,8 @@ def optimum(cq: CanonicalQuad, h: float) -> OracleReport:
 def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     """The oracle battery on ``res = minecc.solve(cq)``, in report order:
     ``containment`` (the reported ellipse ``res.geom`` inscribed);
-    ``side_tangency`` (of the reported conic ``res.conic``); ``optimum``
-    (h* within a certified half-width of the exact maximizer).
+    ``side_tangency`` (the reported conic ``res.conic`` tangent to the side
+    lines at its tangency points); ``optimum`` (h* within a certified
+    half-width of the exact maximizer).
     """
     return [containment(res.geom, cq), side_tangency(cq, res), optimum(cq, res.h_star)]

@@ -17,7 +17,9 @@ incircle, 50-digit references built from the
 defining coefficient formulas, float references that the package does
 not need (the squared axis ratio as a function of h and its central
 difference ``fd_gradient``, the general conic-to-shape route ``geometry``
-with its ``is_ellipse`` test, the tangent slope of a conic, the analytic
+with its ``is_ellipse`` test, the tangent slope of a conic, the
+slope-intercept ``Line2`` with the discriminant test ``line_tangency`` as
+a reference for ``oracle._line_residual``, the analytic
 derivative of the squared axis ratio, the type-1 closed forms, the
 numeric root as a center abscissa), named quads shared by several test
 modules, and the input pools of the benchmark (``bench/``, imported,
@@ -531,6 +533,49 @@ def tangent_slope(c, p, *, tol: float = 1e-9):
     if abs(gy) <= tol * gnorm:
         return None
     return -gx / gy
+
+
+class Line2(NamedTuple):
+    """Line in slope-intercept form; ``slope is None`` marks a vertical
+    line whose ``intercept`` is then the x offset."""
+
+    slope: float | None
+    intercept: float
+
+    @classmethod
+    def through(cls, p, q) -> "Line2":
+        dx = q[0] - p[0]
+        dy = q[1] - p[1]
+        if abs(dx) <= 1e-15 * (abs(dx) + abs(dy)):
+            return cls(None, p[0])
+        m = dy / dx
+        return cls(m, p[1] - m * p[0])
+
+    @property
+    def is_vertical(self) -> bool:
+        return self.slope is None
+
+
+def line_tangency(c, line: Line2) -> tuple[str, float]:
+    """"disjoint", "tangent" or "secant" for a line against an ellipse,
+    with the discriminant of the conic restricted to the line; "tangent"
+    means |disc| at most 1e-9 of the squared coefficient scale of that
+    quadratic.  A reference for ``oracle._line_residual``; unlike that
+    residual, its scale depends on how the line is parametrized."""
+    A, B, C, D, E, F = c
+    if line.is_vertical:
+        x0 = line.intercept
+        q2, q1, q0 = C, B * x0 + E, (A * x0 + D) * x0 + F
+    else:
+        m, b0 = line.slope, line.intercept
+        q2 = A + B * m + C * m * m
+        q1 = B * b0 + 2.0 * C * m * b0 + D + E * m
+        q0 = C * b0 * b0 + E * b0 + F
+    disc = q1 * q1 - 4.0 * q2 * q0
+    scale = max(q1 * q1, abs(4.0 * q2 * q0)) or 1.0
+    if abs(disc) <= 1e-9 * scale:
+        return "tangent", disc
+    return ("secant" if disc > 0.0 else "disjoint"), disc
 
 
 def maximize_h(cq: CanonicalQuad, **kwargs) -> tuple[float, int]:

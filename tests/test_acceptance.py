@@ -10,17 +10,17 @@ import time
 
 import numpy as np
 
-from helpers import (Q5_VERTICES, canonical_vertices, closed_form_h, ellipse_delta,
-                     fd_gradient, grid_argmax, interior_points, maximize_h,
-                     moved_vertices, numpy_ratio_sq, random_general, random_isometry,
-                     random_kite, random_type1, random_type2, ratio_sq_closed_form,
-                     ratio_sq_function, ratio_sq_prime, tangent_slope,
-                     type1_factored_quartic)
-from inellipse import (Conic, Line2, LineConicRelation, canonicalize,
-                       classify, coefficients, diagonal_angle, line_tangency,
+from helpers import (Q5_VERTICES, Line2, canonical_vertices, closed_form_h,
+                     ellipse_delta, fd_gradient, grid_argmax, interior_points,
+                     line_tangency, maximize_h, moved_vertices, numpy_ratio_sq,
+                     random_general, random_isometry, random_kite, random_type1,
+                     random_type2, ratio_sq_closed_form, ratio_sq_function,
+                     ratio_sq_prime, tangent_slope, type1_factored_quartic)
+from inellipse import (Conic, canonicalize, classify, coefficients, diagonal_angle,
                        side_linears, solve, spectral, tangency_points)
 from inellipse.family import stationarity
 from inellipse.minecc import center_quadratic
+from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import QuadKind
 
 SQRT61 = math.sqrt(61.0)
@@ -127,8 +127,8 @@ def test_criterion_4_tangency():
 
         cn = c.normalized()
         for p, q in cq.sides:
-            relation, _ = line_tangency(cn, Line2.through(p, q))
-            assert relation is LineConicRelation.TANGENT
+            assert line_tangency(cn, Line2.through(p, q))[0] == "tangent"
+            assert _line_residual(cn, p, q) <= TANGENCY_TOL
     report(4, "tangency on 200 pairs")
 
 

@@ -72,6 +72,33 @@ class TestClassify:
         assert json.loads(out)["classification"]["kind"] == "mdq_type1"
 
 
+class TestUnreadableInput:
+    """Bytes that are not UTF-8, JSON nested past the recursion limit and
+    an integer past the int-from-string digit limit are parse errors (exit
+    2 and an error object), not tracebacks."""
+
+    NOT_UTF8 = b"\xff"
+    TOO_DEEP = b'{"vertices": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    TOO_LONG = b'{"vertices": [[0, 0], [0, 1], [1, 1], [1, 0]], "x": ' + b"1" * 5000 + b"}"
+    PAYLOADS = pytest.mark.parametrize("payload", [NOT_UTF8, TOO_DEEP, TOO_LONG],
+                                       ids=["not_utf8", "too_deep", "too_many_digits"])
+
+    @PAYLOADS
+    @pytest.mark.parametrize("command", ["classify", "minimal", "verify"])
+    def test_file(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        code, out = run_cli(capsys, command, "--input", str(path))
+        assert code == EXIT_PARSE and json.loads(out)["error"]["code"] == "parse"
+
+    @PAYLOADS
+    @pytest.mark.parametrize("command", ["classify", "minimal", "verify"])
+    def test_stdin(self, capsys, monkeypatch, command, payload):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(payload), encoding="utf-8"))
+        code, out = run_cli(capsys, command)
+        assert code == EXIT_PARSE and json.loads(out)["error"]["code"] == "parse"
+
+
 class TestMinimal:
     def test_golden_quad_report(self, tmp_path, capsys):
         code, out = run_cli(capsys, "minimal", "--input",

@@ -4,15 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (closed_form_h, ellipse_delta, geometry, interior_points,
-                     is_ellipse, make_quad, mp_conic, mp_family, random_general,
-                     random_h, random_type1, ratio_sq_function, ratio_sq_prime,
-                     tangent_slope, type1_factored_quartic)
-from inellipse import (Conic, HOutOfRange, LineConicRelation, Line2,
-                       coefficients, containment, family_point, line_tangency,
+from helpers import (Line2, closed_form_h, ellipse_delta, geometry, interior_points,
+                     is_ellipse, line_tangency, make_quad, mp_conic, mp_family,
+                     random_general, random_h, random_type1, ratio_sq_function,
+                     ratio_sq_prime, tangent_slope, type1_factored_quartic)
+from inellipse import (Conic, HOutOfRange, coefficients, containment, family_point,
                        side_linears, spectral, tangency_points)
 from inellipse import canonicalize, newton_segment
 from inellipse.family import stationarity
+from inellipse.oracle import TANGENCY_TOL, _line_residual
 
 
 @pytest.fixture
@@ -89,9 +89,9 @@ class TestTangencyPoints:
         assert tps[1].zeta.x == 0.0
         assert abs(tps[1].zeta.y - 2.0 / 3.0) <= 1e-15
         # side S2 is the y axis: the conic must be tangent to it there
-        relation, _ = line_tangency(coefficients(q5, 1.5).normalized(),
-                                    Line2(None, 0.0))
-        assert relation is LineConicRelation.TANGENT
+        c = coefficients(q5, 1.5).normalized()
+        assert line_tangency(c, Line2(None, 0.0))[0] == "tangent"
+        assert _line_residual(c, *q5.sides[1]) <= TANGENCY_TOL
 
     def test_points_lie_on_conic_and_sides(self):
         rng = np.random.default_rng(304)
@@ -303,5 +303,5 @@ class TestFamilyPoint:
             cq = random_general(rng)
             c = coefficients(cq, random_h(cq, rng)).normalized()
             for p, q in cq.sides:
-                relation, _ = line_tangency(c, Line2.through(p, q))
-                assert relation is LineConicRelation.TANGENT
+                assert line_tangency(c, Line2.through(p, q))[0] == "tangent"
+                assert _line_residual(c, p, q) <= TANGENCY_TOL

@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     bench_module, cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
+                     Line2, bench_module, cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
                      incircle, interior_points, make_quad, mp_family, mp_support_distances,
                      near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
-                     random_kite, random_type2, ratio_sq_function, ratio_sq_prime,
-                     support_rounding, sv_pool)
+                     line_tangency, random_kite, random_type2, ratio_sq_function,
+                     ratio_sq_prime, support_rounding, sv_pool)
 from inellipse import (CanonicalQuad, Conic, Point2, QuadKind, canonicalize,
                        classify, coefficients, containment, solve, verify)
-from inellipse import family, minecc
-from inellipse.oracle import _slope_sign, optimum, side_distance_lines
+from inellipse import family, minecc, quad
+from inellipse.oracle import (TANGENCY_TOL, _line_residual, _slope_sign, optimum,
+                              side_distance_lines, side_tangency)
 
 H_PLUS_GOLDEN = 3.0 / 13.0 * (-3.0 + math.sqrt(61.0))
 
@@ -309,6 +310,109 @@ def moved_solve(monkeypatch, shift):
         return lam + shift, steps
 
     monkeypatch.setattr(minecc, "maximize_ratio_sq", moved)
+
+
+def member_tangency(cq, res, h):
+    """``side_tangency`` of the family member at h, reported as if solved."""
+    return side_tangency(cq, res._replace(conic=coefficients(cq, h), h_star=h))
+
+
+def mutated_conics(cq, res, rel):
+    """``res.conic`` with one of A..F times 1 + rel and 1 - rel, normalized
+    as ``side_tangency`` takes it: 12 conics."""
+    return [res.conic._make(c * (1.0 + sign * rel) if i == k else c
+                            for i, c in enumerate(res.conic)).normalized()
+            for k in range(6) for sign in (1.0, -1.0)]
+
+
+class TestSideTangency:
+    """The line half of ``side_tangency`` is the parametrization-free
+    residual of l^T adj(M) l; both halves share the band ``TANGENCY_TOL``."""
+
+    HONEST = 1e-3 * TANGENCY_TOL
+
+    def test_honest_reports_on_cli_verify_pools(self):
+        worst = max(side_tangency(cq, solve(cq)).worst_residual
+                    for seed in range(1, 11) for cq in cli_verify_pool(seed))
+        assert worst <= self.HONEST
+
+    def test_honest_reports_on_special_cases(self):
+        for vertices in THIN_OPTIMA + NEAR_TRAPEZOIDS + [Q5_VERTICES, KITE_VERTICES]:
+            cq = canonicalize(vertices)
+            rep = side_tangency(cq, solve(cq))
+            assert rep.passed and rep.worst_residual <= self.HONEST, rep
+
+    def test_honest_family_members(self):
+        # 294 quads, each at 8 abscissas from 0.001 to 0.999 of the interval
+        fractions = (0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999)
+        for cq in sv_pool() + cli_verify_pool(1) + cli_verify_pool(2):
+            res, (lo, hi) = solve(cq), cq.interval
+            for f in fractions:
+                rep = member_tangency(cq, res, lo + f * (hi - lo))
+                assert rep.passed and rep.worst_residual <= self.HONEST, (cq, f, rep)
+
+    def test_honest_at_the_scale_edges(self, monkeypatch):
+        # the range of TestScaleRange::test_verify_edges_beyond_the_accepted_range
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        for k in range(-131, 85):
+            cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k))
+                               for x, y in [(0, 0), (0, 3), (4, 6), (2, 1)]])
+            rep = side_tangency(cq, solve(cq))
+            assert rep.passed and rep.worst_residual <= self.HONEST, (k, rep)
+
+    def test_the_same_bits_for_either_vertex_order(self):
+        for cq in cli_verify_pool(1):
+            res = solve(cq)
+            for conic in [res.conic.normalized()] + mutated_conics(cq, res, 1e-9):
+                for p, q in cq.sides:
+                    assert _line_residual(conic, p, q) == _line_residual(conic, q, p)
+
+    @pytest.mark.parametrize("p, q, tangent", [
+        ((1.0, -3.0), (1.0, 5.0), True), ((-2.0, 1.0), (7.0, 1.0), True),
+        ((0.5, 0.0), (0.5, 1.0), False), ((2.0, 0.0), (2.0, 1.0), False)],
+        ids=["x=1", "y=1", "x=0.5", "x=2"])
+    def test_unit_circle(self, p, q, tangent):
+        residual = _line_residual(Conic(1, 0, 1, 0, 0, -1), Point2(*p), Point2(*q))
+        assert (residual <= TANGENCY_TOL) is tangent and 0.0 <= residual <= 1.0
+
+    def test_a_nan_conic_fails(self):
+        p, q = Point2(1.0, -3.0), Point2(1.0, 5.0)
+        assert not _line_residual(Conic(1, 0, 1, 0, math.nan, -1), p, q) <= TANGENCY_TOL
+
+    # per rel: cases flagged by line_tangency's 1e-9 discriminant band (the
+    # old line test) and by _line_residual at TANGENCY_TOL, of 1536
+    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1217, 1468),
+                      1e-10: (202, 1454), 1e-11: (22, 1356)}
+
+    @pytest.mark.parametrize("rel", sorted(MUTATION_TABLE, reverse=True))
+    def test_mutation_table(self, rel):
+        # 128 seed-1 pool conics with one of A..F times 1 +- rel; the old
+        # test alone flags D (1 +- rel) on S1 of a thin type-2 quad (u =
+        # 0.146), where its discriminant reads 5.6e-13 of its scale honestly
+        old = new = 0
+        only_old = []
+        for cq in cli_verify_pool(1):
+            for i, conic in enumerate(mutated_conics(cq, solve(cq), rel)):
+                by_old = any(line_tangency(conic, Line2.through(p, q))[0] != "tangent"
+                             for p, q in cq.sides)
+                by_new = any(_line_residual(conic, p, q) > TANGENCY_TOL for p, q in cq.sides)
+                old, new = old + by_old, new + by_new
+                if by_old and not by_new:
+                    only_old.append(("ABCDEF"[i // 2], round(cq.u, 3)))
+        assert (old, new) == self.MUTATION_TABLE[rel] and new >= old
+        assert only_old == ([] if rel > 1e-10 else [("D", 0.146)] * 2)
+
+    def test_a_failure_names_its_side_and_half(self, q5):
+        res = solve(q5)
+        bad_line = res._replace(conic=res.conic._replace(F=res.conic.F * (1.0 + 1e-9)))
+        rep = side_tangency(q5, bad_line)
+        assert not rep.passed and rep.tolerance == TANGENCY_TOL
+        assert rep.location == f"line residual {rep.worst_residual:.3e} on side S2"
+        lo, hi = q5.interval
+        rep = side_tangency(q5, res._replace(h_star=res.h_star + 1e-6 * (hi - lo)))
+        assert not rep.passed
+        assert rep.location.startswith("tangency point residual")
+        assert side_tangency(q5, res).location == "all side lines tangent"
 
 
 class TestOptimum:

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import Q5_VERTICES
 from inellipse import (CanonicalQuad, CenterQuadratic, EllipseGeometry,
-                       FamilyPoint, Isometry2, Line2, MinEccResult,
+                       FamilyPoint, Isometry2, MinEccResult,
                        NewtonSegment, OracleReport, QuadClass, canonicalize,
                        center_quadratic, family_point, newton_segment, solve,
                        verify)
@@ -36,7 +36,6 @@ def records(cq, res):
         QuadClass: res.qclass,
         NewtonSegment: newton_segment(cq),
         EllipseGeometry: res.geom,
-        Line2: Line2.through(*cq.vertices[2:]),
         FamilyPoint: family_point(cq, 0.5 * (lo + hi)),
         CenterQuadratic: center_quadratic(cq),
         MinEccResult: res,
