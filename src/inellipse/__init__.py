@@ -13,8 +13,7 @@ from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
 from .family import (FamilyPoint, SideLinears, Spectral, TangentPoint,
                      coefficients, family_point, side_linears, spectral,
                      tangency_points)
-from .minecc import (CenterQuadratic, MinEccResult, center_quadratic,
-                     maximize_ratio_sq, solve)
+from .minecc import MinEccResult, maximize_ratio_sq, solve
 from .oracle import OracleReport, containment, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
                    QuadClass, QuadKind, canonicalize, classify,
@@ -23,12 +22,11 @@ from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalQuad", "CenterQuadratic", "Conic", "Degenerate",
-    "EllipseGeometry", "FamilyPoint", "HOutOfRange",
-    "InscribedEllipseError", "Isometry2", "MinEccResult", "NewtonSegment",
-    "NoValidLabeling", "NotAnEllipse", "NotConvex", "OracleReport",
-    "Point2", "QuadClass", "QuadKind", "SideLinears", "Spectral",
-    "TangentPoint", "Trapezoid", "canonicalize", "center_quadratic",
+    "CanonicalQuad", "Conic", "Degenerate", "EllipseGeometry",
+    "FamilyPoint", "HOutOfRange", "InscribedEllipseError", "Isometry2",
+    "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
+    "NotConvex", "OracleReport", "Point2", "QuadClass", "QuadKind",
+    "SideLinears", "Spectral", "TangentPoint", "Trapezoid", "canonicalize",
     "classify", "coefficients", "conjugate_diameter_angle", "containment",
     "diagonal_angle", "family_point", "maximize_ratio_sq",
     "newton_segment", "side_linears", "solve", "spectral",

@@ -11,7 +11,9 @@ Subcommands:
 Input is a JSON document with a top-level "vertices" array of four [x, y]
 pairs (file via --input, or standard input); other keys are ignored.  The
 classification tolerance is the package's one, ``quad.DEFAULT_TOL``, and
-no option sets another.  Output is JSON on standard output with floats
+no option sets another.  Each report's "classification" block comes from
+one ``classify`` call; the solver never reads it, so it describes the
+quad and picks nothing.  Output is JSON on standard output with floats
 at 17 significant digits, so reports re-parse losslessly and identical
 inputs produce byte-identical reports.
 
@@ -328,7 +330,7 @@ def _cmd_minimal(args) -> int:
     res = minecc.solve(cq)
     report = {
         "input": {"vertices": [list(v) for v in vertices]},
-        "classification": _classification_block(res.qclass),
+        "classification": _classification_block(classify(cq)),
         "canonical": _canonical_block(cq),
         "newton": _newton_block(cq),
         "result": _result_block(res),

@@ -150,14 +150,6 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
     return conic, center, _spectral(cq, lam, conic, sv2)
 
 
-def _spectral_quadratics(cq: CanonicalQuad):
-    """Monomial lam-coefficients (c2, c1, c0) of trace = A + C, A - C and B
-    of the model."""
-    (a0, a1, a2), b, (c0, c1, c2) = _model(*cq.params)[:3]
-    return [(x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0)
-            for x0, x1, x2 in ((a0 + c0, a1 + c1, a2 + c2), (a0 - c0, a1 - c1, a2 - c2), b)]
-
-
 def _segment_coordinate(cq: CanonicalQuad, h):
     """lam = (2h - v) / (s - v)."""
     return (2.0 * h - cq.v) / (cq.s - cq.v)
@@ -179,7 +171,9 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
     of size T^3 T' that cancel down to T K' on thin members.
     """
     scale = _unit(cq)
-    t2, t1, t0 = [scale * x for x in _spectral_quadratics(cq)[0]]
+    model = _model(*cq.params)
+    x0, x1, x2 = [a + c for a, c in zip(model[0], model[2])]     # trace = A + C
+    t2, t1, t0 = scale * (x0 - 2.0 * x1 + x2), scale * (2.0 * (x1 - x0)), scale * x0
     e0, e1 = [16.0 * cq.u * scale * scale * _l5(cq, x) for x in (0.0, 1.0)]
     slope = e1 - e0
 

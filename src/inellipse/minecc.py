@@ -12,14 +12,16 @@ p = 2 T' G - T G' (``family.stationarity``), which is positive at the
 left end of the segment, negative at the right, and changes sign exactly
 once between (the unique optimum of the paper's [H1]); the maximizer is
 that root.  ``oracle.optimum`` certifies it by two exact signs of p, one
-on each side.  For a midpoint-diagonal quadrilateral p has an explicit
-quadratic factor, the paper's o(h) for type 1 and q2(h) for type 2, and
-the root is its closed form in lam in the quad's own frame; every other
-quad gets the root of p by bracketed, safeguarded Newton.  No path
-searches over values of the ratio.  The conic, the center, the semi-axes
-and the axis angle are then read from the model at that lam; the package
-has no route from a conic's six coefficients back to its shape.  The
-center abscissa h* is reported, never converted back.
+on each side.  Every quad gets that root by bracketed, safeguarded
+Newton, one path whatever its class.  For a midpoint-diagonal
+quadrilateral p has an explicit quadratic factor, the paper's o(h) for
+type 1 and q2(h) for type 2, whose closed-form roots are test references
+only: near the MDQ locus they are the root of a neighbouring quad.  The
+tangential circle is the same root, where the gap of the conic vanishes.
+No path searches over values of the ratio.  The conic, the center, the
+semi-axes and the axis angle are then read from the model at that lam;
+the package has no route from a conic's six coefficients back to its
+shape.  The center abscissa h* is reported, never converted back.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -35,30 +37,9 @@ from . import family
 from .conic import (Conic, EllipseGeometry, _major_axis_angle,
                     conjugate_diameter_angle)
 from .errors import NotAnEllipse
-from .quad import (CanonicalQuad, QuadClass, QuadKind, classify,
-                   diagonal_angle)
+from .quad import CanonicalQuad, diagonal_angle
 
-CLOSED_FORM = "closed_form_type1"
 NUMERIC = "numeric"
-
-
-class CenterQuadratic(NamedTuple):
-    """Quadratic in the center abscissa whose root inside the center
-    interval locates the minimal-eccentricity member (type-1 case).
-
-    o(h) = c2 h^2 + c1 h + c0 with c2 = -2(s^2+t^2)(s-v), c1 = -2k,
-    c0 = s k.  k and p1 are always positive, and o changes sign across the
-    interval, so the bracketed root exists and is unique.
-    """
-
-    c2: float
-    c1: float
-    c0: float
-    k: float
-    p1: float
-
-    def __call__(self, h: float) -> float:
-        return (self.c2 * h + self.c1) * h + self.c0
 
 
 class MinEccResult(NamedTuple):
@@ -68,60 +49,9 @@ class MinEccResult(NamedTuple):
     gamma: float            # angle between equal conjugate diameters
     alpha: float            # angle between the diagonals
     ratio_sq: float         # (b/a)^2 at the solution
-    method: str             # CLOSED_FORM or NUMERIC
-    iterations: int         # root-search steps (0 for the closed form)
+    method: str             # NUMERIC, the one path
+    iterations: int         # root-search steps
     residual: float         # |gamma - alpha|
-    qclass: QuadClass       # classification of the solved quad, which picked the path
-
-
-def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
-    s, t, v, w = cq.s, cq.t, cq.v, cq.w
-    st2 = s * s + t * t
-    vs, ws, vtws = v * s, w * s, v * t - w * s
-    k = vs * vs + vtws * vtws + ws * ws             # (s^2+t^2) v^2 - 2ws(vt - ws)
-    p1 = vs * vs + (vtws - ws) ** 2                 # (s^2+t^2) v^2 - 4ws(vt - ws)
-    return CenterQuadratic(-2.0 * st2 * (s - v), -2.0 * k, s * k, k, p1)
-
-
-def _type1_root(cq: CanonicalQuad) -> float:
-    """Segment coordinate of the type-1 optimum, the root of o(h) in the
-    interval:
-
-        lam = 2 s p1 / (((2s - v) sqrt(k) + v sqrt(K)) (sqrt(k) + sqrt(K)))
-
-    with K = k + 2(s^2+t^2) s (s-v).  k and p1 are sums of squares
-    (:func:`center_quadratic`); k K is the quarter discriminant of o,
-    positive because o has opposite signs at the ends of the interval, so
-    K > 0 too.  2s - v > 0 because D1 bisects D2 at abscissa v/2 inside
-    (0, s).  So the denominator is positive termwise: the form takes no
-    difference of the two roots and no division by s - v.
-    """
-    s, t, v = cq.s, cq.t, cq.v
-    o = center_quadratic(cq)
-    rk = math.sqrt(o.k)
-    rbig = math.sqrt(o.k + 2.0 * (s * s + t * t) * s * (s - v))
-    return 2.0 * s * o.p1 / (((2.0 * s - v) * rk + v * rbig) * (rk + rbig))
-
-
-def _type2_root(cq: CanonicalQuad) -> float:
-    """Segment coordinate of the type-2 optimum, u = (vt - ws)/(2v - s).
-
-    There p has the factor q2(h) = 2(s-v) M h^2 - 2 K2 h + v K2 with
-    M = (s-2v)^2 + (t-2w)^2 and 2 K2 = s^2 M + (s^2+t^2)(s-2v)^2.  Its
-    root in the interval is
-
-        lam = 4 v^2 M / (sqrt(2 K2) + |s - 2v| sqrt(M + s^2 + t^2))^2.
-
-    M > 0 because 2v > s on the locus (u > 0), so both radicands and the
-    denominator are sums of squares with a positive term: the root takes
-    no difference.
-    """
-    s, t, v, w = cq.s, cq.t, cq.v, cq.w
-    d = s - 2.0 * v
-    st2 = s * s + t * t
-    m = d * d + (t - 2.0 * w) ** 2
-    den = math.sqrt(s * s * m + st2 * d * d) + abs(d) * math.sqrt(m + st2)
-    return 4.0 * v * v * m / (den * den)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +62,7 @@ def _type2_root(cq: CanonicalQuad) -> float:
 def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
                       max_iter: int = 200) -> tuple[float, int]:
     """Maximize the squared axis ratio: the root of the stationarity quartic
-    p (``family.stationarity``).  Never uses the closed form.
+    p (``family.stationarity``).
 
     Returns (lam, steps) with lam the root's segment coordinate (its center
     abscissa is ``family._abscissa(cq, lam)``).  p is positive left of the
@@ -180,31 +110,24 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
 def solve(cq: CanonicalQuad) -> MinEccResult:
     """Minimal-eccentricity inscribed ellipse of a canonical quadrilateral.
 
-    The quad is classified once, at ``quad.DEFAULT_TOL``; the result
-    carries that classification.  Midpoint-diagonal quads of either type
-    are solved in closed form in their own canonical frame; everything
-    else is the root of the stationarity quartic (:func:`maximize_ratio_sq`).
-    Both give the segment coordinate lam* of the optimum, at which the
-    conic, the center and the spectral quantities are evaluated
-    (``family._at``).  With S = trace + gap at the defining scale,
-    a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq) and e^2 = 2 gap / S: no
-    cancellation of 4AC - B^2, of the determinant or of 1 - (b/a)^2 on
-    thin or near-circular members.  The major-axis angle is
-    1/2 atan2(B, A - C) + pi/2 of that conic (``conic._major_axis_angle``;
-    trace > 0, so no sign flip).  h* is the center's abscissa.
-    Tangential midpoint-diagonal quads are the inscribed circle exactly,
-    reported with eccentricity 0 and a conjugate-diameter angle of pi/2.
+    Every quad takes one path, whatever its class: lam*, the segment
+    coordinate of the optimum, is the root of the stationarity quartic
+    (:func:`maximize_ratio_sq`), and the conic, the center and the
+    spectral quantities are evaluated there (``family._at``).  No
+    classification and no tolerance picks the answer.  With S = trace +
+    gap at the defining scale, a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq)
+    and e^2 = 2 gap / S: no cancellation of 4AC - B^2, of the determinant
+    or of 1 - (b/a)^2 on thin or near-circular members.  The major-axis
+    angle is 1/2 atan2(B, A - C) + pi/2 of that conic
+    (``conic._major_axis_angle``; trace > 0, so no sign flip).  h* is the
+    center's abscissa.  Where that conic is a circle to machine precision
+    (the angle is None), the optimum is the inscribed circle, reported
+    exactly: radius the center's distance to the side on the y axis, its
+    abscissa, eccentricity 0 and a conjugate-diameter angle of pi/2.
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
     model's certificate of a real ellipse.
     """
-    qc = classify(cq)
-    if qc.kind is QuadKind.GENERAL:
-        method = NUMERIC
-        lam, iterations = maximize_ratio_sq(cq)
-    else:
-        method, iterations = CLOSED_FORM, 0
-        lam = _type1_root(cq) if qc.kind is QuadKind.MDQ_TYPE1 else _type2_root(cq)
-
+    lam, iterations = maximize_ratio_sq(cq)
     conic, center, sp = family._at(cq, lam)
     if not (sp.trace > 0.0 and sp.cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
@@ -212,17 +135,14 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     a = math.sqrt((sp.trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
     ratio_sq = min(sp.ratio_sq, 1.0)        # above 1 only by roundoff, on a circle
 
-    if qc.tangential and qc.kind is not QuadKind.GENERAL:
-        # Tangential MDQ: the optimum is the inscribed circle.  Report the
-        # exact circle (the computed conic is that circle up to roundoff);
-        # the center's distance to the side on the y axis is its abscissa.
+    angle = _major_axis_angle(conic, sp.trace, sp.gap_sq)
+    if angle is None:
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
         gamma = math.pi / 2.0
     else:
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
-                               math.sqrt(2.0 * gap / (sp.trace + gap)),
-                               _major_axis_angle(conic, sp.trace, sp.gap_sq))
+                               math.sqrt(2.0 * gap / (sp.trace + gap)), angle)
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
     return MinEccResult(center.x, conic, geom, gamma, alpha, ratio_sq,
-                        method, iterations, abs(gamma - alpha), qc)
+                        NUMERIC, iterations, abs(gamma - alpha))

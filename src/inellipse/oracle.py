@@ -2,7 +2,7 @@
 
 Every oracle is independent of what it checks: :func:`optimum` takes the
 model's slope in exact ``int`` arithmetic, without the float stationarity
-quartic, its root search or a closed form; the tangency points come from
+quartic or its root search; the tangency points come from
 the side linears; the support distances and the line residual l^T adj(M)
 l from the side lines alone.  :func:`verify` runs the battery on a
 ``minecc.solve`` result: ``containment`` checks that the reported ellipse

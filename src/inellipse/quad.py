@@ -42,10 +42,11 @@ the mapped values, are mapped and compared in full.
 One tolerance, ``DEFAULT_TOL`` = 1e-9, relative to the scale of each
 test, decides every classification: parallel sides in
 :func:`canonicalize`, and the MDQ types, tangency and orthodiagonality in
-:func:`classify`.  No caller can set another, so the input alone picks a
-quad's class and with it ``minecc.solve``'s path.  ``classify`` reports
-each test's value in ``residuals`` for callers who want a threshold of
-their own.
+:func:`classify`.  No caller can set another.  The class is a report:
+``minecc.solve`` never classifies, so no tolerance picks its answer, and
+only the parallel-side test, which rejects, changes an outcome.
+``classify`` reports each test's value in ``residuals`` for callers who
+want a threshold of their own.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@
 Every case (name, command, vertices) runs through ``inellipse.cli.main``
 in-process, on the package under ``src/`` next to ``tests/``.  The file is
 rewritten only if every exit code and every byte of standard output outside
-the ``"oracles"`` entries named by ``--allow`` (e.g. ``--allow
-side_tangency``) stay as pinned.  Otherwise the moved cases are listed,
+the blocks named by ``--allow`` stay as pinned.  A name is an oracle, whose
+``"oracles"`` entries may move (e.g. ``--allow side_tangency``), or
+``result``, the solution block.  Otherwise the moved cases are listed,
 nothing is written and the exit code is 1.  Without ``--allow`` the script
 only checks that the pinned reports are current.
 """
@@ -39,17 +40,21 @@ def run(command: str, vertices, workdir: str) -> tuple[int, str]:
 
 
 def masked(stdout: str, names: list[str]) -> str:
-    """``stdout`` with each oracle entry named in ``names`` cut to ``{}``."""
-    if not names:
-        return stdout
-    pattern = r'\{\s*"name": "(?:%s)",[^{}]*\}' % "|".join(map(re.escape, names))
-    return re.sub(pattern, "{}", stdout)
+    """``stdout`` with each oracle entry named in ``names`` cut to ``{}``,
+    and the ``"result"`` block too if ``names`` holds ``result``."""
+    if "result" in names:
+        stdout = re.sub(r'"result": \{[^{}]*\}', '"result": {}', stdout)
+    if names:
+        pattern = r'\{\s*"name": "(?:%s)",[^{}]*\}' % "|".join(map(re.escape, names))
+        stdout = re.sub(pattern, "{}", stdout)
+    return stdout
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--allow", action="append", default=[], metavar="NAME",
-                        help="an oracle whose report entries may move (repeatable)")
+                        help="an oracle, or result, whose report entries may move "
+                             "(repeatable)")
     args = parser.parse_args(argv)
     doc = json.loads(PINNED.read_text())
     moved, refused = [], []

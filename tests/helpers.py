@@ -20,10 +20,13 @@ difference ``fd_gradient``, the general conic-to-shape route ``geometry``
 with its ``is_ellipse`` test, the tangent slope of a conic, the
 slope-intercept ``Line2`` with the discriminant test ``line_tangency`` as
 a reference for ``oracle._line_residual``, the analytic
-derivative of the squared axis ratio, the type-1 closed forms, the
-numeric root as a center abscissa), named quads shared by several test
-modules, and the input pools of the benchmark (``bench/``, imported,
-never edited).
+derivative of the squared axis ratio, the trace, A - C and B quadratics
+of the model, the numeric root as a center abscissa), the paper's closed
+forms (the type-1 center quadratic, the type-1 and type-2 roots and the
+type-1 ratio), which ``solve`` no longer takes and is checked against,
+seeded quads next to the MDQ locus and next to kites, named quads shared
+by several test modules, and the input pools of the benchmark
+(``bench/``, imported, never edited).
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ import numpy as np
 
 from inellipse import (CanonicalQuad, Degenerate, EllipseGeometry, Isometry2,
                        NotAnEllipse, NotConvex, NoValidLabeling, Point2,
-                       QuadKind, Trapezoid, canonicalize, center_quadratic, classify,
-                       maximize_ratio_sq)
+                       QuadKind, Trapezoid, canonicalize, classify, maximize_ratio_sq)
 from inellipse import family
 from inellipse.conic import _major_axis_angle
-from inellipse.minecc import _type1_root
 from inellipse.oracle import side_distance_lines
 
 LO, HI = 0.5, 10.0
@@ -84,11 +85,18 @@ def bench_module(name: str):
     return importlib.import_module(name)
 
 
+def bench_pool(name: str, seed: int) -> list[tuple[str, CanonicalQuad]]:
+    """The input pool of the benchmark's mixed workload ``name``
+    (solve_mixed or cli_verify), canonicalized, with each quad's tag:
+    general, mdq_type1, mdq_type2 or kite."""
+    workloads = bench_module("workloads")
+    items = workloads.mixed_items(random.Random(seed), workloads.POOL[name])
+    return [(it.tag, canonicalize(it.vertices)) for it in items]
+
+
 def cli_verify_pool(seed: int) -> list[CanonicalQuad]:
     """The input pool of the benchmark's cli_verify workload, canonicalized."""
-    workloads = bench_module("workloads")
-    items = workloads.mixed_items(random.Random(seed), workloads.POOL["cli_verify"])
-    return [canonicalize(it.vertices) for it in items]
+    return [cq for _, cq in bench_pool("cli_verify", seed)]
 
 
 def make_quad(s, t, u, v, w) -> CanonicalQuad:
@@ -276,7 +284,7 @@ def ratio_sq_function(cq: CanonicalQuad):
     precision instead of the cancellation of trace - gap.  Scalar; the gap
     is ``math.sqrt``, correctly rounded.  No interval validation.
     """
-    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = spectral_quadratics(cq)
     e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
     v, sv, k, sqrt = cq.v, cq.s - cq.v, 16.0 * cq.u, math.sqrt
 
@@ -301,7 +309,7 @@ def numpy_ratio_sq(cq: CanonicalQuad):
     gap from ``np.sqrt``, which rounds correctly as ``math.sqrt`` does, so
     each entry has the scalar function's bits.  The brute force
     (:func:`grid_argmax`) runs on it."""
-    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+    (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = spectral_quadratics(cq)
     e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
     v, sv, k = cq.v, cq.s - cq.v, 16.0 * cq.u
 
@@ -437,6 +445,29 @@ def near_tangential_kites(count: int, seed: int) -> list[CanonicalQuad]:
             qc = classify(cq)
             if qc.tangential and qc.kind is QuadKind.MDQ_TYPE1:
                 quads.append(cq)
+    return quads
+
+
+def near_mdqs(count: int, seed: int) -> list[CanonicalQuad]:
+    """Quads next to the midpoint-diagonal locus, types 1 and 2 in turn,
+    with the MDQ residual that ``classify`` reports drawn uniformly in
+    +-1e-9, so it calls each an MDQ of that type.  s, t, v are drawn as
+    for :func:`random_type1` and :func:`random_type2`, the side on the y
+    axis log-uniform in [1e-4, 10], and w puts the pose on the locus for
+    that u; then u moves by the drawn residual times the test's scale."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    while len(quads) < count:
+        s, t, v = rng.uniform(LO, HI, 3)
+        u = 10.0 ** rng.uniform(-4.0, 1.0)
+        den = s if len(quads) % 2 == 0 else 2.0 * v - s      # u den = vt - ws
+        if abs(s - v) < SV_MARGIN or den < SV_MARGIN:
+            continue
+        w = (v * t - u * den) / s
+        scale = max(u * den, abs(v * t), abs(w * s))
+        cq = try_params(s, t, u + rng.uniform(-1e-9, 1e-9) * scale / den, v, w)
+        if cq is not None:
+            quads.append(cq)
     return quads
 
 
@@ -602,6 +633,90 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
 
 
+def spectral_quadratics(cq: CanonicalQuad):
+    """Monomial lam-coefficients (c2, c1, c0) of trace = A + C, A - C and B
+    of the model (``family._model``); ``family.stationarity`` builds the
+    trace row alone, with the same bits."""
+    (a0, a1, a2), b, (c0, c1, c2) = family._model(*cq.params)[:3]
+    return [(x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0)
+            for x0, x1, x2 in ((a0 + c0, a1 + c1, a2 + c2), (a0 - c0, a1 - c1, a2 - c2), b)]
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed forms: references for the one root path of ``solve``
+# ---------------------------------------------------------------------------
+
+
+class CenterQuadratic(NamedTuple):
+    """Quadratic in the center abscissa whose root inside the center
+    interval locates the minimal-eccentricity member (type-1 case).
+
+    o(h) = c2 h^2 + c1 h + c0 with c2 = -2(s^2+t^2)(s-v), c1 = -2k,
+    c0 = s k.  k and p1 are always positive, and o changes sign across the
+    interval, so the bracketed root exists and is unique.
+    """
+
+    c2: float
+    c1: float
+    c0: float
+    k: float
+    p1: float
+
+    def __call__(self, h: float) -> float:
+        return (self.c2 * h + self.c1) * h + self.c0
+
+
+def center_quadratic(cq: CanonicalQuad) -> CenterQuadratic:
+    s, t, v, w = cq.s, cq.t, cq.v, cq.w
+    st2 = s * s + t * t
+    vs, ws, vtws = v * s, w * s, v * t - w * s
+    k = vs * vs + vtws * vtws + ws * ws             # (s^2+t^2) v^2 - 2ws(vt - ws)
+    p1 = vs * vs + (vtws - ws) ** 2                 # (s^2+t^2) v^2 - 4ws(vt - ws)
+    return CenterQuadratic(-2.0 * st2 * (s - v), -2.0 * k, s * k, k, p1)
+
+
+def type1_root(cq: CanonicalQuad) -> float:
+    """Segment coordinate of the type-1 optimum, the root of o(h) in the
+    interval:
+
+        lam = 2 s p1 / (((2s - v) sqrt(k) + v sqrt(K)) (sqrt(k) + sqrt(K)))
+
+    with K = k + 2(s^2+t^2) s (s-v).  k and p1 are sums of squares
+    (:func:`center_quadratic`); k K is the quarter discriminant of o,
+    positive because o has opposite signs at the ends of the interval, so
+    K > 0 too.  2s - v > 0 because D1 bisects D2 at abscissa v/2 inside
+    (0, s).  So the denominator is positive termwise: the form takes no
+    difference of the two roots and no division by s - v.  It is the root
+    for the exact type-1 quad with these s, t, v, w, whatever the pose's u.
+    """
+    s, t, v = cq.s, cq.t, cq.v
+    o = center_quadratic(cq)
+    rk = math.sqrt(o.k)
+    rbig = math.sqrt(o.k + 2.0 * (s * s + t * t) * s * (s - v))
+    return 2.0 * s * o.p1 / (((2.0 * s - v) * rk + v * rbig) * (rk + rbig))
+
+
+def type2_root(cq: CanonicalQuad) -> float:
+    """Segment coordinate of the type-2 optimum, u = (vt - ws)/(2v - s).
+
+    There p has the factor q2(h) = 2(s-v) M h^2 - 2 K2 h + v K2 with
+    M = (s-2v)^2 + (t-2w)^2 and 2 K2 = s^2 M + (s^2+t^2)(s-2v)^2.  Its
+    root in the interval is
+
+        lam = 4 v^2 M / (sqrt(2 K2) + |s - 2v| sqrt(M + s^2 + t^2))^2.
+
+    M > 0 because 2v > s on the locus (u > 0), so both radicands and the
+    denominator are sums of squares with a positive term: the root takes
+    no difference.
+    """
+    s, t, v, w = cq.s, cq.t, cq.v, cq.w
+    d = s - 2.0 * v
+    st2 = s * s + t * t
+    m = d * d + (t - 2.0 * w) ** 2
+    den = math.sqrt(s * s * m + st2 * d * d) + abs(d) * math.sqrt(m + st2)
+    return 4.0 * v * v * m / (den * den)
+
+
 def _require_type1(cq: CanonicalQuad) -> None:
     if classify(cq).kind is not QuadKind.MDQ_TYPE1:
         raise ValueError("closed form requires a type-1 midpoint-diagonal quadrilateral")
@@ -609,9 +724,9 @@ def _require_type1(cq: CanonicalQuad) -> None:
 
 def closed_form_h(cq: CanonicalQuad) -> float:
     """Maximizing abscissa of a type-1 midpoint-diagonal quad, from the
-    closed-form root that ``solve`` uses."""
+    paper's closed-form root (:func:`type1_root`)."""
     _require_type1(cq)
-    return family._abscissa(cq, _type1_root(cq))
+    return family._abscissa(cq, type1_root(cq))
 
 
 def ratio_sq_closed_form(cq: CanonicalQuad) -> float:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from helpers import (Q5_VERTICES, Line2, canonical_vertices, closed_form_h,
+from helpers import (Q5_VERTICES, Line2, canonical_vertices, center_quadratic, closed_form_h,
                      ellipse_delta, fd_gradient, grid_argmax, interior_points,
                      line_tangency, maximize_h, moved_vertices, numpy_ratio_sq,
                      random_general, random_isometry, random_kite, random_type1,
@@ -19,7 +19,6 @@ from helpers import (Q5_VERTICES, Line2, canonical_vertices, closed_form_h,
 from inellipse import (Conic, canonicalize, classify, coefficients, diagonal_angle,
                        side_linears, solve, spectral, tangency_points)
 from inellipse.family import stationarity
-from inellipse.minecc import center_quadratic
 from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import QuadKind
 

@@ -106,7 +106,7 @@ class TestMinimal:
         assert code == EXIT_OK
         result = json.loads(out)["result"]
         assert abs(result["h_star"] - 1.1100576175169201) <= 1e-9
-        assert result["method"] == "closed_form_type1"
+        assert result["method"] == "numeric" and result["iterations"] > 0
         assert abs(result["tan_sq_gamma"] - 64.0) <= 1e-7
         assert abs(result["gamma_rad"] - result["alpha_rad"]) <= 1e-9
         assert abs(result["gamma_deg"] - math.degrees(result["gamma_rad"])) <= 1e-12
@@ -128,7 +128,7 @@ class TestMinimal:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["result"]["eccentricity"] == 0.0
-        assert report["result"]["method"] == "closed_form_type1"
+        assert report["result"]["method"] == "numeric"
         assert report["result"]["tan_sq_gamma"] is None
         assert [(o["name"], o["passed"]) for o in report["oracles"]] == [
             ("containment", True), ("side_tangency", True), ("optimum", True)]
@@ -441,28 +441,39 @@ class TestSharedParser:
 
 
 class TestClassifiesOnce:
-    def test_minimal_reports_the_solver_classification(self, tmp_path, capsys, monkeypatch):
-        from inellipse import cli
-        calls = []
-        monkeypatch.setattr(cli, "classify", lambda *a, **k: calls.append(1))
+    """``solve`` never classifies, so no classification picks its answer;
+    ``minimal`` and ``verify`` classify once, for the report."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        from inellipse import cli, quad
+        calls, original = [], quad.classify
+
+        def counting(cq):
+            calls.append(cq)
+            return original(cq)
+        for module in (cli, quad):
+            monkeypatch.setattr(module, "classify", counting)
+        return calls
+
+    def test_solve_never_classifies(self, seen):
+        from inellipse import canonicalize, minecc, solve
+        for vertices in (Q5_VERTICES, KITE_VERTICES, [(0, 0), (0, 3), (4, 6), (2, 1)]):
+            solve(canonicalize(vertices))
+        assert seen == [] and not hasattr(minecc, "classify")
+
+    def test_minimal_classifies_once(self, tmp_path, capsys, seen):
         for vertices in (Q5_VERTICES, KITE_VERTICES):
+            del seen[:]
             code, out = run_cli(capsys, "minimal", "--input", write_input(tmp_path, vertices))
-            assert code == EXIT_OK and calls == []
+            assert code == EXIT_OK and len(seen) == 1
             assert json.loads(out)["classification"]["kind"] == "mdq_type1"
 
     @pytest.mark.parametrize("vertices", [[(0, 0), (0, 3), (4, 6), (2, 1)], KITE_VERTICES],
                              ids=["general", "kite"])
-    def test_verify_reads_the_solver_classification(self, tmp_path, capsys, monkeypatch,
-                                                    vertices):
-        # the one classify call of a verify op is solve's; the battery runs
-        # the same oracles on every quad and never classifies
-        from inellipse import minecc, oracle, quad
-        seen = []
-
-        def counting(cq):
-            seen.append(1)
-            return quad.classify(cq)
-        monkeypatch.setattr(minecc, "classify", counting)
+    def test_verify_classifies_once(self, tmp_path, capsys, seen, vertices):
+        # the battery runs the same oracles on every quad and never classifies
+        from inellipse import oracle
         code, _ = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
         assert code == EXIT_OK and len(seen) == 1
         assert not hasattr(oracle, "classify")

@@ -4,16 +4,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (NEAR_TRAPEZOIDS, canonical_vertices, cli_verify_pool, closed_form_h,
-                     geometry, grid_argmax, incircle, make_quad, maximize_h, moved_vertices, mp_family,
-                     numpy_ratio_sq, mp_semi_axes, random_general, random_isometry,
-                     random_kite, random_type1, random_type2, ratio_sq_closed_form,
-                     ratio_sq_function, ratio_sq_prime, sv_pool)
+from helpers import (NEAR_TRAPEZOIDS, bench_module, bench_pool, canonical_vertices,
+                     center_quadratic, cli_verify_pool, closed_form_h, geometry, grid_argmax,
+                     incircle, make_quad, maximize_h, moved_vertices, mp_family, near_mdqs,
+                     near_tangential_kites, numpy_ratio_sq, mp_semi_axes, random_general,
+                     random_isometry, random_kite, random_type1, random_type2,
+                     ratio_sq_closed_form, ratio_sq_function, ratio_sq_prime, sv_pool,
+                     type1_root, type2_root)
 from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       newton_segment, solve, spectral)
-from inellipse.family import RELATIVE_ENDPOINT_GUARD, stationarity
-from inellipse.minecc import (CLOSED_FORM, NUMERIC, _type1_root, _type2_root,
-                              center_quadratic)
+                       newton_segment, quad, solve, spectral)
+from inellipse.family import RELATIVE_ENDPOINT_GUARD, _abscissa, stationarity
+from inellipse.minecc import NUMERIC
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -188,7 +189,7 @@ class TestMaximize:
 class TestSolve:
     def test_golden_quad(self, q5):
         res = solve(q5)
-        assert res.method == CLOSED_FORM and res.iterations == 0
+        assert res.method == NUMERIC and res.iterations > 0
         assert abs(res.h_star - H_PLUS_GOLDEN) <= 1e-12
         assert abs(math.tan(res.gamma) ** 2 - 64.0) <= 1e-9
         assert abs(math.tan(res.alpha) ** 2 - 64.0) <= 1e-9
@@ -213,11 +214,12 @@ class TestSolve:
         assert abs(res.geom.a - expected) <= 1e-12
 
     def test_type2_is_closed_form(self):
+        # the root of p is the paper's type-2 closed form, to rounding
         rng = np.random.default_rng(410)
         for _ in range(50):
             cq = random_type2(rng)
             res = solve(cq)
-            assert res.method == CLOSED_FORM
+            assert abs(res.h_star - _abscissa(cq, type2_root(cq))) <= 1e-12 * cq.diameter
             assert res.residual <= 1e-8
             lo, hi = cq.interval
             assert lo < res.h_star < hi
@@ -242,7 +244,6 @@ class TestSolve:
         qc = classify(cq)
         assert qc.kind is QuadKind.MDQ_TYPE2 and qc.tangential
         res = solve(cq)
-        assert res.method == CLOSED_FORM
         assert res.geom.eccentricity == 0.0
         assert res.gamma == math.pi / 2 and res.residual <= 1e-12
         assert abs(res.h_star - (math.sqrt(10.0) - 2.0)) <= 1e-12
@@ -286,14 +287,13 @@ class TestSolve:
     @pytest.mark.parametrize("make", [random_general, random_type1, random_type2, random_kite])
     def test_axis_angle_is_the_geometry_angle(self, make):
         # solve takes the angle from the model's trace and gap, not from
-        # the general conic route (helpers.geometry): the bits agree, and
-        # both are None together.  The tangential-MDQ branch (every kite)
-        # reports the circle, angle None.
+        # the general conic route (helpers.geometry): the bits agree.  Every
+        # kite's optimum is a circle, reported with angle None.
         rng = np.random.default_rng(414)
         for _ in range(200):
             res = solve(make(rng))
             got = res.geom.major_axis_angle
-            if res.qclass.tangential and res.qclass.kind is not QuadKind.GENERAL:
+            if make is random_kite:
                 assert got is None
                 continue
             assert repr(got) == repr(geometry(res.conic).major_axis_angle)
@@ -417,7 +417,7 @@ class TestStationarityRoot:
                            (-11.818564359499646, -15.594717595119516),
                            (-4.6744117533887035, -5.2350498311383316)])
         res = solve(cq)
-        assert res.method == CLOSED_FORM and res.ratio_sq < 1e-5
+        assert res.ratio_sq < 1e-5
         h_ref, y_ref = mp_argmax(cq)
         err = float(mpmath.hypot(res.geom.center.x - h_ref, res.geom.center.y - y_ref))
         assert err <= 1e-12 * cq.diameter
@@ -427,7 +427,6 @@ class TestStationarityRoot:
         for _ in range(50):
             cq = random_type2(rng)
             res = solve(cq)
-            assert res.method == CLOSED_FORM
             cx, cy = res.geom.center
             assert cx == res.h_star
             assert abs(cy - newton_segment(cq).y_at(cx)) <= 1e-12 * cq.diameter
@@ -472,7 +471,7 @@ class TestThinRatio:
     def test_ratio_matches_50_digits(self, vertices):
         cq = canonicalize(vertices)
         res = solve(cq)
-        assert res.method == CLOSED_FORM and res.ratio_sq < 1e-4
+        assert res.ratio_sq < 1e-4
         with mpmath.workdps(50):
             ratio, _ = mp_family(cq)
             ref = ratio(mpmath.mpf(res.h_star))
@@ -516,13 +515,53 @@ class TestThinRatio:
                     assert abs(res.ratio_sq - ref) <= 1e-13 * ref
 
 
-class TestQuadClass:
-    def test_solve_carries_its_classification(self):
+class TestOneRootPath:
+    """Every quad takes the root of p; a circle is found by its value, the
+    vanishing gap of the conic at that root, never by a classification."""
+
+    def test_exact_kites_are_circles(self, kite):
         rng = np.random.default_rng(426)
-        gens = [random_general, random_type1, random_type2, random_kite]
-        for i in range(80):
-            cq = gens[i % 4](rng)
-            assert solve(cq).qclass == classify(cq)
+        for cq in [kite] + [random_kite(rng) for _ in range(200)]:
+            res = solve(cq)
+            g = res.geom
+            assert g.eccentricity == 0.0 and g.a == g.b and g.major_axis_angle is None
+            assert res.gamma == math.pi / 2
+
+    def test_the_circles_of_the_solve_mixed_pools_are_its_kites(self):
+        circles = 0
+        for seed in range(1, 11):
+            for tag, cq in bench_pool("solve_mixed", seed):
+                circle = solve(cq).geom.eccentricity == 0.0
+                assert circle == (tag == "kite")
+                circles += circle
+        assert circles == 1280
+
+    def test_near_tangential_kites_are_their_own_ellipses(self):
+        # Pitot residuals in +-1e-9, which classify calls tangential: each
+        # gets its own optimum, e from 1.7e-6 to 1.5e-3 (median 1.4e-4),
+        # not the circle of the kite next to it (e = 0)
+        tol_l = bench_module("checks").TOL_L
+        quads = near_tangential_kites(3000, seed=1)
+        assert min(solve(cq).geom.eccentricity for cq in quads) > 1e-6
+        for cq in quads[:40]:
+            res = solve(cq)
+            h, y = mp_argmax(cq)
+            with mpmath.workdps(50):
+                e = mpmath.sqrt(1 - mp_family(cq)[0](h))
+                err = mpmath.hypot(res.geom.center.x - h, res.geom.center.y - y)
+            seg = math.hypot((cq.s - cq.v) / 2.0, (cq.t - cq.u - cq.w) / 2.0)
+            assert err <= tol_l * seg
+            assert abs(res.geom.eccentricity - e) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-3, 0.0])
+    def test_the_classification_tolerance_picks_nothing(self, tol, monkeypatch):
+        # the tolerance moves the classes of these quads, and no answer bit
+        quads = (near_mdqs(20, seed=2202) + near_tangential_kites(20, seed=2203)
+                 + [make_quad(4, 6, 2 * (1 + 1e-6), 2, 1)])
+        classes, answers = [classify(cq) for cq in quads], [repr(solve(cq)) for cq in quads]
+        monkeypatch.setattr(quad, "DEFAULT_TOL", tol)
+        assert [classify(cq) for cq in quads] != classes
+        assert [repr(solve(cq)) for cq in quads] == answers
 
 
 class TestCenterQuadraticDividesStationarity:
@@ -623,8 +662,8 @@ class TestCenterQuadraticDividesStationarity:
         sp = pytest.importorskip("sympy")
         lam = sp.symbols("lam")
         gen, root_of, factor = {
-            "type1": (random_type1, _type1_root, self.center_quadratic),
-            "type2": (random_type2, _type2_root, self.type2_quadratic)}[kind]
+            "type1": (random_type1, type1_root, self.center_quadratic),
+            "type2": (random_type2, type2_root, self.type2_quadratic)}[kind]
         rng = np.random.default_rng(431)
         for _ in range(20):
             cq = gen(rng)
@@ -675,7 +714,7 @@ class TestCenterQuadraticDividesStationarity:
 
     def test_type2_root_terms_are_sums_of_squares(self):
         sp = pytest.importorskip("sympy")
-        # the forms _type2_root evaluates
+        # the forms helpers.type2_root evaluates
         s, t, v, w = sp.symbols("s t v w")
         m, k2 = self.type2_terms(s, t, v, w)
         assert sp.expand(2 * k2 - s**2 * m - (s**2 + t**2) * (s - 2 * v) ** 2) == 0

@@ -9,9 +9,9 @@ import pytest
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
                      Line2, bench_module, cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
                      incircle, interior_points, make_quad, mp_family, mp_support_distances,
-                     near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
+                     near_mdqs, near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
                      line_tangency, random_kite, random_type2, ratio_sq_function,
-                     ratio_sq_prime, support_rounding, sv_pool)
+                     ratio_sq_prime, spectral_quadratics, support_rounding, sv_pool)
 from inellipse import (CanonicalQuad, Conic, Point2, QuadKind, canonicalize,
                        classify, coefficients, containment, solve, verify)
 from inellipse import family, minecc, quad
@@ -104,7 +104,7 @@ class TestRatioSqFunction:
         f = ratio_sq_function(cq)
         assert [f(h) for h in hs.tolist()] == numpy_ratio_sq(cq)(hs).tolist()
         lam = (2.0 * hs - cq.v) / (cq.s - cq.v)
-        _, (d2, d1, d0), (b2, b1, b0) = family._spectral_quadratics(cq)
+        _, (d2, d1, d0), (b2, b1, b0) = spectral_quadratics(cq)
         diff, b = (d2 * lam + d1) * lam + d0, (b2 * lam + b1) * lam + b0
         radicands = (diff * diff + b * b).tolist()
         assert any(x ** 0.5 != math.sqrt(x) for x in radicands)
@@ -230,7 +230,7 @@ class TestContainment:
         make, qkind = MUTATION_QUADS[kind]
         cq = make()
         res = solve(cq)
-        assert res.qclass.kind is qkind
+        assert classify(cq).kind is qkind
         assert all(r.passed for r in verify(cq, res))
         moved = res._replace(geom=MUTATIONS[mutation](res.geom, cq.diameter))
         reports = {r.name: r for r in verify(cq, moved)}
@@ -284,8 +284,10 @@ class TestIncircle:
         assert all(self.on_the_incenter(cq) for cq in quads)
 
     def test_near_tangential_mdqs_sit_on_the_incenter(self):
-        # Pitot residuals in +-1e-9: the reported circle touches S2 exactly
-        # and the other sides to 7.0e-10 of the diameter (12,000 quads)
+        # Pitot residuals in +-1e-9: each gets its own ellipse, centered
+        # within 7.2e-10 of the diameter of the bisector incenter; on 12,000
+        # quads of seeds 1 and 2 those not reported as circles touch every
+        # side to 2.7e-16 of the diameter
         quads = near_tangential_kites(1000, seed=505)
         assert all(self.on_the_incenter(cq) for cq in quads)
 
@@ -297,12 +299,9 @@ def mp_slope(cq, h):
 
 
 def moved_solve(monkeypatch, shift):
-    """Make ``solve``'s root, closed form or numeric, land ``shift`` off in
-    lam, the share of the interval; ``solve`` still recomputes every
-    reported quantity at that lam (``family._at``)."""
-    for name in ("_type1_root", "_type2_root"):
-        root = getattr(minecc, name)
-        monkeypatch.setattr(minecc, name, lambda cq, root=root: root(cq) + shift)
+    """Make ``solve``'s root land ``shift`` off in lam, the share of the
+    interval; ``solve`` still recomputes every reported quantity at that
+    lam (``family._at``)."""
     numeric = minecc.maximize_ratio_sq
 
     def moved(cq):
@@ -380,9 +379,11 @@ class TestSideTangency:
         assert not _line_residual(Conic(1, 0, 1, 0, math.nan, -1), p, q) <= TANGENCY_TOL
 
     # per rel: cases flagged by line_tangency's 1e-9 discriminant band (the
-    # old line test) and by _line_residual at TANGENCY_TOL, of 1536
-    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1217, 1468),
-                      1e-10: (202, 1454), 1e-11: (22, 1356)}
+    # old line test) and by _line_residual at TANGENCY_TOL, of 1536; taken
+    # on the conics of the one root path (the MDQ closed forms gave 1217
+    # old at 1e-9 and 1356 new at 1e-11)
+    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1222, 1468),
+                      1e-10: (202, 1454), 1e-11: (22, 1355)}
 
     @pytest.mark.parametrize("rel", sorted(MUTATION_TABLE, reverse=True))
     def test_mutation_table(self, rel):
@@ -441,7 +442,7 @@ class TestOptimum:
                                  QuadKind.GENERAL),
                      "kite": (canonicalize(KITE_VERTICES), QuadKind.MDQ_TYPE1)}[kind]
         res = solve(cq)
-        assert res.qclass.kind is qkind
+        assert classify(cq).kind is qkind
         assert {r.name: r.passed for r in verify(cq, res)}["optimum"]
         moved_solve(monkeypatch, shift)
         moved = solve(cq)
@@ -452,10 +453,10 @@ class TestOptimum:
         assert reports["side_tangency"].passed
 
     def test_an_offset_quartic_fails(self, monkeypatch):
-        # the numeric root of p + 1e-9 |p'| is 1e-9 of the interval off;
-        # the containment and tangency of the moved member still pass
-        quads = [cq for cq in cli_verify_pool(1) if solve(cq).method == minecc.NUMERIC]
-        assert len(quads) == 32
+        # the root of p + 1e-9 |p'| is 1e-9 of the interval off, on every
+        # quad, the kites' circles included; the containment and tangency of
+        # the moved member still pass
+        quads = cli_verify_pool(1)
         stationarity = family.stationarity
 
         def offset(cq):
@@ -481,9 +482,11 @@ class TestOptimum:
         lo, hi = cq.interval
         assert rep.passed and rep.tolerance == 2.0 * math.ulp(res.h_star) > 1e-9 * (hi - lo)
 
-    # A type-1 residual of 6.4e-10, inside the classification tolerance, so
-    # ``solve`` takes the closed form of the exact MDQ next to this pose.
-    # One of 2850 type-1 quads with residuals uniform in +-0.99e-9.
+    # A type-1 residual of 6.4e-10, inside the classification tolerance:
+    # the closed form of the exact MDQ next to this pose, which ``solve``
+    # once took, failed ``optimum`` here (4.66e-10 against a limit of
+    # 3.91e-10).  One of 2850 type-1 quads with residuals uniform in
+    # +-0.99e-9; ``solve`` now takes the root of p for every quad.
     EDGE = (1.070782426010505, 3.215676550905802, 3.580214990229722,
             1.8535669556211998, 1.9862489768191058)
 
@@ -493,32 +496,43 @@ class TestOptimum:
         qc = classify(cq)
         assert qc.kind is QuadKind.MDQ_TYPE1 and 6e-10 < qc.residuals["type1"] < 7e-10
         res = solve(cq)
-        assert res.method == minecc.CLOSED_FORM
         error = reference.center_error(reference.reference(cq.vertices), list(res.geom.center))
         assert error <= checks.TOL_L
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Known defect: the closed form at the 1e-9 classification "
-                              "edge is farther from the float pose's maximizer than "
-                              "optimum's limit (4.66e-10 against 3.91e-10)")
     def test_closed_form_at_the_tolerance_edge_passes_optimum(self):
         cq = CanonicalQuad.from_params(*self.EDGE)
         assert optimum(cq, solve(cq).h_star).passed
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="Known defect: on a short y-axis side the closed form of a "
-                              "quad inside the classification tolerance misses TOL_L "
-                              "(1.2e-7 L); the numeric root is 3.2e-13 L off")
+    # type-1 residual 2.6e-10 with u = 9.7e-5: the closed form of the exact
+    # MDQ next to it was 1.17e-7 L off, the root of p is 3.2e-13 L off
+    SHORT_SIDE = (8.856545510315483, 5.821201664370912, 9.703980618962552e-05,
+                  8.238606689687675, 5.414947788421461)
+
     def test_closed_form_inside_the_tolerance_is_within_tol_l(self):
-        # type-1 residual 2.6e-10 with u = 9.7e-5
         checks, reference = bench_module("checks"), bench_module("reference")
-        cq = CanonicalQuad.from_params(8.856545510315483, 5.821201664370912,
-                                       9.703980618962552e-05, 8.238606689687675,
-                                       5.414947788421461)
+        cq = CanonicalQuad.from_params(*self.SHORT_SIDE)
         res = solve(cq)
-        assert res.method == minecc.CLOSED_FORM
         error = reference.center_error(reference.reference(cq.vertices), list(res.geom.center))
         assert error <= checks.TOL_L
+
+    def test_near_mdqs_pass_optimum_and_are_within_tol_l(self):
+        # MDQ residuals uniform in +-1e-9, all inside the classification
+        # tolerance, u down to 1e-4, and the two quads above.  The closed
+        # forms that ``solve`` once took here failed ``optimum`` on 154 and
+        # TOL_L on 145 of these 402, the worst 2.7e-6 L off; the root of p
+        # is 4.8e-13 L off at worst.
+        checks, reference = bench_module("checks"), bench_module("reference")
+        quads = near_mdqs(400, seed=2201) + [CanonicalQuad.from_params(*params)
+                                             for params in (self.EDGE, self.SHORT_SIDE)]
+        kinds = [classify(cq).kind for cq in quads]
+        assert kinds.count(QuadKind.MDQ_TYPE1) == 202 and kinds.count(QuadKind.MDQ_TYPE2) == 200
+        assert min(cq.u for cq in quads[:-2]) < 1.1e-4
+        for cq in quads:
+            res = solve(cq)
+            assert optimum(cq, res.h_star).passed
+            error = reference.center_error(reference.reference(cq.vertices),
+                                           list(res.geom.center))
+            assert error <= checks.TOL_L
 
 
 class TestIndependence:
