@@ -13,9 +13,9 @@ pairs (file via --input, or standard input); other keys are ignored.  The
 classification tolerance is the package's one, ``quad.DEFAULT_TOL``, and
 no option sets another.  Each report's "classification" block comes from
 one ``classify`` call; the solver never reads it, so it describes the
-quad and picks nothing.  Output is JSON on standard output with floats
-at 17 significant digits, so reports re-parse losslessly and identical
-inputs produce byte-identical reports.
+quad and picks nothing.  Reports print through a ``%`` template per
+shape built from ``to_json``, floats at 17 significant digits, so they
+re-parse losslessly and identical inputs give identical bytes.
 
 Exit codes: 0 ok, 2 parse error (unreadable input included, and an
 unwritable --svg path), 3 geometry rejection, 4 verification failure.
@@ -63,35 +63,69 @@ def _fmt_float(x: float) -> str:
 _quote = json.encoder.encode_basestring_ascii    # json.dumps of a plain str
 
 
+def _scalar(x) -> str:
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, float):
+        return _fmt_float(float(x))
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, int):
+        return str(int(x))
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
 def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(int(obj))
-    pad = "  " * indent if pretty else ""
-    pad_in = "  " * (indent + 1) if pretty else ""
-    nl = "\n" if pretty else ""
-    sep = ("," + nl) if pretty else ", "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{pad_in}{_quote(str(k))}: {to_json(v, indent + 1, pretty)}"
-                 for k, v in obj.items()]
-        return "{" + nl + sep.join(items) + nl + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
-            return "[" + ", ".join([to_json(v, 0, False) for v in obj]) + "]"
-        items = [pad_in + to_json(v, indent + 1, pretty) for v in obj]
-        return "[" + nl + sep.join(items) + nl + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        items = [f"{_quote(str(k))}: {to_json(v, indent + 1, pretty)}" for k, v in obj.items()]
+    elif not isinstance(obj, (list, tuple)):
+        return _scalar(obj)
+    elif all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
+        return "[" + ", ".join(map(_scalar, obj)) + "]"
+    else:
+        items = [to_json(v, indent + 1, pretty) for v in obj]
+    ends = "{}" if isinstance(obj, dict) else "[]"
+    if not (items and pretty):
+        return ends[0] + ", ".join(items) + ends[1]
+    pad = "\n" + "  " * indent
+    return ends[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + ends[1]
+
+
+def _flatten(nodes, leaves: list, shape: list) -> None:
+    """Append the leaves under ``nodes`` to ``leaves`` as ``to_json`` prints them, and
+    a token per node, in pre-order, to ``shape``: dict keys, list length or None."""
+    for v in nodes:
+        if type(v) is float or not isinstance(v, (dict, list, tuple)):   # most leaves are floats
+            shape.append(None)
+            leaves.append(_fmt_float(v) if type(v) is float else _scalar(v))
+        elif isinstance(v, dict):
+            shape.append(tuple(v))
+            _flatten(v.values(), leaves, shape)
+        else:
+            shape.append(len(v))
+            _flatten(v, leaves, shape)
+
+
+@functools.cache
+def _template(shape: tuple, pretty: bool) -> str:
+    """``to_json`` of the skeleton ``shape`` describes, every leaf one marker,
+    with ``%`` escaped and each quoted marker made ``%s``."""
+    tokens = iter(shape)
+
+    def skeleton(tok):
+        if isinstance(tok, tuple):
+            return {k: skeleton(next(tokens)) for k in tok}
+        return "\0" if tok is None else [skeleton(next(tokens)) for _ in range(tok)]
+
+    text = to_json(skeleton(next(tokens)), pretty=pretty).replace("%", "%%")
+    return text.replace(_quote("\0"), "%s") + "\n"
+
+
+def _emit(obj, pretty: bool = True) -> None:
+    """Print ``to_json(obj, pretty=pretty)`` through the template of its shape."""
+    leaves, shape = [], []
+    _flatten((obj,), leaves, shape)
+    sys.stdout.write(_template(tuple(shape), pretty) % tuple(leaves))
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +311,6 @@ def _render_svg(path: str, raw_cw: list[Point2], cq: CanonicalQuad,
 # ---------------------------------------------------------------------------
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(to_json(obj) + "\n")
-
-
-def _error_object(code: str, message: str) -> dict:
-    return {"error": {"code": code, "message": message}}
-
-
 def _cmd_classify(args) -> int:
     vertices = _load_input(args.input)
     cq = canonicalize(vertices)
@@ -309,7 +335,7 @@ def _cmd_family(args) -> int:
     ns = newton_segment(cq)
     for h in hs:
         fp = family.family_point(cq, h)
-        record = {
+        _emit({
             "h": fp.h,
             "center": [fp.h, ns.y_at(fp.h)],
             "conic": list(fp.conic),
@@ -319,8 +345,7 @@ def _cmd_family(args) -> int:
             "cubic": fp.cubic,
             "tangency": [{"point": _point(tp.zeta), "lambda": tp.lam}
                          for tp in fp.tangency],
-        }
-        sys.stdout.write(to_json(record, pretty=False) + "\n")
+        }, pretty=False)
     return EXIT_OK
 
 
@@ -396,10 +421,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except ParseError as exc:
-        _emit(_error_object("parse", str(exc)))
+        _emit({"error": {"code": "parse", "message": str(exc)}})
         return EXIT_PARSE
     except InscribedEllipseError as exc:
-        _emit(_error_object(type(exc).__name__, str(exc)))
+        _emit({"error": {"code": type(exc).__name__, "message": str(exc)}})
         return EXIT_GEOMETRY
 
 

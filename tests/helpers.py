@@ -99,6 +99,13 @@ def cli_verify_pool(seed: int) -> list[CanonicalQuad]:
     return [cq for _, cq in bench_pool("cli_verify", seed)]
 
 
+def cli_verify_inputs(seed: int) -> list[list[tuple[float, float]]]:
+    """The vertices of ``cli_verify_pool(seed)`` as its CLI input files hold them."""
+    workloads = bench_module("workloads")
+    return [it.vertices for it in workloads.mixed_items(random.Random(seed),
+                                                        workloads.POOL["cli_verify"])]
+
+
 def make_quad(s, t, u, v, w) -> CanonicalQuad:
     return CanonicalQuad.from_params(s, t, u, v, w)
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import KITE_VERTICES, Q5_VERTICES, THIN_OPTIMA, bench_module
+from helpers import KITE_VERTICES, Q5_VERTICES, THIN_OPTIMA, bench_module, cli_verify_inputs
+from inellipse import cli
 from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, main, to_json)
 
 
@@ -395,6 +396,128 @@ class TestJsonEmitter:
         np = pytest.importorskip("numpy")
         # np.float64 subclasses float, so a list of them is laid out flat
         assert to_json([np.float64(0.1), 2.0]) == "[0.10000000000000001, 2.0]"
+
+
+class TestTemplateEmitter:
+    """Every report prints through the ``%`` template of its shape, built
+    once from ``to_json``: the bytes are ``to_json``'s, and a report of
+    another shape never prints under a cached layout."""
+
+    @pytest.fixture
+    def expected(self, monkeypatch):
+        """``to_json`` of each report the CLI emits, as it emits it."""
+        texts = []
+        emit = cli._emit
+
+        def recording(obj, pretty=True):
+            texts.append(to_json(obj, pretty=pretty) + "\n")
+            emit(obj, pretty)
+        monkeypatch.setattr(cli, "_emit", recording)
+        return texts
+
+    def emits_to_json(self, capsys, report):
+        for pretty in (True, False):
+            cli._emit(report, pretty)
+            assert capsys.readouterr().out == to_json(report, pretty=pretty) + "\n"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pool_reports_are_to_json_bytes(self, tmp_path, capsys, expected, seed):
+        commands = (("verify",), ("minimal",), ("classify",), ("family", "--sweep", "5"))
+        for k, vertices in enumerate(cli_verify_inputs(seed)):
+            path = write_input(tmp_path, vertices)
+            for argv in commands:
+                expected.clear()
+                out = run_cli(capsys, *argv, "--input", path)[1]
+                assert len(expected) == (5 if argv[0] == "family" else 1)
+                assert out == "".join(expected), (seed, k, argv)
+
+    def test_kite_circle_and_integral_vertices(self, tmp_path, capsys, expected):
+        code, out = run_cli(capsys, "minimal", "--input", write_input(tmp_path, KITE_VERTICES))
+        assert code == EXIT_OK and out == expected[0]
+        result = json.loads(out)["result"]
+        assert result["major_axis_angle"] is None and result["tan_sq_gamma"] is None
+        assert '"tan_sq_gamma": null' in out and "[0.0, 0.0]," in out
+
+    def test_negative_zero(self, tmp_path, capsys, expected):
+        vertices = [(-0.0, 0.0), (0.0, 2.0), (4.0, 6.0), (2.0, 1.0)]
+        code, out = run_cli(capsys, "classify", "--input", write_input(tmp_path, vertices))
+        assert code == EXIT_OK and out == expected[0] and "[-0.0, 0.0]," in out
+        self.emits_to_json(capsys, {"x": -0.0, "xs": [-0.0, 0], "n": [[-0.0]]})
+
+    def test_error_message_holding_nan(self, tmp_path, capsys, expected):
+        path = write_input(tmp_path, Q5_VERTICES)
+        code, out = run_cli(capsys, "family", "--h", "nan", "--input", path)
+        assert code == EXIT_GEOMETRY and out == expected[0]
+        err = json.loads(out)["error"]
+        assert err["code"] == "HOutOfRange" and err["message"].startswith("h=nan ")
+
+    @pytest.mark.parametrize("text", ['100% "quoted"', "%s %d %% %(x)s", "back\\slash",
+                                      "tab\tnl\ncr\r\x00\x1f\x7f",
+                                      "Ünïcödé π ≈ 3.14 \U0001f600", "", "\x01"])
+    def test_string_leaves_and_keys(self, capsys, text):
+        self.emits_to_json(capsys, {"error": {"code": text, "message": text}})
+        self.emits_to_json(capsys, {text: [text, {text: [text, 1.5]}], "b": [True, None, 7]})
+
+    def test_a_key_equal_to_the_leaf_marker_raises(self, capsys):
+        # the template marks every leaf "\0"; a key "\0" would be one more
+        # slot than there are leaves, which ``%`` refuses
+        self.emits_to_json(capsys, {"message": "\0", "x": ["\0"]})
+        with pytest.raises(TypeError, match="not enough arguments"):
+            cli._emit({"\0": 1.0})
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_leaf_raises_and_prints_nothing(self, capsys, x):
+        for report in ({"result": {"a": 1.0, "center": [0.5, x]}}, {"x": [x]}):
+            with pytest.raises(ValueError, match=r"^non-finite value in report: "):
+                cli._emit(report)
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_report_past_the_accepted_range(self, tmp_path, capsys, monkeypatch):
+        # with the range check bypassed, a diameter of 2^127 gives a NaN in
+        # the report (ROADMAP's Known defect); the CLI raises, printing nothing
+        from inellipse import quad
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        vertices = [(math.ldexp(x, 127), math.ldexp(y, 127)) for x, y in TestScaleRange.GENERAL]
+        with pytest.raises(ValueError, match=r"^non-finite value in report: "):
+            main(["verify", "--input", write_input(tmp_path, vertices)])
+        assert capsys.readouterr().out == ""
+
+    def test_a_drifted_shape_never_prints_under_a_cached_layout(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        reports = []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_emit", lambda obj, pretty=True: reports.append(obj))
+            assert main(["verify", "--input", write_input(tmp_path, Q5_VERTICES)]) == EXIT_OK
+        base = reports[0]
+        result, oracles = base["result"], base["oracles"]
+        drifted = [
+            {**base, "oracles": oracles + [dict(oracles[0], name="fourth")]},
+            {k: v for k, v in base.items() if k != "newton"},
+            {**base, "result": {k: v for k, v in result.items() if k != "method"}},
+            {**base, "result": {**result, "center": None}},
+            {**base, "result": {**result, "major_axis_angle": [result["a"]]}},
+            # a list that nests, or a key renamed, keeps the leaf count
+            {**base, "result": {**result, "center": [[result["center"][0]], result["center"][1]]}},
+            {**base, "result": {("B" if k == "b" else k): v for k, v in result.items()}},
+            {**base, "oracles": [oracles[0], oracles[1], [oracles[2]]]},
+        ]
+        for report in [base, *drifted, base]:
+            self.emits_to_json(capsys, report)
+        before = cli._template.cache_info().currsize
+        for report in drifted:
+            self.emits_to_json(capsys, report)
+        assert cli._template.cache_info().currsize == before
+
+    def test_a_wrong_leaf_count_does_not_fill_a_template(self):
+        report = {"a": [1.0, 2.0], "b": "x", "c": None}
+        leaves, shape = [], []
+        cli._flatten((report,), leaves, shape)
+        template = cli._template(tuple(shape), True)
+        assert template % tuple(leaves) == to_json(report) + "\n"
+        for wrong in (leaves[:-1], leaves + ["3.0"], []):
+            with pytest.raises(TypeError):
+                template % tuple(wrong)
 
 
 class TestSharedParser:

@@ -29,6 +29,7 @@ def test_import_does_not_load_numpy():
 
 
 def test_cli_import_builds_no_parser_and_loads_no_numpy():
+    # nor a report template: the first report of each shape builds its own
     code = ("import argparse, sys\n"
             "built = []\n"
             "init = argparse.ArgumentParser.__init__\n"
@@ -37,13 +38,18 @@ def test_cli_import_builds_no_parser_and_loads_no_numpy():
             "    init(self, *args, **kwargs)\n"
             "argparse.ArgumentParser.__init__ = spy\n"
             "import inellipse.cli\n"
+            "templates = inellipse.cli._template.cache_info\n"
             "assert built == [], 'importing inellipse.cli built a parser'\n"
+            "assert templates().currsize == 0, 'importing inellipse.cli built a template'\n"
             "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
             "try:\n"
             "    inellipse.cli.main(['verify', '--help'])\n"
             "except SystemExit:\n"
             "    pass\n"
-            "assert built, 'the spy saw no parser being built'\n")
+            "assert built, 'the spy saw no parser being built'\n"
+            "assert templates().currsize == 0, 'help built a template'\n"
+            "assert inellipse.cli.main(['classify', '--input', '']) == 2\n"
+            "assert templates().currsize == 1, 'an error report built no template'\n")
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
 
