@@ -13,8 +13,9 @@ with mu = 1 - lam,
 
 At lam = 0 and 1 the member closes down to the doubled diagonals D2 and
 D1.  The public API takes the center abscissa h = (v + (s-v) lam) / 2 and
-evaluates the coefficients, the four tangency points, and the spectral
-quantities of the quadratic form:
+evaluates the coefficients, the four tangency points (ratios of positive
+forms in s - 2h and 2h - v, no division by s - v either), and the
+spectral quantities of the quadratic form:
 
     trace    = A + C                  (> 0 on the interval)
     gap_sq   = (A - C)^2 + B^2        (squared eigenvalue gap)
@@ -39,22 +40,9 @@ from typing import Callable, NamedTuple, Optional
 
 from .conic import Conic
 from .errors import HOutOfRange
-from .quad import CanonicalQuad, Point2
+from .quad import CanonicalQuad, Point2, _r1
 
 RELATIVE_ENDPOINT_GUARD = 1e-12
-
-
-class SideLinears(NamedTuple):
-    """Linear functions of h gating tangency-point denominators and signs.
-
-    (s - v) * l1..l3 > 0 and l4, l5 > 0 everywhere on the center interval.
-    """
-
-    l1: float
-    l2: float
-    l3: float
-    l4: float
-    l5: float
 
 
 class Spectral(NamedTuple):
@@ -88,17 +76,6 @@ def _require_h(cq: CanonicalQuad, h: float) -> None:
         raise HOutOfRange(f"h={h!r} outside the open center interval ({lo!r}, {hi!r})")
 
 
-def side_linears(cq: CanonicalQuad, h: float) -> SideLinears:
-    s, t, u, v, w = cq.params
-    return SideLinears(
-        2.0 * (v * (t - u) - w * s) * h + v * (s * (u + w) - v * t),
-        2.0 * (v * (u - t) + w * s) * h + s * (v * (t - 2.0 * u) + s * (u - w)),
-        (v * (t - u) + (u - w) * s) * (s - 2.0 * h),
-        -2.0 * u * h + v * t + s * (u - w),
-        2.0 * (v * (t - u) - w * s) * h + u * v * s,
-    )
-
-
 def _model(s, t, u, v, w) -> tuple:
     """The family over (s-v)^2: the Bernstein triples (b0, b1, b2) of its
     quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F.  Integer
@@ -122,9 +99,9 @@ def _member(cq: CanonicalQuad, lam: float, scale: float = 1.0) -> Conic:
 
 def _l5(cq: CanonicalQuad, lam):
     """l5, the linear factor of ``cubic``, at segment coordinate lam: the
-    convex combination of its end values, both positive by (R1)."""
-    s, t, u, v, w = cq.params
-    return (1.0 - lam) * (v * (v * (t - u) + (u - w) * s)) + lam * (s * (v * t - w * s))
+    convex combination of its end values v P and s Q, both positive by (R1)."""
+    p, q = _r1(*cq.params)
+    return (1.0 - lam) * (cq.v * p) + lam * (cq.s * q)
 
 
 def _spectral(cq: CanonicalQuad, lam: float, m: Conic, scale: float) -> Spectral:
@@ -196,6 +173,17 @@ def coefficients(cq: CanonicalQuad, h: float) -> Conic:
     return _member(cq, _segment_coordinate(cq, h), (cq.s - cq.v) ** 2)
 
 
+def _side_parameters(s, t, u, v, w, n, m) -> tuple:
+    """lam1..lam4 on S1..S4 from n = s - 2h, m = 2h - v and the (R1) forms:
+    uv n / (uv n + Q m), v n / (v n + s m), su m / (P n + su m) and
+    P n / (P n + Q m).  n and m have the sign of s - v, so every term does
+    by (R0) and (R1): no sum cancels, nothing divides by s - v, and each
+    lam is homogeneous of degree 0 in (n, m)."""
+    p, q = _r1(s, t, u, v, w)
+    a1, a2, a3, a4, qm = u * v * n, v * n, s * u * m, p * n, q * m
+    return a1 / (a1 + qm), a2 / (a2 + s * m), a3 / (a4 + a3), a4 / (a4 + qm)
+
+
 def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
     """Tangency points with sides S1..S4, with their barycentric parameters.
 
@@ -204,11 +192,7 @@ def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
     """
     _require_h(cq, h)
     s, t, u, v, w = cq.params
-    lin = side_linears(cq, h)
-    lam1 = (s - 2.0 * h) * u * v / lin.l1
-    lam2 = (s - 2.0 * h) * v / (2.0 * h * (s - v))
-    lam3 = (2.0 * h - v) * s * u / lin.l2
-    lam4 = lin.l3 / ((s - v) * lin.l4)
+    lam1, lam2, lam3, lam4 = _side_parameters(s, t, u, v, w, s - 2.0 * h, 2.0 * h - v)
     return [
         TangentPoint(Point2(lam1 * v, lam1 * w), lam1),
         TangentPoint(Point2(0.0, lam2 * u), lam2),

@@ -40,6 +40,7 @@ from .errors import NotAnEllipse
 from .quad import CanonicalQuad, diagonal_angle
 
 NUMERIC = "numeric"
+STEP_TOL = 1e-12        # the root search stops at a step below this, in lam
 
 
 class MinEccResult(NamedTuple):
@@ -59,8 +60,7 @@ class MinEccResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
-                      max_iter: int = 200) -> tuple[float, int]:
+def maximize_ratio_sq(cq: CanonicalQuad, *, max_iter: int = 200) -> tuple[float, int]:
     """Maximize the squared axis ratio: the root of the stationarity quartic
     p (``family.stationarity``).
 
@@ -70,7 +70,7 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
     it.  Safeguarded Newton: the sign of p at each iterate shrinks the
     bracket; the Newton step is taken when it stays inside and at least
     halves the step before last, else the bracket is bisected.  Stops once
-    a step is below ``tol``, in units of lam, the share of the center
+    a step is below ``STEP_TOL``, in units of lam, the share of the center
     interval; after ``max_iter`` steps it logs a warning and returns the
     last iterate with ``max_iter``.
     """
@@ -88,13 +88,13 @@ def maximize_ratio_sq(cq: CanonicalQuad, *, tol: float = 1e-12,
         else:
             return x, it
         newton = px / dpx if dpx else math.inf
-        if abs(newton) <= tol:
+        if abs(newton) <= STEP_TOL:
             return x - newton, it
         if not a < x - newton < b or abs(2.0 * newton) > abs(step_old):
             newton = x - 0.5 * (a + b)
         step_old, step = step, newton
         x -= step
-        if abs(step) <= tol:
+        if abs(step) <= STEP_TOL:
             return x, it
     import logging
     logging.getLogger(__name__).warning(

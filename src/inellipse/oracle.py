@@ -2,9 +2,9 @@
 
 Every oracle is independent of what it checks: :func:`optimum` takes the
 model's slope in exact ``int`` arithmetic, without the float stationarity
-quartic or its root search; the tangency points come from
-the side linears; the support distances and the line residual l^T adj(M)
-l from the side lines alone.  :func:`verify` runs the battery on a
+quartic or its root search; the tangency points come from the family's
+closed forms in s - 2h and 2h - v, not from the conic; the support
+distances and the line residual l^T adj(M) l from the side lines alone.  :func:`verify` runs the battery on a
 ``minecc.solve`` result: ``containment`` checks that the reported ellipse
 (center, semi-axes, axis angle) is inscribed, ``side_tangency`` checks its
 conic and ``optimum`` its h*.  Plain ``math`` and ``int``.

@@ -14,9 +14,10 @@ runs clockwise.  The five pose parameters must satisfy
     (R2)  w s - v(t - u) != 0       and  s != v             (no parallel sides)
 
 Quadrilaterals with a parallel side pair (including parallelograms) are
-rejected outright: the inscribed-ellipse family divides by s - v, and the
-segment of admissible centers collapses to a single point for
-parallelograms.
+rejected outright.  The family's model and its tangency points divide by
+no s - v, but the public API names each member by its center abscissa h,
+the segment coordinate is (2h - v) / (s - v), and the interval of h
+collapses to a single point for parallelograms.
 
 Side and diagonal conventions, in clockwise order from the origin:
 
@@ -313,9 +314,15 @@ def _pose_ok(s: float, t: float, u: float, v: float, w: float) -> bool:
     return s > 0 and v > 0 and u > 0 and t > w
 
 
+def _r1(s: float, t: float, u: float, v: float, w: float) -> tuple[float, float]:
+    """The (R1) convexity forms P = v(t - u) + (u - w) s and Q = v t - w s."""
+    return v * (t - u) + (u - w) * s, v * t - w * s
+
+
 def _convex(s: float, t: float, u: float, v: float, w: float) -> bool:
     """(R1) holds: the posed cycle is convex."""
-    return v * (t - u) + (u - w) * s > 0 and v * t - w * s > 0
+    p, q = _r1(s, t, u, v, w)
+    return p > 0 and q > 0
 
 
 def _margin(coords: Sequence[float], lengths: Sequence[float]) -> float:
@@ -399,7 +406,7 @@ def classify(cq: CanonicalQuad) -> QuadClass:
     squares, is only reported.  The residuals map reports every test.
     """
     s, t, u, v, w = cq.params
-    vtws = v * t - w * s
+    _, vtws = _r1(s, t, u, v, w)
 
     r1 = u * s - vtws
     scale1 = max(abs(u * s), abs(v * t), abs(w * s))

@@ -3,11 +3,13 @@
     python tests/data/regen_reports.py [--allow NAME ...]
 
 Every case (name, command, vertices) runs through ``inellipse.cli.main``
-in-process, on the package under ``src/`` next to ``tests/``.  The file is
+in-process, on the package under ``src/`` next to ``tests/``; the command
+is the subcommand and its options, e.g. ``family --sweep 9``.  The file is
 rewritten only if every exit code and every byte of standard output outside
 the blocks named by ``--allow`` stay as pinned.  A name is an oracle, whose
-``"oracles"`` entries may move (e.g. ``--allow side_tangency``), or
-``result``, the solution block.  Otherwise the moved cases are listed,
+``"oracles"`` entries may move (e.g. ``--allow side_tangency``),
+``result``, the solution block, or ``tangency``, the ``"tangency"`` array
+of each ``family`` line.  Otherwise the moved cases are listed,
 nothing is written and the exit code is 1.  Without ``--allow`` the script
 only checks that the pinned reports are current.
 """
@@ -35,13 +37,16 @@ def run(command: str, vertices, workdir: str) -> tuple[int, str]:
     path.write_text(json.dumps({"vertices": [list(v) for v in vertices]}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main([command, "--input", str(path)])
+        code = cli.main([*command.split(), "--input", str(path)])
     return code, out.getvalue()
 
 
 def masked(stdout: str, names: list[str]) -> str:
     """``stdout`` with each oracle entry named in ``names`` cut to ``{}``,
-    and the ``"result"`` block too if ``names`` holds ``result``."""
+    the ``"result"`` block too if ``names`` holds ``result``, and each
+    ``"tangency"`` array to ``[]`` if it holds ``tangency``."""
+    if "tangency" in names:
+        stdout = re.sub(r'"tangency": \[.*\]', '"tangency": []', stdout)
     if "result" in names:
         stdout = re.sub(r'"result": \{[^{}]*\}', '"result": {}', stdout)
     if names:
@@ -53,8 +58,8 @@ def masked(stdout: str, names: list[str]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--allow", action="append", default=[], metavar="NAME",
-                        help="an oracle, or result, whose report entries may move "
-                             "(repeatable)")
+                        help="an oracle, result or tangency, whose report entries "
+                             "may move (repeatable)")
     args = parser.parse_args(argv)
     doc = json.loads(PINNED.read_text())
     moved, refused = [], []

@@ -5,7 +5,7 @@ run sees the same quadrilaterals.  Parameters are drawn uniformly from
 [0.5, 10] and rejection-sampled against the canonical-pose constraints,
 with a small floor on |s - v| (and on 2v - s for the type-2 family) so the
 drawn quads stay numerically well-conditioned: on near-trapezoids the
-abscissa h and the tangency points, which divide by s - v, lose digits
+abscissa h and the segment coordinate, which divides by s - v, lose digits
 (``sv_pool`` draws below that floor on purpose).
 The module also holds a brute-force canonical pose (every labeling mapped
 and compared) that ``canonicalize`` must reproduce exactly, the
@@ -14,7 +14,8 @@ theorem (run on ``numpy_ratio_sq``, the numpy twin of
 :func:`ratio_sq_function`), the sampled trace and the 50-digit support
 distances that bracket ``oracle.containment``, the angle-bisector
 incircle, 50-digit references built from the
-defining coefficient formulas, float references that the package does
+defining coefficient formulas, the side linears that gave the tangency
+parameters before they were written in s - 2h and 2h - v, float references that the package does
 not need (the squared axis ratio as a function of h and its central
 difference ``fd_gradient``, the general conic-to-shape route ``geometry``
 with its ``is_ellipse`` test, the tangent slope of a conic, the
@@ -248,6 +249,43 @@ def mp_family(cq: CanonicalQuad):
         return (a + c - gap) / (a + c + gap)
 
     return ratio, y
+
+
+class SideLinears(NamedTuple):
+    """Linear functions of h that gave the tangency parameters before they
+    were written in n = s - 2h and m = 2h - v (``family._side_parameters``).
+
+    (s - v) * l1..l3 > 0 and l4, l5 > 0 everywhere on the center interval.
+    """
+
+    l1: float
+    l2: float
+    l3: float
+    l4: float
+    l5: float
+
+
+def side_linears(params, h) -> SideLinears:
+    """The side linears of the pose ``params`` = (s, t, u, v, w) at h.
+    Integer literals only, so sympy symbols and mpmath numbers go through."""
+    s, t, u, v, w = params
+    return SideLinears(
+        2 * (v * (t - u) - w * s) * h + v * (s * (u + w) - v * t),
+        2 * (v * (u - t) + w * s) * h + s * (v * (t - 2 * u) + s * (u - w)),
+        (v * (t - u) + (u - w) * s) * (s - 2 * h),
+        -2 * u * h + v * t + s * (u - w),
+        2 * (v * (t - u) - w * s) * h + u * v * s,
+    )
+
+
+def side_linear_parameters(params, h) -> tuple:
+    """lam1..lam4 of the tangency points from the side linears; lam2 and
+    lam4 divide by s - v.  Evaluated in 50 digits, the reference for
+    ``family.tangency_points``."""
+    s, t, u, v, w = params
+    lin = side_linears(params, h)
+    return ((s - 2 * h) * u * v / lin.l1, (s - 2 * h) * v / (2 * h * (s - v)),
+            (2 * h - v) * s * u / lin.l2, lin.l3 / ((s - v) * lin.l4))
 
 
 def mp_semi_axes(cq: CanonicalQuad, h):

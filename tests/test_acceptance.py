@@ -17,10 +17,10 @@ from helpers import (Q5_VERTICES, Line2, canonical_vertices, center_quadratic, c
                      random_type2, ratio_sq_closed_form, ratio_sq_function,
                      ratio_sq_prime, tangent_slope, type1_factored_quartic)
 from inellipse import (Conic, canonicalize, classify, coefficients, diagonal_angle,
-                       side_linears, solve, spectral, tangency_points)
+                       solve, spectral, tangency_points)
 from inellipse.family import stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
-from inellipse.quad import QuadKind
+from inellipse.quad import QuadKind, _r1
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -182,14 +182,13 @@ def test_criterion_7_positivity_suite():
         assert o.k > 0.0
         assert o.p1 > 0.0
         assert o(v / 2.0) * o(s / 2.0) < 0.0
-        sv = s - v
+        p, q = _r1(s, t, u, v, w)
+        assert p > 0.0 and q > 0.0
         for h in interior_points(cq, 100, trim=0.005):
             sp = spectral(cq, h)
             assert sp.cubic > 0.0
             assert sp.trace > 0.0
-            lin = side_linears(cq, h)
-            assert sv * lin.l1 > 0 and sv * lin.l2 > 0 and sv * lin.l3 > 0
-            assert lin.l4 > 0 and lin.l5 > 0
+            assert all(0.0 < tp.lam < 1.0 for tp in tangency_points(cq, h))
     report(7, "positivity suite on 1000 quads x 100 samples")
 
 

@@ -11,6 +11,8 @@ from helpers import KITE_VERTICES, Q5_VERTICES, THIN_OPTIMA, bench_module, cli_v
 from inellipse import cli
 from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, main, to_json)
 
+PINNED = json.loads((Path(__file__).parent / "data" / "reports.json").read_text())["cases"]
+
 
 def write_input(tmp_path, vertices, name="quad.json"):
     path = tmp_path / name
@@ -188,9 +190,11 @@ class TestFamily:
 
     def test_sweep_is_strictly_increasing(self, tmp_path, capsys):
         path = write_input(tmp_path, Q5_VERTICES)
-        # the records of the golden quad, byte for byte
-        for n, digest in ((9, "b7bdbc8c9cadc078f85c7d94a9f3df543f1c29d547ce01ceac5e60a42660a996"),
-                          (2000, "759854f6704e755a4f0dc225229a3ccced09ae8f36ac9032cc4e11e3e4be4a5c")):
+        # the records of the golden quad, byte for byte: n = 9 as pinned in
+        # data/reports.json, n = 2000 by digest
+        sweep9 = next(c["stdout"] for c in PINNED if c["command"] == "family --sweep 9")
+        for n, digest in ((9, hashlib.sha256(sweep9.encode()).hexdigest()),
+                          (2000, "414e1bbf418da542e489bbddc06a4b9a17e0c1d8a53f612b5b5c26e77800ed51")):
             code, out = run_cli(capsys, "family", "--sweep", str(n), "--input", path)
             assert code == EXIT_OK
             records = [json.loads(line) for line in out.strip().splitlines()]
@@ -653,16 +657,14 @@ class TestScaleRange:
                                    and doc["error"]["code"] == "Degenerate")
 
 
-PINNED = json.loads((Path(__file__).parent / "data" / "reports.json").read_text())["cases"]
-
-
 class TestPinnedReports:
     """``minimal`` and ``verify`` reproduce the pinned reports of the README
-    and test inputs byte for byte.  A change that moves a byte must show
-    that the old bytes were wrong, and then update the pinned file."""
+    and test inputs, and ``family --sweep 9`` the golden quad's lines, byte
+    for byte.  A change that moves a byte must show that the old bytes were
+    wrong, and then update the pinned file (``data/regen_reports.py``)."""
 
     @pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c['name']}-{c['command']}")
     def test_report_bytes(self, tmp_path, capsys, case):
         path = write_input(tmp_path, case["vertices"])
-        code, out = run_cli(capsys, case["command"], "--input", path)
+        code, out = run_cli(capsys, *case["command"].split(), "--input", path)
         assert (code, out) == (case["exit"], case["stdout"])

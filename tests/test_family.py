@@ -7,12 +7,14 @@ import pytest
 from helpers import (Line2, closed_form_h, ellipse_delta, geometry, interior_points,
                      is_ellipse, line_tangency, make_quad, mp_conic, mp_family,
                      random_general, random_h, random_type1, ratio_sq_function,
-                     ratio_sq_prime, tangent_slope, type1_factored_quartic)
+                     ratio_sq_prime, side_linear_parameters, side_linears,
+                     tangent_slope, type1_factored_quartic)
 from inellipse import (Conic, HOutOfRange, coefficients, containment, family_point,
-                       side_linears, spectral, tangency_points)
+                       spectral, tangency_points)
 from inellipse import canonicalize, newton_segment
-from inellipse.family import stationarity
+from inellipse.family import _l5, _side_parameters, stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
+from inellipse.quad import _r1
 
 
 @pytest.fixture
@@ -260,25 +262,61 @@ class TestRatioSqPrime:
 
 
 class TestSideLinears:
+    """The tangency parameters as ratios of the (R1) forms in n = s - 2h and
+    m = 2h - v, against the side linears they replace (``helpers``)."""
+
     def test_golden_quad_value(self, q5):
-        assert side_linears(q5, 1.5).l5 == 28.0
+        assert _r1(*q5.params) == (12.0, 8.0)
+        assert side_linears(q5.params, 1.5).l5 == 28.0 == _l5(q5, 0.5)
 
     def test_l3_vanishes_at_upper_midpoint(self):
         rng = np.random.default_rng(312)
         for _ in range(50):
             cq = random_general(rng)
-            lin = side_linears(cq, cq.s / 2.0)
+            lin = side_linears(cq.params, cq.s / 2.0)
             assert abs(lin.l3) <= 1e-12 * (1 + abs(lin.l1))
+            # the members close down to the doubled diagonals D1 (n = 0)
+            # and D2 (m = 0), touching each side at an end
+            assert _side_parameters(*cq.params, 0.0, cq.s - cq.v) == (0.0, 0.0, 1.0, 0.0)
+            assert _side_parameters(*cq.params, cq.s - cq.v, 0.0) == (1.0, 1.0, 0.0, 1.0)
 
     def test_sign_constraints(self):
         rng = np.random.default_rng(313)
         for _ in range(100):
             cq = random_general(rng)
-            sv = cq.s - cq.v
+            p, q = _r1(*cq.params)
+            assert p > 0.0 and q > 0.0
             for h in interior_points(cq, 10):
-                lin = side_linears(cq, h)
-                assert sv * lin.l1 > 0 and sv * lin.l2 > 0 and sv * lin.l3 > 0
-                assert lin.l4 > 0 and lin.l5 > 0
+                assert all(0.0 < tp.lam < 1.0 for tp in tangency_points(cq, h))
+
+    def test_forms_equal_side_linear_forms(self):
+        sp = pytest.importorskip("sympy")
+        s, t, u, v, w, h = sp.symbols("s t u v w h")
+        new = _side_parameters(s, t, u, v, w, s - 2 * h, 2 * h - v)
+        old = side_linear_parameters((s, t, u, v, w), h)
+        assert [sp.simplify(a - b) for a, b in zip(new, old)] == [0, 0, 0, 0]
+
+    def test_lambda_error_against_50_digits(self):
+        """Every lam within 4e-15 of its 50-digit value, down to 1e-9 of the
+        interval from either end, times kappa >= 1, the condition number of
+        the rounded (R1) forms P and Q, whose cancellation the forms inherit.
+        The side-linear forms reached 1.6e-14 kappa here."""
+        rng = np.random.default_rng(2404)
+        fracs = [1e-9, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
+        with mpmath.workdps(50):
+            for _ in range(500):
+                cq = random_general(rng)
+                s, t, u, v, w = cq.params
+                p, q = _r1(s, t, u, v, w)
+                kappa = max(1.0, (abs(v * (t - u)) + abs((u - w) * s)) / p,
+                            (abs(v * t) + abs(w * s)) / q)
+                lo, hi = cq.interval
+                exact = [mpmath.mpf(x) for x in cq.params]
+                for f in fracs:
+                    h = lo + (hi - lo) * f
+                    want = side_linear_parameters(exact, mpmath.mpf(h))
+                    for tp, lam in zip(tangency_points(cq, h), want):
+                        assert abs(tp.lam - lam) <= 4e-15 * kappa, (cq.params, f)
 
 
 class TestFamilyPoint:
