@@ -10,8 +10,8 @@ angle between the diagonals.
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, Trapezoid)
-from .family import (FamilyPoint, Spectral, TangentPoint, coefficients,
-                     family_point, spectral, tangency_points)
+from .family import (FamilyPoint, Spectral, TangentPoint, family_point,
+                     tangency_points)
 from .minecc import MinEccResult, maximize_ratio_sq, solve
 from .oracle import OracleReport, containment, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
@@ -26,8 +26,7 @@ __all__ = [
     "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
     "NotConvex", "OracleReport", "Point2", "QuadClass", "QuadKind",
     "Spectral", "TangentPoint", "Trapezoid", "canonicalize", "classify",
-    "coefficients", "conjugate_diameter_angle", "containment",
-    "diagonal_angle", "family_point", "maximize_ratio_sq",
-    "newton_segment", "solve", "spectral", "tangency_points", "validate",
-    "verify",
+    "conjugate_diameter_angle", "containment", "diagonal_angle",
+    "family_point", "maximize_ratio_sq", "newton_segment", "solve",
+    "tangency_points", "validate", "verify",
 ]

@@ -12,7 +12,7 @@ with mu = 1 - lam,
     E = -2uv mu (v mu + s lam)      F = (uv mu)^2
 
 At lam = 0 and 1 the member closes down to the doubled diagonals D2 and
-D1.  The public API takes the center abscissa h = (v + (s-v) lam) / 2 and
+D1.  ``family_point`` takes the center abscissa h = (v + (s-v) lam) / 2 and
 evaluates the coefficients, the four tangency points (ratios of positive
 forms in s - 2h and 2h - v, no division by s - v either), and the
 spectral quantities of the quadratic form:
@@ -36,7 +36,7 @@ the member, its center and its spectral quantities at a given lam.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .conic import Conic
 from .errors import HOutOfRange
@@ -167,12 +167,6 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
     return p
 
 
-def coefficients(cq: CanonicalQuad, h: float) -> Conic:
-    """Unnormalized conic coefficients of the family member at h."""
-    _require_h(cq, h)
-    return _member(cq, _segment_coordinate(cq, h), (cq.s - cq.v) ** 2)
-
-
 def _side_parameters(s, t, u, v, w, n, m) -> tuple:
     """lam1..lam4 on S1..S4 from n = s - 2h, m = 2h - v and the (R1) forms:
     uv n / (uv n + Q m), v n / (v n + s m), su m / (P n + su m) and
@@ -202,16 +196,8 @@ def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
     ]
 
 
-def spectral(cq: CanonicalQuad, h: float, *, conic: Optional[Conic] = None) -> Spectral:
-    """Spectral quantities of the family member at h (``conic``: its
-    coefficients, if at hand), the ratio in the product form."""
-    c = coefficients(cq, h) if conic is None else conic
-    return _spectral(cq, _segment_coordinate(cq, h), c, (cq.s - cq.v) ** 2)
-
-
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:
     """Assemble the full record of the family member at h."""
-    conic = coefficients(cq, h)
-    sp = spectral(cq, h, conic=conic)
-    tang = tuple(tangency_points(cq, h))
+    tang = tuple(tangency_points(cq, h))        # checks h
+    conic, _, sp = _at(cq, _segment_coordinate(cq, h))
     return FamilyPoint(h, conic, tang, *sp)

@@ -123,7 +123,8 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     center's abscissa.  Where that conic is a circle to machine precision
     (the angle is None), the optimum is the inscribed circle, reported
     exactly: radius the center's distance to the side on the y axis, its
-    abscissa, eccentricity 0 and a conjugate-diameter angle of pi/2.
+    abscissa, eccentricity 0, axis ratio 1 and a conjugate-diameter angle
+    of pi/2.
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
     model's certificate of a real ellipse.
     """
@@ -133,13 +134,12 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
     gap = math.sqrt(sp.gap_sq)
     a = math.sqrt((sp.trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
-    ratio_sq = min(sp.ratio_sq, 1.0)        # above 1 only by roundoff, on a circle
-
     angle = _major_axis_angle(conic, sp.trace, sp.gap_sq)
     if angle is None:
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
-        gamma = math.pi / 2.0
-    else:
+        gamma, ratio_sq = math.pi / 2.0, 1.0
+    else:       # gap > 1e-12 trace, so ratio_sq < 1 - 2e-12
+        ratio_sq = sp.ratio_sq
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (sp.trace + gap)), angle)
         gamma = conjugate_diameter_angle(geom)

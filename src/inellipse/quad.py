@@ -32,13 +32,13 @@ starting at (0, u) or (v, w) swap D1 and D2, and so the two types.
 
 Of the eight dihedral labelings satisfying (R0), :func:`canonicalize` keeps
 the one anchoring the shortest side on the y axis (ties: larger s, then
-larger t - w, then lowest labeling index).  Both labelings of a side share
-u.  With e_k the clockwise edge vectors, the forward one has u s =
--e_k x e_k+1, u v = -e_k-1 x e_k and u (t - w) = -e_k . e_k+2; the mirrored
-one swaps s and v.  So the anchor is the shortest side with a positive dot
-product, its larger turn picks the labeling, and only that labeling is
-mapped.  Sides of equal length, and signs or orders within rounding of
-the mapped values, are mapped and compared in full.
+larger t - w, then lowest labeling index).  Each side has two labelings,
+forward from its first vertex and mirrored from its second, and both have
+u = its length.  So the distinct side lengths are tried shortest first:
+both labelings of every side of that length are mapped, and the largest
+key (s, t - w, -start, -reflect) among those that satisfy (R0) wins.  Only
+mapped values are compared, so no rounding of another formula can pick
+the labeling.
 
 One tolerance, ``DEFAULT_TOL`` = 1e-9, relative to the scale of each
 test, decides every classification: parallel sides in
@@ -53,7 +53,6 @@ want a threshold of their own.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -325,13 +324,6 @@ def _convex(s: float, t: float, u: float, v: float, w: float) -> bool:
     return p > 0 and q > 0
 
 
-def _margin(coords: Sequence[float], lengths: Sequence[float]) -> float:
-    """Bound on the gap between an edge product (u times s, v or t - w) and
-    u times the value :func:`_labeling` rounds it to: 256 ulp of the scales."""
-    scale = sum(lengths)
-    return 256.0 * sys.float_info.epsilon * (max(map(abs, coords)) + scale) * scale
-
-
 def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
     """Move a convex quadrilateral into canonical pose by an isometry.
 
@@ -348,28 +340,15 @@ def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
         if abs(ax * by - ay * bx) <= DEFAULT_TOL * lengths[i] * lengths[i + 2]:
             raise Trapezoid("opposite sides are parallel within tolerance; "
                             "trapezoids and parallelograms are unsupported")
-    margin = _margin([x for p in cw for x in p], lengths)
-    turns = [ey * fx - ex * fy for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1])]
-    cands = []      # (u, sure, start, reflect) of the labelings still in the running
-    for k, ((ex, ey), (fx, fy)) in enumerate(zip(edges, edges[2:] + edges[:2])):
-        dot, su, vu = -(ex * fx + ey * fy), turns[k], turns[k - 1]
-        if dot > margin and min(su, vu, abs(su - vu)) > margin:
-            cands.append((lengths[k], True, k, False) if su > vu
-                         else (lengths[k], True, (k + 1) % 4, True))
-        elif dot >= -margin:
-            cands += [(lengths[k], False, k, False), (lengths[k], False, (k + 1) % 4, True)]
-    cands.sort(key=lambda cand: cand[0])
-    while cands:
-        group = [cand for cand in cands if cand[0] == cands[0][0]]
-        del cands[:len(group)]
-        if len(group) == 1 and group[0][1]:
-            params, iso = _labeling(cw, group[0][2], group[0][3])
-            break
+    for length in sorted(set(lengths)):
         keyed = []
-        for _, _, start, reflect in group:
-            params, iso = _labeling(cw, start, reflect)
-            if _pose_ok(*params):
-                keyed.append(((params[0], params[1] - params[4], -start, -reflect), params, iso))
+        for k in range(4):
+            if lengths[k] == length:
+                for start, reflect in ((k, False), ((k + 1) % 4, True)):
+                    params, iso = _labeling(cw, start, reflect)
+                    if _pose_ok(*params):
+                        keyed.append(((params[0], params[1] - params[4], -start, -reflect),
+                                      params, iso))
         if keyed:
             _, params, iso = max(keyed, key=lambda item: item[0])
             break

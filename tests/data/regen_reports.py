@@ -8,8 +8,9 @@ is the subcommand and its options, e.g. ``family --sweep 9``.  The file is
 rewritten only if every exit code and every byte of standard output outside
 the blocks named by ``--allow`` stay as pinned.  A name is an oracle, whose
 ``"oracles"`` entries may move (e.g. ``--allow side_tangency``),
-``result``, the solution block, or ``tangency``, the ``"tangency"`` array
-of each ``family`` line.  Otherwise the moved cases are listed,
+``result``, the solution block, a key of that block, whose value alone may
+move (e.g. ``--allow axis_ratio_sq``), or ``tangency``, the
+``"tangency"`` array of each ``family`` line.  Otherwise the moved cases are listed,
 nothing is written and the exit code is 1.  Without ``--allow`` the script
 only checks that the pinned reports are current.
 """
@@ -43,23 +44,27 @@ def run(command: str, vertices, workdir: str) -> tuple[int, str]:
 
 def masked(stdout: str, names: list[str]) -> str:
     """``stdout`` with each oracle entry named in ``names`` cut to ``{}``,
-    the ``"result"`` block too if ``names`` holds ``result``, and each
-    ``"tangency"`` array to ``[]`` if it holds ``tangency``."""
+    the value of each key of the ``"result"`` block named in ``names`` to
+    ``_``, that whole block to ``{}`` if ``names`` holds ``result``, and
+    each ``"tangency"`` array to ``[]`` if it holds ``tangency``."""
     if "tangency" in names:
         stdout = re.sub(r'"tangency": \[.*\]', '"tangency": []', stdout)
     if "result" in names:
         stdout = re.sub(r'"result": \{[^{}]*\}', '"result": {}', stdout)
     if names:
-        pattern = r'\{\s*"name": "(?:%s)",[^{}]*\}' % "|".join(map(re.escape, names))
-        stdout = re.sub(pattern, "{}", stdout)
+        alternatives = "|".join(map(re.escape, names))
+        key = r'("(?:%s)": )(?:\[[^\]]*\]|[^,\n}]*)' % alternatives
+        stdout = re.sub(r'("result": \{)([^{}]*\})',
+                        lambda m: m[1] + re.sub(key, r"\1_", m[2]), stdout)
+        stdout = re.sub(r'\{\s*"name": "(?:%s)",[^{}]*\}' % alternatives, "{}", stdout)
     return stdout
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--allow", action="append", default=[], metavar="NAME",
-                        help="an oracle, result or tangency, whose report entries "
-                             "may move (repeatable)")
+                        help="an oracle, result, a key of the result block, or "
+                             "tangency, whose report entries may move (repeatable)")
     args = parser.parse_args(argv)
     doc = json.loads(PINNED.read_text())
     moved, refused = [], []

@@ -16,7 +16,8 @@ distances that bracket ``oracle.containment``, the angle-bisector
 incircle, 50-digit references built from the
 defining coefficient formulas, the side linears that gave the tangency
 parameters before they were written in s - 2h and 2h - v, float references that the package does
-not need (the squared axis ratio as a function of h and its central
+not need (the conic coefficients and spectral quantities of the member
+at h, the squared axis ratio as a function of h and its central
 difference ``fd_gradient``, the general conic-to-shape route ``geometry``
 with its ``is_ellipse`` test, the tangent slope of a conic, the
 slope-intercept ``Line2`` with the discriminant test ``line_tangency`` as
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from inellipse import (CanonicalQuad, Degenerate, EllipseGeometry, Isometry2,
+from inellipse import (CanonicalQuad, Conic, Degenerate, EllipseGeometry, Isometry2,
                        NotAnEllipse, NotConvex, NoValidLabeling, Point2,
                        QuadKind, Trapezoid, canonicalize, classify, maximize_ratio_sq)
 from inellipse import family
@@ -652,6 +653,21 @@ def line_tangency(c, line: Line2) -> tuple[str, float]:
     if abs(disc) <= 1e-9 * scale:
         return "tangent", disc
     return ("secant" if disc > 0.0 else "disjoint"), disc
+
+
+def coefficients(cq: CanonicalQuad, h: float) -> Conic:
+    """Unnormalized conic coefficients of the family member at h, at the
+    defining scale: ``family_point(cq, h).conic`` without its tangency
+    points."""
+    family._require_h(cq, h)
+    return family._at(cq, family._segment_coordinate(cq, h))[0]
+
+
+def spectral(cq: CanonicalQuad, h: float) -> family.Spectral:
+    """Spectral quantities of the family member at h, the ratio in the
+    product form: the last four fields of ``family_point(cq, h)``."""
+    family._require_h(cq, h)
+    return family._at(cq, family._segment_coordinate(cq, h))[2]
 
 
 def maximize_h(cq: CanonicalQuad, **kwargs) -> tuple[float, int]:

@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from helpers import (Q5_VERTICES, Line2, canonical_vertices, center_quadratic, closed_form_h,
-                     ellipse_delta, fd_gradient, grid_argmax, interior_points,
+                     coefficients, ellipse_delta, fd_gradient, grid_argmax, interior_points,
                      line_tangency, maximize_h, moved_vertices, numpy_ratio_sq,
                      random_general, random_isometry, random_kite, random_type1,
                      random_type2, ratio_sq_closed_form, ratio_sq_function,
-                     ratio_sq_prime, tangent_slope, type1_factored_quartic)
-from inellipse import (Conic, canonicalize, classify, coefficients, diagonal_angle,
-                       solve, spectral, tangency_points)
+                     ratio_sq_prime, spectral, tangent_slope, type1_factored_quartic)
+from inellipse import (Conic, canonicalize, classify, diagonal_angle, solve,
+                       tangency_points)
 from inellipse.family import stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import QuadKind, _r1

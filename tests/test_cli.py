@@ -131,6 +131,7 @@ class TestMinimal:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["result"]["eccentricity"] == 0.0
+        assert report["result"]["axis_ratio_sq"] == 1.0
         assert report["result"]["method"] == "numeric"
         assert report["result"]["tan_sq_gamma"] is None
         assert [(o["name"], o["passed"]) for o in report["oracles"]] == [

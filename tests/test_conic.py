@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Line2, closed_form_h, ellipse_delta, geometry, is_ellipse,
-                     line_tangency, make_quad, random_general, random_h,
+from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry,
+                     is_ellipse, line_tangency, make_quad, random_general, random_h,
                      tangent_slope)
-from inellipse import (Conic, Isometry2, NotAnEllipse, Point2, coefficients,
-                       conjugate_diameter_angle)
+from inellipse import Conic, Isometry2, NotAnEllipse, Point2, conjugate_diameter_angle
 
 UNIT_CIRCLE = Conic(1, 0, 1, 0, 0, -1)
 

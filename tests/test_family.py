@@ -4,13 +4,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from helpers import (Line2, closed_form_h, ellipse_delta, geometry, interior_points,
-                     is_ellipse, line_tangency, make_quad, mp_conic, mp_family,
+from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry,
+                     interior_points, is_ellipse, line_tangency, make_quad, mp_conic, mp_family,
                      random_general, random_h, random_type1, ratio_sq_function,
                      ratio_sq_prime, side_linear_parameters, side_linears,
-                     tangent_slope, type1_factored_quartic)
-from inellipse import (Conic, HOutOfRange, coefficients, containment, family_point,
-                       spectral, tangency_points)
+                     spectral, tangent_slope, type1_factored_quartic)
+from inellipse import Conic, HOutOfRange, containment, family_point, tangency_points
 from inellipse import canonicalize, newton_segment
 from inellipse.family import _l5, _side_parameters, stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual

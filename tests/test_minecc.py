@@ -9,10 +9,10 @@ from helpers import (NEAR_TRAPEZOIDS, bench_module, bench_pool, canonical_vertic
                      incircle, make_quad, maximize_h, moved_vertices, mp_family, near_mdqs,
                      near_tangential_kites, numpy_ratio_sq, mp_semi_axes, random_general,
                      random_isometry, random_kite, random_type1, random_type2,
-                     ratio_sq_closed_form, ratio_sq_function, ratio_sq_prime, sv_pool,
-                     type1_root, type2_root)
+                     ratio_sq_closed_form, ratio_sq_function, ratio_sq_prime, spectral,
+                     sv_pool, type1_root, type2_root)
 from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       newton_segment, quad, solve, spectral)
+                       newton_segment, quad, solve)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, _abscissa, stationarity
 from inellipse.minecc import NUMERIC
 
@@ -535,6 +535,14 @@ class TestOneRootPath:
                 assert circle == (tag == "kite")
                 circles += circle
         assert circles == 1280
+
+    def test_circles_report_an_axis_ratio_of_1(self):
+        # the product form of the ratio at the root sits up to 1e-14 below 1
+        # on a circle; the circle itself is reported, so the ratio is 1
+        circles = [res for _, cq in bench_pool("cli_verify", 1)
+                   if (res := solve(cq)).geom.major_axis_angle is None]
+        assert len(circles) == 32
+        assert [res.ratio_sq for res in circles] == [1.0] * 32
 
     def test_near_tangential_kites_are_their_own_ellipses(self):
         # Pitot residuals in +-1e-9, which classify calls tangential: each

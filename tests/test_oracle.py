@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     Line2, bench_module, cli_verify_pool, closed_form_h, fd_gradient, geometry, grid_argmax,
+                     Line2, bench_module, cli_verify_pool, closed_form_h, coefficients, fd_gradient, geometry, grid_argmax,
                      incircle, interior_points, make_quad, mp_family, mp_support_distances,
                      near_mdqs, near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
                      line_tangency, random_kite, random_type2, ratio_sq_function,
                      ratio_sq_prime, spectral_quadratics, support_rounding, sv_pool)
 from inellipse import (CanonicalQuad, Conic, Point2, QuadKind, canonicalize,
-                       classify, coefficients, containment, solve, verify)
+                       classify, containment, solve, verify)
 from inellipse import family, minecc, quad
 from inellipse.oracle import (TANGENCY_TOL, _line_residual, _slope_sign, optimum,
                               side_distance_lines, side_tangency)

@@ -1,13 +1,14 @@
 import inspect
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Q5_VERTICES, canonical_vertices, canonicalize_oracle,
+from helpers import (Q5_VERTICES, bench_module, canonical_vertices, canonicalize_oracle,
                      diagonal_swaps_oracle, make_quad, moved_vertices, placed,
                      random_general, random_isometry, random_kite, random_type1,
                      random_type2, validate_oracle)
@@ -151,9 +152,9 @@ class TestCanonicalize:
 
 
 class TestAgainstBruteForce:
-    """canonicalize picks its labeling from edge products and maps only the
-    winner; the brute force maps all eight.  The results must be equal
-    bit for bit, isometry included."""
+    """canonicalize maps both labelings of each side of the shortest length
+    that has a labeling in pose; the brute force maps all eight.  The
+    results must be equal bit for bit, isometry included."""
 
     @pytest.mark.parametrize("gen", [random_general, random_type1, random_type2, random_kite])
     def test_random_placements(self, gen):
@@ -168,6 +169,21 @@ class TestAgainstBruteForce:
             off = 10.0 ** rng.uniform(0, 9)
             raw = [(x + off, y - off) for x, y in placed(random_general(rng), rng)]
             assert canonicalize(raw) == canonicalize_oracle(raw)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_solve_illcond_inputs(self, seed):
+        # near-trapezoids down to |s - v| = 1e-8 of the diameter, where the
+        # two labelings of the y-axis side have nearly equal s and v, and
+        # offsets up to 1e9 diameters; rejections must match as well
+        workloads = bench_module("workloads")
+        for item in workloads.illcond_items(random.Random(seed), 512):
+            try:
+                expected = canonicalize_oracle(item.vertices)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    canonicalize(item.vertices)
+                continue
+            assert canonicalize(item.vertices) == expected
 
     def test_integer_kites_with_tied_sides(self):
         # two pairs of adjacent sides of exactly equal length, in every
