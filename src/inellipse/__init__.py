@@ -10,8 +10,7 @@ angle between the diagonals.
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, Trapezoid)
-from .family import (FamilyPoint, Spectral, TangentPoint, family_point,
-                     tangency_points)
+from .family import FamilyPoint, Spectral, TangentPoint, family_point
 from .minecc import MinEccResult, maximize_ratio_sq, solve
 from .oracle import OracleReport, containment, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
@@ -28,5 +27,5 @@ __all__ = [
     "Spectral", "TangentPoint", "Trapezoid", "canonicalize", "classify",
     "conjugate_diameter_angle", "containment", "diagonal_angle",
     "family_point", "maximize_ratio_sq", "newton_segment", "solve",
-    "tangency_points", "validate", "verify",
+    "validate", "verify",
 ]

@@ -219,7 +219,7 @@ def _result_block(res: MinEccResult) -> dict:
     if abs(res.gamma - math.pi / 2.0) > 1e-9:
         tan_sq = math.tan(res.gamma) ** 2
     return {
-        "h_star": res.h_star,
+        "h_star": res.geom.center.x,
         "method": res.method,
         "iterations": res.iterations,
         "conic": list(res.conic.normalized()),
@@ -274,7 +274,8 @@ def _render_svg(path: str, raw_cw: list[Point2], cq: CanonicalQuad,
                        g.center.y + ex * sa + ey * ca))
         trace.append(flip(p))
 
-    tang = [flip(inv.apply(tp.zeta)) for tp in family.tangency_points(cq, res.h_star)]
+    lam = res.lam_star
+    tang = [flip(inv.apply(tp.zeta)) for tp in family._tangency(cq, 1.0 - lam, lam)]
     ns = newton_segment(cq)
     n1, n2 = flip(inv.apply(ns.m1)), flip(inv.apply(ns.m2))
     d1 = (quad_pts[0], quad_pts[2])

@@ -12,10 +12,10 @@ with mu = 1 - lam,
     E = -2uv mu (v mu + s lam)      F = (uv mu)^2
 
 At lam = 0 and 1 the member closes down to the doubled diagonals D2 and
-D1.  ``family_point`` takes the center abscissa h = (v + (s-v) lam) / 2 and
-evaluates the coefficients, the four tangency points (ratios of positive
-forms in s - 2h and 2h - v, no division by s - v either), and the
-spectral quantities of the quadratic form:
+D1.  ``family_point`` takes the center abscissa h = (v + (s-v) lam) / 2
+and evaluates the coefficients, the four tangency points (``_tangency``:
+ratios of same-signed forms in center weights (n, m) = (s - 2h, 2h - v),
+no division by s - v either) and the spectral quantities of the form:
 
     trace    = A + C                  (> 0 on the interval)
     gap_sq   = (A - C)^2 + B^2        (squared eigenvalue gap)
@@ -27,8 +27,9 @@ spectral quantities of the quadratic form:
 Coefficients are returned unnormalized, at the defining scale, because
 the polynomial identities among them (for example trace^2 - gap_sq =
 16 u (s-v)^2 cubic) hold only there.  The solver stays in lam:
-``stationarity`` is the quartic whose root is the optimum, and ``_at``
-the member, its center and its spectral quantities at a given lam.
+``stationarity`` is the quartic whose root lam* is the optimum, ``_at``
+the member, its center and its spectral quantities at a given lam, and
+``_tangency`` at (1 - lam*, lam*) its tangency points.
 ``_model`` is written in the pose parameters with integer literals, so
 ``oracle.optimum`` evaluates the same model exactly on ``int`` poses.
 """
@@ -168,36 +169,33 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
 
 
 def _side_parameters(s, t, u, v, w, n, m) -> tuple:
-    """lam1..lam4 on S1..S4 from n = s - 2h, m = 2h - v and the (R1) forms:
-    uv n / (uv n + Q m), v n / (v n + s m), su m / (P n + su m) and
-    P n / (P n + Q m).  n and m have the sign of s - v, so every term does
-    by (R0) and (R1): no sum cancels, nothing divides by s - v, and each
-    lam is homogeneous of degree 0 in (n, m)."""
+    """lam1..lam4 on S1..S4 from center weights (n, m) = c (1 - lam, lam),
+    c != 0, and the (R1) forms: uv n / (uv n + Q m), v n / (v n + s m),
+    su m / (P n + su m) and P n / (P n + Q m).  n and m share a sign, so
+    every term does by (R0) and (R1): no sum cancels, nothing divides by
+    s - v, and each lam is homogeneous of degree 0 in (n, m)."""
     p, q = _r1(s, t, u, v, w)
     a1, a2, a3, a4, qm = u * v * n, v * n, s * u * m, p * n, q * m
     return a1 / (a1 + qm), a2 / (a2 + s * m), a3 / (a4 + a3), a4 / (a4 + qm)
 
 
-def tangency_points(cq: CanonicalQuad, h: float) -> list[TangentPoint]:
-    """Tangency points with sides S1..S4, with their barycentric parameters.
-
-    Each point divides its side as lam * far_end + (1 - lam) * near_end
-    with lam strictly inside (0, 1) for h strictly inside the interval.
-    """
-    _require_h(cq, h)
+def _tangency(cq: CanonicalQuad, n, m) -> tuple[TangentPoint, ...]:
+    """Tangency points with sides S1..S4, with their barycentric parameters,
+    of the member of center weights (n, m) (``_side_parameters``).  Each
+    point divides its side as lam * far_end + (1 - lam) * near_end."""
     s, t, u, v, w = cq.params
-    lam1, lam2, lam3, lam4 = _side_parameters(s, t, u, v, w, s - 2.0 * h, 2.0 * h - v)
-    return [
+    lam1, lam2, lam3, lam4 = _side_parameters(s, t, u, v, w, n, m)
+    return (
         TangentPoint(Point2(lam1 * v, lam1 * w), lam1),
         TangentPoint(Point2(0.0, lam2 * u), lam2),
         TangentPoint(Point2(lam3 * s, lam3 * t + (1.0 - lam3) * u), lam3),
         TangentPoint(Point2(lam4 * v + (1.0 - lam4) * s,
                             lam4 * w + (1.0 - lam4) * t), lam4),
-    ]
+    )
 
 
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:
     """Assemble the full record of the family member at h."""
-    tang = tuple(tangency_points(cq, h))        # checks h
+    _require_h(cq, h)
     conic, _, sp = _at(cq, _segment_coordinate(cq, h))
-    return FamilyPoint(h, conic, tang, *sp)
+    return FamilyPoint(h, conic, _tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v), *sp)

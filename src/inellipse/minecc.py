@@ -21,7 +21,7 @@ tangential circle is the same root, where the gap of the conic vanishes.
 No path searches over values of the ratio.  The conic, the center, the
 semi-axes and the axis angle are then read from the model at that lam;
 the package has no route from a conic's six coefficients back to its
-shape.  The center abscissa h* is reported, never converted back.
+shape.  lam* is carried; h* is ``geom.center.x``.
 
 For midpoint-diagonal quadrilaterals the angle between the equal conjugate
 diameters of the solution equals the angle between the diagonals; the
@@ -44,7 +44,7 @@ STEP_TOL = 1e-12        # the root search stops at a step below this, in lam
 
 
 class MinEccResult(NamedTuple):
-    h_star: float
+    lam_star: float         # segment coordinate of the solution's center
     conic: Conic
     geom: EllipseGeometry
     gamma: float            # angle between equal conjugate diameters
@@ -119,12 +119,12 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     and e^2 = 2 gap / S: no cancellation of 4AC - B^2, of the determinant
     or of 1 - (b/a)^2 on thin or near-circular members.  The major-axis
     angle is 1/2 atan2(B, A - C) + pi/2 of that conic
-    (``conic._major_axis_angle``; trace > 0, so no sign flip).  h* is the
-    center's abscissa.  Where that conic is a circle to machine precision
-    (the angle is None), the optimum is the inscribed circle, reported
-    exactly: radius the center's distance to the side on the y axis, its
-    abscissa, eccentricity 0, axis ratio 1 and a conjugate-diameter angle
-    of pi/2.
+    (``conic._major_axis_angle``; trace > 0, so no sign flip).  The result
+    carries lam*; h* is ``geom.center.x``.  Where that conic is a circle to
+    machine precision (the angle is None), the optimum is the inscribed
+    circle, reported exactly: radius the center's distance to the side on
+    the y axis, its abscissa, eccentricity 0, axis ratio 1 and a
+    conjugate-diameter angle of pi/2.
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
     model's certificate of a real ellipse.
     """
@@ -144,5 +144,5 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
                                math.sqrt(2.0 * gap / (sp.trace + gap)), angle)
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
-    return MinEccResult(center.x, conic, geom, gamma, alpha, ratio_sq,
+    return MinEccResult(lam, conic, geom, gamma, alpha, ratio_sq,
                         NUMERIC, iterations, abs(gamma - alpha))

@@ -3,11 +3,13 @@
 Every oracle is independent of what it checks: :func:`optimum` takes the
 model's slope in exact ``int`` arithmetic, without the float stationarity
 quartic or its root search; the tangency points come from the family's
-closed forms in s - 2h and 2h - v, not from the conic; the support
-distances and the line residual l^T adj(M) l from the side lines alone.  :func:`verify` runs the battery on a
-``minecc.solve`` result: ``containment`` checks that the reported ellipse
-(center, semi-axes, axis angle) is inscribed, ``side_tangency`` checks its
-conic and ``optimum`` its h*.  Plain ``math`` and ``int``.
+closed forms in 1 - lam* and lam*, not from the conic; the support
+distances and the line residual l^T adj(M) l from the side lines alone.
+:func:`verify` runs the battery on a ``minecc.solve`` result:
+``containment`` checks that the reported ellipse (center, semi-axes, axis
+angle) is inscribed, ``side_tangency`` its conic at the tangency points of
+lam*, and ``optimum`` lam* itself, as ``solve`` found it: no oracle
+converts back from h*.  Plain ``math`` and ``int``.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _line_residual(conic: Conic, p: Point2, q: Point2) -> float:
 
 def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
     """The side lines tangent to ``res.conic`` (normalized, so it must be
-    finite and not zero), and the tangency points at h* on it and inside
+    finite and not zero), and the tangency points at lam* on it and inside
     their sides.  Each side's :func:`_line_residual` and its point's
     |conic(point)| over its term scale, both at most 1, must be within
     ``TANGENCY_TOL``.  The residual is the largest of the eight, located at
@@ -95,7 +97,7 @@ def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
         return OracleReport("side_tangency", False, 1.0,
                             "normalized conic is zero or not finite", TANGENCY_TOL)
     terms = Conic._make(map(abs, conic_n))
-    points = family.tangency_points(cq, res.h_star)
+    points = family._tangency(cq, 1.0 - res.lam_star, res.lam_star)
     outside = [tp.lam for tp in points if not 0.0 < tp.lam < 1.0]
     residuals = [(_line_residual(conic_n, p, q), j, "line") for j, (p, q) in enumerate(cq.sides)]
     residuals += [(abs(conic_n(x, y)) / (terms(abs(x), abs(y)) or 1.0), j, "tangency point")
@@ -108,20 +110,20 @@ def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
     return OracleReport("side_tangency", passed, worst, where, TANGENCY_TOL)
 
 
-def _slope_sign(cq: CanonicalQuad, h: float) -> int:
-    """The sign (-1, 0 or 1) of d(b/a)^2/dh at h for the float pose, exact.
+def _slope_sign(cq: CanonicalQuad, lam: float) -> int:
+    """The sign (-1, 0 or 1) of d(b/a)^2/dlam at lam for the float pose, exact.
 
-    Floats are dyadic: s, t, u, v, w and h are integers over one power of
-    two, lam = m/q with m = 2h - v, q = s - v, n = q - m.  A triple (x0, x1,
+    Floats are dyadic: s, t, u, v, w are integers over one power of two,
+    and lam = m/q with q > 0 a power of two, n = q - m.  A triple (x0, x1,
     x2) of ``family._model`` on the integer pose gives q^2 X = x0 n^2 + 2 x1
     m n + x2 m^2 and q X'/2 = (x1 - x0) n + (x2 - x1) m (X = A, B, C; ' =
     d/dlam).  So q^5 p/4, p = 2 T' G - T G' (T = A + C, G = (A - C)^2 + B^2)
-    of sign d(b/a)^2/dlam, is an ``int`` whose q^5 has the sign of dlam/dh.
+    of sign d(b/a)^2/dlam, is an ``int`` of the sign of p, as q > 0.
     """
-    ratios = [x.as_integer_ratio() for x in (*cq.params, h)]
+    ratios = [x.as_integer_ratio() for x in cq.params]
     e = max(d.bit_length() for _, d in ratios)
-    s, t, u, v, w, x = [k << e - d.bit_length() for k, d in ratios]
-    m, q = 2 * x - v, s - v
+    s, t, u, v, w = [k << e - d.bit_length() for k, d in ratios]
+    m, q = lam.as_integer_ratio()
     n = q - m
     nn, mn, mm = n * n, m * n, m * m
     (a, da), (b, db), (c, dc) = [(x0 * nn + 2 * x1 * mn + x2 * mm, (x1 - x0) * n + (x2 - x1) * m)
@@ -130,32 +132,30 @@ def _slope_sign(cq: CanonicalQuad, h: float) -> int:
     return (p > 0) - (p < 0)
 
 
-def optimum(cq: CanonicalQuad, h: float) -> OracleReport:
+def optimum(cq: CanonicalQuad, lam: float) -> OracleReport:
     """Certify that the exact maximizer of (b/a)^2 for the float pose lies
-    within d of h, d the residual.
+    within d of lam, d the residual, in the segment coordinate.
 
-    The slope of (b/a)^2 changes sign once on the interval (the paper's
-    [H1]; the ``minecc`` docstring), so an exact slope >= 0 at h - d and
-    <= 0 at h + d (:func:`_slope_sign`) puts the maximizer between them.
-    Per side, d starts at 2^-52 of the interval width (or one ulp of h, if
-    more) and doubles until the sign holds or d passes limit = max(1e-9
-    width, 2 ulp(h)): one ulp of h is up to 1.1e-8 of a near-trapezoid's
-    interval.  d is the larger distance from h to the two probes.
+    The slope of (b/a)^2 changes sign once on (0, 1) (the paper's [H1];
+    the ``minecc`` docstring), so an exact slope >= 0 at lam - d and <= 0
+    at lam + d (:func:`_slope_sign`) puts the maximizer between them.  Per
+    side, d starts at 2^-52 and doubles until the sign holds or d passes
+    1e-9 of the interval, the limit.  d is the larger distance from lam to
+    the two probes.
     """
-    width = cq.interval[1] - cq.interval[0]
-    limit = max(1e-9 * width, 2.0 * math.ulp(h))
+    limit = 1e-9
     probes = []
     for side in (1, -1):
-        d = max(2.0 ** -52 * width, math.ulp(h))
+        d = 2.0 ** -52
         while True:
-            x = h - side * d
+            x = lam - side * d
             holds = side * _slope_sign(cq, x) >= 0
             if holds or d > limit:
                 break
             d *= 2.0
         probes.append((x, holds))
     (xl, left), (xr, right) = probes
-    d = max(h - xl, xr - h)
+    d = max(lam - xl, xr - lam)
     return OracleReport("optimum", left and right and d <= limit, d,
                         f"slope {'>=' if left else '<'} 0 at {xl!r}, "
                         f"{'<=' if right else '>'} 0 at {xr!r}", limit)
@@ -165,7 +165,7 @@ def verify(cq: CanonicalQuad, res: MinEccResult) -> list[OracleReport]:
     """The oracle battery on ``res = minecc.solve(cq)``, in report order:
     ``containment`` (the reported ellipse ``res.geom`` inscribed);
     ``side_tangency`` (the reported conic ``res.conic`` tangent to the side
-    lines at its tangency points); ``optimum`` (h* within a certified
+    lines at its tangency points); ``optimum`` (lam* within a certified
     half-width of the exact maximizer).
     """
-    return [containment(res.geom, cq), side_tangency(cq, res), optimum(cq, res.h_star)]
+    return [containment(res.geom, cq), side_tangency(cq, res), optimum(cq, res.lam_star)]

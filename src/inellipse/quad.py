@@ -15,9 +15,9 @@ runs clockwise.  The five pose parameters must satisfy
 
 Quadrilaterals with a parallel side pair (including parallelograms) are
 rejected outright.  The family's model and its tangency points divide by
-no s - v, but the public API names each member by its center abscissa h,
-the segment coordinate is (2h - v) / (s - v), and the interval of h
-collapses to a single point for parallelograms.
+no s - v, and the solved member is named by its segment coordinate lam*;
+but the conic is reported at the scale (s - v)^2, and ``family_point``
+takes the center abscissa h, whose interval is a point when s = v.
 
 Side and diagonal conventions, in clockwise order from the origin:
 

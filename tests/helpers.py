@@ -185,6 +185,22 @@ def sv_pool(count: int = 32, seed: int = 1301) -> list[CanonicalQuad]:
     return quads + [canonicalize(q) for q in THIN_OPTIMA + NEAR_TRAPEZOIDS]
 
 
+def near_parallel_poses(count: int, k: int, seed: int) -> list[CanonicalQuad]:
+    """``count`` poses with s - v = +-10^-k s, the signs alternating, built
+    by ``CanonicalQuad.from_params``, which skips the parallel-side test of
+    ``canonicalize``: S4 is within about 10^-k of parallel to S2, as in
+    every labeling of a parallelogram, and the center segment is about
+    10^-k s long."""
+    rng = np.random.default_rng(seed)
+    quads = []
+    while len(quads) < count:
+        s, t, u, w = rng.uniform(LO, HI, 4)
+        cq = try_params(s, t, u, s * (1.0 + (-1) ** len(quads) * 10.0 ** -k), w)
+        if cq is not None:
+            quads.append(cq)
+    return quads
+
+
 def random_isometry(rng) -> Isometry2:
     return Isometry2(float(rng.uniform(-math.pi, math.pi)),
                      Point2(float(rng.uniform(-20, 20)), float(rng.uniform(-20, 20))),
@@ -282,7 +298,7 @@ def side_linears(params, h) -> SideLinears:
 def side_linear_parameters(params, h) -> tuple:
     """lam1..lam4 of the tangency points from the side linears; lam2 and
     lam4 divide by s - v.  Evaluated in 50 digits, the reference for
-    ``family.tangency_points``."""
+    ``family._side_parameters``."""
     s, t, u, v, w = params
     lin = side_linears(params, h)
     return ((s - 2 * h) * u * v / lin.l1, (s - 2 * h) * v / (2 * h * (s - v)),
@@ -661,6 +677,14 @@ def coefficients(cq: CanonicalQuad, h: float) -> Conic:
     points."""
     family._require_h(cq, h)
     return family._at(cq, family._segment_coordinate(cq, h))[0]
+
+
+def tangency_points(cq: CanonicalQuad, h: float) -> list[family.TangentPoint]:
+    """Tangency points of the family member at h with sides S1..S4, with
+    their barycentric parameters: ``family_point(cq, h).tangency`` without
+    the conic."""
+    family._require_h(cq, h)
+    return list(family._tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v))
 
 
 def spectral(cq: CanonicalQuad, h: float) -> family.Spectral:

@@ -15,9 +15,9 @@ from helpers import (Q5_VERTICES, Line2, canonical_vertices, center_quadratic, c
                      line_tangency, maximize_h, moved_vertices, numpy_ratio_sq,
                      random_general, random_isometry, random_kite, random_type1,
                      random_type2, ratio_sq_closed_form, ratio_sq_function,
-                     ratio_sq_prime, spectral, tangent_slope, type1_factored_quartic)
-from inellipse import (Conic, canonicalize, classify, diagonal_angle, solve,
-                       tangency_points)
+                     ratio_sq_prime, spectral, tangency_points, tangent_slope,
+                     type1_factored_quartic)
+from inellipse import Conic, canonicalize, classify, diagonal_angle, solve
 from inellipse.family import stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import QuadKind, _r1

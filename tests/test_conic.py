@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry,
                      is_ellipse, line_tangency, make_quad, random_general, random_h,
-                     tangent_slope)
+                     tangency_points, tangent_slope)
 from inellipse import Conic, Isometry2, NotAnEllipse, Point2, conjugate_diameter_angle
 
 UNIT_CIRCLE = Conic(1, 0, 1, 0, 0, -1)
@@ -166,7 +166,6 @@ class TestTangentSlope:
     def test_family_tangency_slope(self):
         cq = make_quad(4, 6, 2, 2, 1)
         c = coefficients(cq, closed_form_h(cq))
-        from inellipse import tangency_points
         z1 = tangency_points(cq, closed_form_h(cq))[0].zeta
         assert abs(tangent_slope(c, z1) - 0.5) <= 1e-9
 

@@ -8,8 +8,8 @@ from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry
                      interior_points, is_ellipse, line_tangency, make_quad, mp_conic, mp_family,
                      random_general, random_h, random_type1, ratio_sq_function,
                      ratio_sq_prime, side_linear_parameters, side_linears,
-                     spectral, tangent_slope, type1_factored_quartic)
-from inellipse import Conic, HOutOfRange, containment, family_point, tangency_points
+                     spectral, tangency_points, tangent_slope, type1_factored_quartic)
+from inellipse import Conic, HOutOfRange, containment, family_point
 from inellipse import canonicalize, newton_segment
 from inellipse.family import _l5, _side_parameters, stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual

@@ -190,7 +190,7 @@ class TestSolve:
     def test_golden_quad(self, q5):
         res = solve(q5)
         assert res.method == NUMERIC and res.iterations > 0
-        assert abs(res.h_star - H_PLUS_GOLDEN) <= 1e-12
+        assert abs(res.geom.center.x - H_PLUS_GOLDEN) <= 1e-12
         assert abs(math.tan(res.gamma) ** 2 - 64.0) <= 1e-9
         assert abs(math.tan(res.alpha) ** 2 - 64.0) <= 1e-9
         assert res.residual <= 1e-9
@@ -200,8 +200,8 @@ class TestSolve:
     def test_golden_quad_geometry(self, q5):
         res = solve(q5)
         geo = geometry(res.conic)
-        assert abs(geo.center.x - res.h_star) <= 1e-12
-        assert abs(geo.center.y - 1.5 * res.h_star) <= 1e-12
+        assert abs(geo.center.x - res.geom.center.x) <= 1e-12
+        assert abs(geo.center.y - 1.5 * res.geom.center.x) <= 1e-12
         assert abs((geo.b / geo.a) ** 2 - res.ratio_sq) <= 1e-12
 
     def test_kite_is_incircle(self, kite):
@@ -210,7 +210,7 @@ class TestSolve:
         assert res.gamma == math.pi / 2 and abs(res.alpha - math.pi / 2) <= 1e-12
         assert res.geom.a == res.geom.b
         expected = math.sqrt(10.0) - 2.0
-        assert abs(res.h_star - expected) <= 1e-12
+        assert abs(res.geom.center.x - expected) <= 1e-12
         assert abs(res.geom.a - expected) <= 1e-12
 
     def test_type2_is_closed_form(self):
@@ -219,12 +219,12 @@ class TestSolve:
         for _ in range(50):
             cq = random_type2(rng)
             res = solve(cq)
-            assert abs(res.h_star - _abscissa(cq, type2_root(cq))) <= 1e-12 * cq.diameter
+            assert abs(res.geom.center.x - _abscissa(cq, type2_root(cq))) <= 1e-12 * cq.diameter
             assert res.residual <= 1e-8
             lo, hi = cq.interval
-            assert lo < res.h_star < hi
+            assert lo < res.geom.center.x < hi
             geo = geometry(res.conic)
-            assert abs(geo.center.x - res.h_star) <= 1e-9 * cq.diameter
+            assert abs(geo.center.x - res.geom.center.x) <= 1e-9 * cq.diameter
 
     def test_general_quad_is_numeric(self):
         res = solve(make_quad(4, 6, 3, 2, 1))
@@ -246,7 +246,7 @@ class TestSolve:
         res = solve(cq)
         assert res.geom.eccentricity == 0.0
         assert res.gamma == math.pi / 2 and res.residual <= 1e-12
-        assert abs(res.h_star - (math.sqrt(10.0) - 2.0)) <= 1e-12
+        assert abs(res.geom.center.x - (math.sqrt(10.0) - 2.0)) <= 1e-12
 
     def test_conjugate_angle_matches_ratio_identity(self):
         # tan^2 of the conjugate-diameter angle of the solved geometry
@@ -428,7 +428,7 @@ class TestStationarityRoot:
             cq = random_type2(rng)
             res = solve(cq)
             cx, cy = res.geom.center
-            assert cx == res.h_star
+            assert cx == _abscissa(cq, res.lam_star)
             assert abs(cy - newton_segment(cq).y_at(cx)) <= 1e-12 * cq.diameter
             h_ref, y_ref = mp_argmax(cq, dps=30)
             assert abs(cx - float(h_ref)) <= 1e-12 * cq.diameter
@@ -474,8 +474,8 @@ class TestThinRatio:
         assert res.ratio_sq < 1e-4
         with mpmath.workdps(50):
             ratio, _ = mp_family(cq)
-            ref = ratio(mpmath.mpf(res.h_star))
-            for value in (res.ratio_sq, spectral(cq, res.h_star).ratio_sq):
+            ref = ratio(mpmath.mpf(res.geom.center.x))
+            for value in (res.ratio_sq, spectral(cq, res.geom.center.x).ratio_sq):
                 assert abs(value - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("vertices", THIN_TYPE1)
@@ -498,7 +498,7 @@ class TestThinRatio:
         cq = canonicalize(vertices)
         res = solve(cq)
         with mpmath.workdps(50):
-            a_ref, b_ref = mp_semi_axes(cq, mpmath.mpf(res.h_star))
+            a_ref, b_ref = mp_semi_axes(cq, mpmath.mpf(res.geom.center.x))
             assert abs(res.geom.a - a_ref) <= 1e-13 * a_ref
             assert abs(res.geom.b - b_ref) <= 1e-13 * b_ref
 
@@ -511,7 +511,7 @@ class TestThinRatio:
                 cq = gen(rng)
                 res = solve(cq)
                 with mpmath.workdps(50):
-                    ref = mp_family(cq)[0](mpmath.mpf(res.h_star))
+                    ref = mp_family(cq)[0](mpmath.mpf(res.geom.center.x))
                     assert abs(res.ratio_sq - ref) <= 1e-13 * ref
 
 

@@ -412,7 +412,8 @@ class TestCanonicalQuadValidation:
         k = 2.0 ** end / math.sqrt(52.0)
         inside, outside = k * (1 - math.copysign(1e-6, end)), k * (1 + math.copysign(1e-6, end))
         res = solve(CanonicalQuad.from_params(*(inside * x for x in params)))
-        assert abs(res.h_star - inside * unit.h_star) <= 1e-12 * inside * unit.h_star
+        h, unit_h = res.geom.center.x, unit.geom.center.x
+        assert abs(h - inside * unit_h) <= 1e-12 * inside * unit_h
         assert abs(res.ratio_sq - unit.ratio_sq) <= 1e-12
         with pytest.raises(Degenerate, match="accepted range"):
             CanonicalQuad.from_params(*(outside * x for x in params))

@@ -24,7 +24,7 @@ def test_readme_examples_run_and_match_their_comments():
             exec(compile(block, "README.md", "exec"), ns)
     cq, res, fp = ns["cq"], ns["res"], ns["fp"]
     assert str(ns["classify"](cq).kind) == commented("print(classify(cq).kind)")
-    assert res.h_star == float(commented("print(res.h_star)"))
+    assert res.geom.center.x == float(commented("print(res.geom.center.x)"))
     assert fp.conic == ast.literal_eval(commented("fp.conic").split(", unnormalized")[0])
     reports = [line.split() for line in out.getvalue().splitlines()[-3:]]
     assert reports == [["containment", "True"], ["side_tangency", "True"], ["optimum", "True"]]
