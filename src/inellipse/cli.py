@@ -13,7 +13,11 @@ pairs (file via --input, or standard input); other keys are ignored.  The
 classification tolerance is the package's one, ``quad.DEFAULT_TOL``, and
 no option sets another.  Each report's "classification" block comes from
 one ``classify`` call; the solver never reads it, so it describes the
-quad and picks nothing.  Reports print through a ``%`` template per
+quad and picks nothing.  The "classification", "canonical" and "newton"
+blocks are the ``_asdict()`` of ``QuadClass``, ``CanonicalQuad`` (its
+``iso`` too) and ``NewtonSegment``, and points and conics print as the
+tuples they are: a field added to one of those records is a report
+change.  Reports print through a ``%`` template per
 shape built from ``to_json``, floats at 17 significant digits, so they
 re-parse losslessly and identical inputs give identical bytes.
 
@@ -179,38 +183,13 @@ def _json_number(x, message: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _point(p: Point2) -> list:
-    return [p.x, p.y]
-
-
-def _classification_block(qc) -> dict:
+def _quad_report(vertices: list, cq: CanonicalQuad) -> dict:
+    """The report header: the input and the quad's records as they are."""
     return {
-        "kind": qc.kind.value,
-        "tangential": qc.tangential,
-        "orthodiagonal": qc.orthodiagonal,
-        "residuals": {k: qc.residuals[k] for k in sorted(qc.residuals)},
-    }
-
-
-def _canonical_block(cq: CanonicalQuad) -> dict:
-    return {
-        "s": cq.s, "t": cq.t, "u": cq.u, "v": cq.v, "w": cq.w,
-        "iso": {
-            "angle": cq.iso.angle,
-            "translation": _point(cq.iso.translation),
-            "reflect": cq.iso.reflect,
-        },
-    }
-
-
-def _newton_block(cq: CanonicalQuad) -> dict:
-    ns = newton_segment(cq)
-    return {
-        "m1": _point(ns.m1),
-        "m2": _point(ns.m2),
-        "interval": [ns.interval[0], ns.interval[1]],
-        "slope": ns.slope,
-        "intercept": ns.intercept,
+        "input": {"vertices": vertices},
+        "classification": classify(cq)._asdict(),
+        "canonical": {**cq._asdict(), "iso": cq.iso._asdict()},
+        "newton": newton_segment(cq)._asdict(),
     }
 
 
@@ -222,8 +201,8 @@ def _result_block(res: MinEccResult) -> dict:
         "h_star": res.geom.center.x,
         "method": res.method,
         "iterations": res.iterations,
-        "conic": list(res.conic.normalized()),
-        "center": _point(res.geom.center),
+        "conic": res.conic.normalized(),
+        "center": res.geom.center,
         "a": res.geom.a,
         "b": res.geom.b,
         "eccentricity": res.geom.eccentricity,
@@ -314,14 +293,7 @@ def _render_svg(path: str, raw_cw: list[Point2], cq: CanonicalQuad,
 
 def _cmd_classify(args) -> int:
     vertices = _load_input(args.input)
-    cq = canonicalize(vertices)
-    report = {
-        "input": {"vertices": [list(v) for v in vertices]},
-        "classification": _classification_block(classify(cq)),
-        "canonical": _canonical_block(cq),
-        "newton": _newton_block(cq),
-    }
-    _emit(report)
+    _emit(_quad_report(vertices, canonicalize(vertices)))
     return EXIT_OK
 
 
@@ -339,12 +311,12 @@ def _cmd_family(args) -> int:
         _emit({
             "h": fp.h,
             "center": [fp.h, ns.y_at(fp.h)],
-            "conic": list(fp.conic),
+            "conic": fp.conic,
             "axis_ratio_sq": fp.ratio_sq,
             "trace": fp.trace,
             "gap_sq": fp.gap_sq,
             "cubic": fp.cubic,
-            "tangency": [{"point": _point(tp.zeta), "lambda": tp.lam}
+            "tangency": [{"point": tp.zeta, "lambda": tp.lam}
                          for tp in fp.tangency],
         }, pretty=False)
     return EXIT_OK
@@ -354,13 +326,7 @@ def _cmd_minimal(args) -> int:
     vertices = _load_input(args.input)
     cq = canonicalize(vertices)
     res = minecc.solve(cq)
-    report = {
-        "input": {"vertices": [list(v) for v in vertices]},
-        "classification": _classification_block(classify(cq)),
-        "canonical": _canonical_block(cq),
-        "newton": _newton_block(cq),
-        "result": _result_block(res),
-    }
+    report = {**_quad_report(vertices, cq), "result": _result_block(res)}
     failed = False
     if args.verify:
         battery = oracle.verify(cq, res)
@@ -397,17 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit N interior members")
     p_fam.set_defaults(func=_cmd_family)
 
-    p_min = sub.add_parser("minimal", help="minimal-eccentricity ellipse")
-    common(p_min)
-    p_min.add_argument("--svg", default=None, metavar="PATH",
+    for name, text in (("minimal", "minimal-eccentricity ellipse"),
+                       ("verify", "minimal + full oracle battery")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("--svg", default=None, metavar="PATH",
                        help="write an SVG figure")
-    p_min.set_defaults(func=_cmd_minimal, verify=False)
-
-    p_ver = sub.add_parser("verify", help="minimal + full oracle battery")
-    common(p_ver)
-    p_ver.add_argument("--svg", default=None, metavar="PATH",
-                       help="write an SVG figure")
-    p_ver.set_defaults(func=_cmd_minimal, verify=True)
+        p.set_defaults(func=_cmd_minimal, verify=name == "verify")
     return parser
 
 

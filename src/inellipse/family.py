@@ -90,27 +90,11 @@ def _model(s, t, u, v, w) -> tuple:
             ((u * v) ** 2, 0, 0))
 
 
-def _member(cq: CanonicalQuad, lam: float, scale: float = 1.0) -> Conic:
-    """The model at segment coordinate lam, times ``scale``: the member
-    over (s-v)^2, or at the defining scale for scale = (s-v)^2."""
-    mu = 1.0 - lam
-    m2, lm, l2 = scale * mu * mu, 2.0 * scale * lam * mu, scale * lam * lam
-    return Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(*cq.params)])
-
-
 def _l5(cq: CanonicalQuad, lam):
     """l5, the linear factor of ``cubic``, at segment coordinate lam: the
     convex combination of its end values v P and s Q, both positive by (R1)."""
     p, q = _r1(*cq.params)
     return (1.0 - lam) * (cq.v * p) + lam * (cq.s * q)
-
-
-def _spectral(cq: CanonicalQuad, lam: float, m: Conic, scale: float) -> Spectral:
-    """Spectral quantities of m, the model at lam times ``scale``, with
-    cubic = scale lam (1-lam) l5 = (s-2h)(2h-v) l5 for scale = (s-v)^2."""
-    trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
-    cubic = scale * lam * (1.0 - lam) * _l5(cq, lam)
-    return Spectral(trace, gap * gap, 16.0 * cq.u * scale * cubic / (trace + gap) ** 2, cubic)
 
 
 def _abscissa(cq: CanonicalQuad, lam: float) -> float:
@@ -120,12 +104,17 @@ def _abscissa(cq: CanonicalQuad, lam: float) -> float:
 
 def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
     """The member at segment coordinate lam: its conic at the defining
-    scale, its center M1 + lam (M2 - M1) and its spectral quantities."""
+    scale, the model times (s-v)^2, its center M1 + lam (M2 - M1) and its
+    spectral quantities, cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5."""
     s, t, u, v, w = cq.params
     sv2 = (s - v) ** 2
-    conic = _member(cq, lam, sv2)
-    center = Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0)
-    return conic, center, _spectral(cq, lam, conic, sv2)
+    mu = 1.0 - lam
+    m2, lm, l2 = sv2 * mu * mu, 2.0 * sv2 * lam * mu, sv2 * lam * lam
+    m = Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(s, t, u, v, w)])
+    trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
+    cubic = sv2 * lam * mu * _l5(cq, lam)
+    sp = Spectral(trace, gap * gap, 16.0 * u * sv2 * cubic / (trace + gap) ** 2, cubic)
+    return m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0), sp
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):

@@ -382,7 +382,8 @@ def classify(cq: CanonicalQuad) -> QuadClass:
     Each test compares its expression with ``DEFAULT_TOL`` times the
     expression's natural scale.  The Pitot side-length test decides
     tangentiality; the polynomial quantity ``z``, which subtracts huge
-    squares, is only reported.  The residuals map reports every test.
+    squares, is only reported.  The residuals map reports every test, in
+    sorted key order.
     """
     s, t, u, v, w = cq.params
     _, vtws = _r1(s, t, u, v, w)
@@ -409,11 +410,11 @@ def classify(cq: CanonicalQuad) -> QuadClass:
     ortho_res = abs(m1 * m2 + 1.0)
 
     residuals = {
+        "orthodiagonal": ortho_res,
+        "pitot": pitot_rel,
         "type1": abs(r1) / scale1,
         "type2": abs(r2) / scale2,
-        "pitot": pitot_rel,
         "z": abs(z) / z_scale if z_scale > 0 else 0.0,
-        "orthodiagonal": ortho_res,
     }
     return QuadClass(kind, pitot_rel <= DEFAULT_TOL, ortho_res <= DEFAULT_TOL, residuals)
 

@@ -1,0 +1,61 @@
+"""Print digests of the CLI's output on the benchmark's ``cli_verify`` pools.
+
+    python tests/data/pool_digests.py
+
+For each subcommand (``classify``, ``minimal``, ``verify`` and ``family
+--sweep 5``) every input of the ``cli_verify`` pools of seeds 1-10 (128
+each, built by ``bench/workloads.py``) runs through ``inellipse.cli.main``
+in-process, on the package under ``src/`` next to ``tests/``.  The script
+prints the sha256 of each subcommand's standard output concatenated over
+the seeds and the pool in order, then the sha256 of the ``minimal --svg``
+figures concatenated the same way, then the count of each exit code.  Two
+trees print the same lines exactly when no output byte, figure byte or
+exit code differs between them on these 1280 inputs.
+"""
+
+from __future__ import annotations
+
+import collections
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from inellipse import cli  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = range(1, 11)
+COMMANDS = ("classify", "minimal", "verify", "family --sweep 5")
+
+
+def main() -> int:
+    digests = {name: hashlib.sha256() for name in (*COMMANDS, "svg")}
+    exits = collections.Counter()
+    with tempfile.TemporaryDirectory() as workdir:
+        svg = str(Path(workdir) / "figure.svg")
+        for seed in SEEDS:
+            pool = workloads.build("cli_verify", seed, workdir)
+            for path in pool.paths:
+                for name in COMMANDS:
+                    argv = [*name.split(), "--input", path]
+                    if name == "minimal":
+                        argv += ["--svg", svg]
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        exits[cli.main(argv)] += 1
+                    digests[name].update(out.getvalue().encode())
+                    if name == "minimal":
+                        digests["svg"].update(Path(svg).read_bytes())
+    for name, digest in digests.items():
+        print(f"{name}: {digest.hexdigest()}")
+    print("exit codes:", dict(sorted(exits.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

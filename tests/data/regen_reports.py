@@ -4,9 +4,10 @@
 
 Every case (name, command, vertices) runs through ``inellipse.cli.main``
 in-process, on the package under ``src/`` next to ``tests/``; the command
-is the subcommand and its options, e.g. ``family --sweep 9``.  The file is
-rewritten only if every exit code and every byte of standard output outside
-the blocks named by ``--allow`` stay as pinned.  A name is an oracle, whose
+is the subcommand and its options, e.g. ``classify``, ``verify`` or
+``family --sweep 9``.  The file is rewritten only if every exit code and
+every byte of standard output outside the blocks named by ``--allow``
+stay as pinned.  A name is an oracle, whose
 ``"oracles"`` entries may move (e.g. ``--allow side_tangency``),
 ``result``, the solution block, a key of that block, whose value alone may
 move (e.g. ``--allow axis_ratio_sq``), or ``tangency``, the

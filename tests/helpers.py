@@ -711,11 +711,13 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     """
     family._require_h(cq, h)
     lam, unit = family._segment_coordinate(cq, h), family._unit(cq)
-    sp = family._spectral(cq, lam, family._member(cq, lam, unit), unit)
-    gap = math.sqrt(sp.gap_sq)
-    if gap <= 1e-12 * sp.trace:
+    mu = 1.0 - lam
+    m2, lm, l2 = unit * mu * mu, 2.0 * unit * lam * mu, unit * lam * lam
+    a, b, c = (b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in family._model(*cq.params)[:3])
+    trace, gap = a + c, math.hypot(a - c, b)        # of the model times ``_unit``
+    if gap <= 1e-12 * trace:
         raise ValueError("family member is circular at this abscissa")
-    return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (sp.trace + gap) ** 2)
+    return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (trace + gap) ** 2)
 
 
 def spectral_quadratics(cq: CanonicalQuad):

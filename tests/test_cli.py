@@ -659,10 +659,11 @@ class TestScaleRange:
 
 
 class TestPinnedReports:
-    """``minimal`` and ``verify`` reproduce the pinned reports of the README
-    and test inputs, and ``family --sweep 9`` the golden quad's lines, byte
-    for byte.  A change that moves a byte must show that the old bytes were
-    wrong, and then update the pinned file (``data/regen_reports.py``)."""
+    """``classify``, ``minimal`` and ``verify`` reproduce the pinned reports
+    of the README and test inputs, and ``family --sweep 9`` the golden
+    quad's lines, byte for byte.  A change that moves a byte must show that
+    the old bytes were wrong, and then update the pinned file
+    (``data/regen_reports.py``)."""
 
     @pytest.mark.parametrize("case", PINNED, ids=lambda c: f"{c['name']}-{c['command']}")
     def test_report_bytes(self, tmp_path, capsys, case):

@@ -290,6 +290,13 @@ class TestClassify:
                 assert qc.tangential == base.tangential
                 assert qc.orthodiagonal == base.orthodiagonal
 
+    def test_residuals_are_in_sorted_key_order(self):
+        # the CLI prints the map as it is, so its order is the report's
+        rng = np.random.default_rng(106)
+        for draw in (random_general, random_type1, random_type2, random_kite):
+            keys = list(classify(draw(rng)).residuals)
+            assert keys == sorted(keys) == ["orthodiagonal", "pitot", "type1", "type2", "z"]
+
 
 class TestNewtonSegment:
     def test_golden_quad(self):
