@@ -305,7 +305,7 @@ def _cmd_family(args) -> int:
     cq = canonicalize(vertices)
     lo, hi = cq.interval
     hs = [args.h] if n is None else (lo + (hi - lo) * (i + 1) / (n + 1) for i in range(n))
-    ns = newton_segment(cq)
+    ns = newton_segment(cq)     # y_at(h): nearer the exact center at h than family._at's
     for h in hs:
         fp = family.family_point(cq, h)
         _emit({

@@ -122,33 +122,26 @@ def _segment_coordinate(cq: CanonicalQuad, h):
     return (2.0 * h - cq.v) / (cq.s - cq.v)
 
 
-def _unit(cq: CanonicalQuad) -> float:
-    """The power of two nearest below 1/(s^2 + t^2): the model times it
-    keeps the stationarity quartic, of degree six in the pose, in range."""
-    return math.ldexp(1.0, -math.frexp(cq.s * cq.s + cq.t * cq.t)[1])
-
-
 def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
-    """Callable lam -> (p, p') for the stationarity quartic of the model
-    times ``_unit``, p = 2 T' G - T G' (T = trace, G = gap_sq, ' = d/dlam).
+    """Callable lam -> (p, p') for the stationarity quartic of the model,
+    p = 2 T' G - T G' (T = trace, G = gap_sq, ' = d/dlam).
 
     p has the sign of d(b/a)^2/dlam without dividing by the eigenvalue gap,
     so a circular member (a double root of G) is a simple root of p.  As
     G = T^2 - 16 K, K = u lam (1-lam) l5, p = 16 (T K' - 2 T' K): no terms
     of size T^3 T' that cancel down to T K' on thin members.
     """
-    scale = _unit(cq)
     model = _model(*cq.params)
     x0, x1, x2 = [a + c for a, c in zip(model[0], model[2])]     # trace = A + C
-    t2, t1, t0 = scale * (x0 - 2.0 * x1 + x2), scale * (2.0 * (x1 - x0)), scale * x0
-    e0, e1 = [16.0 * cq.u * scale * scale * _l5(cq, x) for x in (0.0, 1.0)]
+    t2, t1, t0 = x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0
+    e0, e1 = [16.0 * cq.u * _l5(cq, x) for x in (0.0, 1.0)]
     slope = e1 - e0
 
     def p(lam: float) -> tuple[float, float]:
         mu = 1.0 - lam
         t = (t2 * lam + t1) * lam + t0
         tp = 2.0 * t2 * lam + t1
-        l5 = e0 * mu + e1 * lam                   # 16 u l5, times scale^2
+        l5 = e0 * mu + e1 * lam                   # 16 u l5
         k = lam * mu * l5                         # 16 K
         kp = (mu - lam) * l5 + lam * mu * slope
         kpp = 2.0 * ((mu - lam) * slope - l5)

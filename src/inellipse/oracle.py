@@ -35,19 +35,16 @@ class OracleReport(NamedTuple):
 
 def side_distance_lines(cq: CanonicalQuad) -> list[tuple[float, float, float]]:
     """Unit normal forms (nx, ny, c) of the side lines S1..S4, oriented so
-    the quadrilateral's centroid has positive signed distance."""
-    verts = cq.vertices
-    cx = sum(p.x for p in verts) / 4.0
-    cy = sum(p.y for p in verts) / 4.0
+    the quadrilateral's interior has positive signed distance.  S2..S4 run
+    with the clockwise labeling, so (q.y - p.y, p.x - q.x) points inward;
+    S1 = (origin, (v, w)) runs against it, so its line is negated."""
     lines = []
-    for p, q in cq.sides:
+    for j, (p, q) in enumerate(cq.sides):
         nx, ny = q.y - p.y, p.x - q.x
         norm = math.hypot(nx, ny)
         nx, ny = nx / norm, ny / norm
         c = -(nx * p.x + ny * p.y)
-        if nx * cx + ny * cy + c < 0.0:
-            nx, ny, c = -nx, -ny, -c
-        lines.append((nx, ny, c))
+        lines.append((-nx, -ny, -c) if j == 0 else (nx, ny, c))
     return lines
 
 

@@ -11,6 +11,11 @@ the seeds and the pool in order, then the sha256 of the ``minimal --svg``
 figures concatenated the same way, then the count of each exit code.  Two
 trees print the same lines exactly when no output byte, figure byte or
 exit code differs between them on these 1280 inputs.
+
+The last line digests the library: ``repr(solve(canonicalize(v)))``, or the
+class name of what it raises, one line per input of the ``solve_mixed``
+pools of seeds 1-10, then of the ``solve_illcond`` pools (10,240 inputs).
+It covers every root search, not only the CLI's.
 """
 
 from __future__ import annotations
@@ -26,11 +31,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from inellipse import cli  # noqa: E402
+from inellipse import canonicalize, cli, solve  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(1, 11)
 COMMANDS = ("classify", "minimal", "verify", "family --sweep 5")
+SOLVE_POOLS = ("solve_mixed", "solve_illcond")
+
+
+def _solve_digest() -> str:
+    digest = hashlib.sha256()
+    for name in SOLVE_POOLS:
+        for seed in SEEDS:
+            for item in workloads.build(name, seed, None).items:
+                try:
+                    line = repr(solve(canonicalize(item.vertices)))
+                except Exception as exc:
+                    line = type(exc).__name__
+                digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
 
 
 def main() -> int:
@@ -54,6 +73,7 @@ def main() -> int:
     for name, digest in digests.items():
         print(f"{name}: {digest.hexdigest()}")
     print("exit codes:", dict(sorted(exits.items())))
+    print(f"solve: {_solve_digest()}")
     return 0
 
 

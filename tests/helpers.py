@@ -536,14 +536,13 @@ def near_mdqs(count: int, seed: int) -> list[CanonicalQuad]:
 def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
     """The type-1 factorization of the stationarity quartic,
     256 h ((s-v)/s)^4 (vt - ws)^2 (s - h) o(h) in the abscissa h, taken to
-    the segment coordinate lam and to the scale of ``minecc.stationarity``:
+    the segment coordinate lam and to the scale of ``family.stationarity``:
     d/dh = (2/(s-v)) d/dlam and the model is the family over (s-v)^2, so
     p_h = 2 (s-v)^5 p_lam."""
     s, t, u, v, w = cq.params
     h = (v + (s - v) * lam) / 2.0
-    scale = math.ldexp(1.0, -math.frexp(s * s + t * t)[1])
     p_h = 256.0 * h * ((s - v) / s) ** 4 * (v * t - w * s) ** 2 * (s - h) * center_quadratic(cq)(h)
-    return p_h * scale ** 3 / (2.0 * (s - v) ** 5)
+    return p_h / (2.0 * (s - v) ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +709,11 @@ def ratio_sq_prime(cq: CanonicalQuad, h: float) -> float:
     where the formula divides by the eigenvalue gap.
     """
     family._require_h(cq, h)
-    lam, unit = family._segment_coordinate(cq, h), family._unit(cq)
+    lam = family._segment_coordinate(cq, h)
     mu = 1.0 - lam
-    m2, lm, l2 = unit * mu * mu, 2.0 * unit * lam * mu, unit * lam * lam
+    m2, lm, l2 = mu * mu, 2.0 * lam * mu, lam * lam
     a, b, c = (b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in family._model(*cq.params)[:3])
-    trace, gap = a + c, math.hypot(a - c, b)        # of the model times ``_unit``
+    trace, gap = a + c, math.hypot(a - c, b)        # of the model
     if gap <= 1e-12 * trace:
         raise ValueError("family member is circular at this abscissa")
     return 2.0 / (cq.s - cq.v) * family.stationarity(cq)(lam)[0] / (gap * (trace + gap) ** 2)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -11,8 +12,8 @@ from helpers import (NEAR_TRAPEZOIDS, bench_module, bench_pool, canonical_vertic
                      random_isometry, random_kite, random_type1, random_type2,
                      ratio_sq_closed_form, ratio_sq_function, ratio_sq_prime, spectral,
                      sv_pool, type1_root, type2_root)
-from inellipse import (QuadKind, canonicalize, classify, diagonal_angle,
-                       newton_segment, quad, solve)
+from inellipse import (CanonicalQuad, QuadKind, canonicalize, classify, diagonal_angle,
+                       family, newton_segment, quad, solve)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, _abscissa, stationarity
 from inellipse.minecc import NUMERIC
 
@@ -606,8 +607,9 @@ class TestCenterQuadraticDividesStationarity:
         k2 = s**2 * (s - 2 * v) ** 2 + t**2 * ((s - v) ** 2 + v**2) + 2 * s**2 * w * (w - t)
         return m, k2
 
-    def type2_quadratic(self, s, t, v, w, h):
-        m, k2 = self.type2_terms(s, t, v, w)
+    @classmethod
+    def type2_quadratic(cls, s, t, v, w, h):
+        m, k2 = cls.type2_terms(s, t, v, w)
         return 2 * (s - v) * m * h**2 - 2 * k2 * h + v * k2
 
     @staticmethod
@@ -642,9 +644,8 @@ class TestCenterQuadraticDividesStationarity:
         params = (4.0, 6.0, 3.0, 2.0, 1.0)
         p = self.quartic(sp, *(sp.Rational(x) for x in params), lam)
         code = stationarity(make_quad(*params))
-        scale = math.ldexp(1.0, -math.frexp(params[0] ** 2 + params[1] ** 2)[1])
         for x in (0.2, 0.5, 0.9):
-            exact = float(p.subs(lam, sp.Rational(x))) * scale**3
+            exact = float(p.subs(lam, sp.Rational(x)))
             assert abs(code(x)[0] - exact) <= 1e-12 * abs(exact)
 
     def test_type2_exact_division(self):
@@ -728,3 +729,82 @@ class TestCenterQuadraticDividesStationarity:
         assert sp.expand(2 * k2 - s**2 * m - (s**2 + t**2) * (s - 2 * v) ** 2) == 0
         assert sp.expand(2 * (k2 - 2 * (s - v) * m * v)
                          - (s - 2 * v) ** 2 * (m + s**2 + t**2)) == 0
+
+
+class TestTheoremOnTheModel:
+    """The paper's theorem as an exact identity of the code's model, and
+    its converse refuted.  With T, G the trace and squared gap of
+    ``family._model`` and tan(alpha) = num/den from the slopes of
+    ``CanonicalQuad.diagonal_slopes``, num = s(w - u) - tv and den = sv +
+    t(w - u), E = (T^2 - G) den^2 - G num^2 vanishes exactly where
+    tan^2(gamma) = (T^2 - G)/G equals tan^2(alpha)."""
+
+    divides = TestCenterQuadraticDividesStationarity
+
+    @staticmethod
+    def trace_and_gap(s, t, u, v, w, lam):
+        """T = A + C and G = (A - C)^2 + B^2 of ``family._model``."""
+        mu = 1 - lam
+        a, b, c = (b0 * mu**2 + 2 * b1 * lam * mu + b2 * lam**2
+                   for b0, b1, b2 in family._model(s, t, u, v, w)[:3])
+        return a + c, (a - c) ** 2 + b**2
+
+    @classmethod
+    def angle_identity(cls, sp, s, t, u, v, w, lam):
+        """The numerator of E, expanded, from the code's own formulas."""
+        big_t, big_g = cls.trace_and_gap(s, t, u, v, w, lam)
+        m1, m2 = CanonicalQuad.diagonal_slopes.fget(SimpleNamespace(s=s, t=t, u=u, v=v, w=w))
+        num, den = s * v * (m2 - m1), s * v * (1 + m1 * m2)
+        return sp.expand(sp.numer(sp.together((big_t**2 - big_g) * den**2 - big_g * num**2)))
+
+    def test_type1_symbolic(self):
+        # on u = (vt - ws)/s the center quadratic o divides E: gamma = alpha
+        # at the optimum of every type-1 MDQ
+        sp = pytest.importorskip("sympy")
+        s, t, v, w, lam = sp.symbols("s t v w lam")
+        e = self.angle_identity(sp, s, t, (v * t - w * s) / s, v, w, lam)
+        o = sp.expand(self.divides.center_quadratic(s, t, v, w, self.divides.abscissa(s, v, lam)))
+        assert sp.prem(e, o, lam) == 0
+
+    def test_type1_off_the_locus_it_does_not_divide(self):
+        sp = pytest.importorskip("sympy")
+        lam = sp.symbols("lam")
+        s, t, v, w = (sp.Integer(x) for x in (4, 6, 2, 1))
+        o = sp.expand(self.divides.center_quadratic(s, t, v, w, self.divides.abscissa(s, v, lam)))
+        for u, divides in ((sp.Integer(2), True), (2 + sp.Rational(1, 7), False)):
+            assert (sp.rem(self.angle_identity(sp, s, t, u, v, w, lam), o, lam) == 0) == divides
+
+    def test_type2_at_rational_points(self):
+        # on u = (vt - ws)/(2v - s) q2 divides E
+        sp = pytest.importorskip("sympy")
+        lam = sp.symbols("lam")
+        rng = np.random.default_rng(434)
+        for _ in range(8):
+            s, t, v, w = self.divides.rational_type2(sp, rng)
+            e = self.angle_identity(sp, s, t, (v * t - w * s) / (2 * v - s), v, w, lam)
+            q2 = sp.expand(self.divides.type2_quadratic(s, t, v, w,
+                                                        self.divides.abscissa(s, v, lam)))
+            assert sp.rem(e, q2, lam) == 0
+
+    def test_the_converse_fails(self):
+        # gamma = alpha does not make Q midpoint diagonal: on (4, 6, u, 2, 1)
+        # the optimum of u* = 2.3157... has gamma = alpha, to 60 digits, yet
+        # the quad is far from both MDQ loci.  So a small residual from
+        # solve does not certify an MDQ.
+        sp = pytest.importorskip("sympy")
+        u, lam = sp.symbols("u lam")
+        s, t, v, w = (sp.Integer(x) for x in (4, 6, 2, 1))
+        big_t, big_g = self.trace_and_gap(s, t, u, v, w, lam)
+        p = 2 * sp.diff(big_t, lam) * big_g - big_t * sp.diff(big_g, lam)
+        f = sp.lambdify((u, lam), [p, self.angle_identity(sp, s, t, u, v, w, lam)], "mpmath")
+        with mpmath.workdps(60):
+            u_star, lam_star = mpmath.findroot(f, (mpmath.mpf("2.3157"), mpmath.mpf("0.1196")))
+            assert abs(u_star - mpmath.mpf("2.315752327320305868927279")) <= 1e-24
+            assert abs(lam_star - mpmath.mpf("0.11957281207953718632")) <= 1e-20
+        cq = CanonicalQuad.from_params(4, 6, float(u_star), 2, 1)
+        qc = classify(cq)
+        assert qc.kind is QuadKind.GENERAL
+        assert qc.residuals["type1"] > 0.1 and qc.residuals["type2"] > 0.6
+        res = solve(cq)
+        assert res.residual <= 1e-8
+        assert abs(res.lam_star - float(lam_star)) <= 1e-12

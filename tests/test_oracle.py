@@ -10,7 +10,7 @@ from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
                      Line2, bench_module, cli_verify_pool, closed_form_h, coefficients, fd_gradient, geometry, grid_argmax,
                      incircle, make_quad, mp_family, mp_support_distances, near_parallel_poses,
                      near_mdqs, near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
-                     line_tangency, random_kite, random_type2, ratio_sq_function,
+                     line_tangency, random_kite, random_type1, random_type2, ratio_sq_function,
                      ratio_sq_prime, spectral_quadratics, support_rounding, sv_pool)
 from inellipse import (CanonicalQuad, Conic, Point2, QuadKind, canonicalize,
                        classify, containment, solve, verify)
@@ -174,6 +174,21 @@ class TestContainment:
         rep = containment(geometry(coefficients(kite, closed_form_h(kite))), kite)
         assert rep.passed
         assert rep.worst_residual <= 1e-9 * kite.diameter
+
+    def test_side_lines_face_the_interior(self):
+        # the normals come from the clockwise labeling, not from a centroid
+        # test: the centroid and both vertices off each side lie on its
+        # positive side, on every kind of pose
+        rng = np.random.default_rng(503)
+        quads = [gen(rng) for gen in (random_general, random_type1, random_type2, random_kite)
+                 for _ in range(100)]
+        quads += [cq for k in (6, 10, 14) for cq in near_parallel_poses(40, k, seed=503 + k)]
+        for cq in quads:
+            verts = cq.vertices
+            centroid = Point2(sum(p.x for p in verts) / 4.0, sum(p.y for p in verts) / 4.0)
+            for (nx, ny, c), side in zip(side_distance_lines(cq), cq.sides):
+                for p in [centroid] + [p for p in verts if p not in side]:
+                    assert nx * p.x + ny * p.y + c > 0.0, (cq, side, p)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_support_distances_match_50_digits_on_cli_verify_pool(self, seed):
