@@ -10,7 +10,7 @@ angle between the diagonals.
 from .conic import Conic, EllipseGeometry, conjugate_diameter_angle
 from .errors import (Degenerate, HOutOfRange, InscribedEllipseError,
                      NoValidLabeling, NotAnEllipse, NotConvex, Trapezoid)
-from .family import FamilyPoint, Spectral, TangentPoint, family_point
+from .family import FamilyPoint, TangentPoint, family_point
 from .minecc import MinEccResult, maximize_ratio_sq, solve
 from .oracle import OracleReport, containment, verify
 from .quad import (CanonicalQuad, Isometry2, NewtonSegment, Point2,
@@ -24,7 +24,7 @@ __all__ = [
     "FamilyPoint", "HOutOfRange", "InscribedEllipseError", "Isometry2",
     "MinEccResult", "NewtonSegment", "NoValidLabeling", "NotAnEllipse",
     "NotConvex", "OracleReport", "Point2", "QuadClass", "QuadKind",
-    "Spectral", "TangentPoint", "Trapezoid", "canonicalize", "classify",
+    "TangentPoint", "Trapezoid", "canonicalize", "classify",
     "conjugate_diameter_angle", "containment", "diagonal_angle",
     "family_point", "maximize_ratio_sq", "newton_segment", "solve",
     "validate", "verify",

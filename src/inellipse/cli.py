@@ -159,23 +159,17 @@ def _load_input(path: Optional[str]) -> list[tuple[float, float]]:
     for item in verts:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ParseError("each vertex must be an [x, y] pair")
-        x, y = (_json_number(c, "vertex coordinates must be numbers") for c in item)
+        # strings and booleans are no numbers, though float() takes them
+        if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in item):
+            raise ParseError("vertex coordinates must be numbers")
+        try:
+            x, y = float(item[0]), float(item[1])
+        except OverflowError:   # an integer beyond the float range
+            x = y = math.inf
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError("vertex coordinates must be finite")
         clean.append((x, y))
     return clean
-
-
-def _json_number(x, message: str) -> float:
-    """A JSON number as a float, else a parse error with ``message``.
-    Strings and booleans are no numbers, though float() takes them; an
-    integer beyond the float range is infinite."""
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise ParseError(message)
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------

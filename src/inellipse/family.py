@@ -46,13 +46,6 @@ from .quad import CanonicalQuad, Point2, _r1
 RELATIVE_ENDPOINT_GUARD = 1e-12
 
 
-class Spectral(NamedTuple):
-    trace: float
-    gap_sq: float
-    ratio_sq: float
-    cubic: float
-
-
 class TangentPoint(NamedTuple):
     zeta: Point2
     lam: float
@@ -102,10 +95,11 @@ def _abscissa(cq: CanonicalQuad, lam: float) -> float:
     return (cq.v + (cq.s - cq.v) * lam) / 2.0
 
 
-def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
-    """The member at segment coordinate lam: its conic at the defining
-    scale, the model times (s-v)^2, its center M1 + lam (M2 - M1) and its
-    spectral quantities, cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5."""
+def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, float, float]:
+    """The member at segment coordinate lam as (conic, center, trace, gap_sq,
+    ratio_sq, cubic): its conic at the defining scale, the model times
+    (s-v)^2, its center M1 + lam (M2 - M1) and its spectral quantities,
+    cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5."""
     s, t, u, v, w = cq.params
     sv2 = (s - v) ** 2
     mu = 1.0 - lam
@@ -113,8 +107,8 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, Spectral]:
     m = Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(s, t, u, v, w)])
     trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
     cubic = sv2 * lam * mu * _l5(cq, lam)
-    sp = Spectral(trace, gap * gap, 16.0 * u * sv2 * cubic / (trace + gap) ** 2, cubic)
-    return m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0), sp
+    return (m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0),
+            trace, gap * gap, 16.0 * u * sv2 * cubic / (trace + gap) ** 2, cubic)
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):
@@ -179,5 +173,5 @@ def _tangency(cq: CanonicalQuad, n, m) -> tuple[TangentPoint, ...]:
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:
     """Assemble the full record of the family member at h."""
     _require_h(cq, h)
-    conic, _, sp = _at(cq, _segment_coordinate(cq, h))
-    return FamilyPoint(h, conic, _tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v), *sp)
+    conic, _, *spectral = _at(cq, _segment_coordinate(cq, h))
+    return FamilyPoint(h, conic, _tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v), *spectral)

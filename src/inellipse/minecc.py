@@ -129,19 +129,18 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     model's certificate of a real ellipse.
     """
     lam, iterations = maximize_ratio_sq(cq)
-    conic, center, sp = family._at(cq, lam)
-    if not (sp.trace > 0.0 and sp.cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
+    conic, center, trace, gap_sq, ratio_sq, cubic = family._at(cq, lam)
+    if not (trace > 0.0 and cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
-    gap = math.sqrt(sp.gap_sq)
-    a = math.sqrt((sp.trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
-    angle = _major_axis_angle(conic, sp.trace, sp.gap_sq)
+    gap = math.sqrt(gap_sq)
+    a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
+    angle = _major_axis_angle(conic, trace, gap_sq)
     if angle is None:
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
         gamma, ratio_sq = math.pi / 2.0, 1.0
     else:       # gap > 1e-12 trace, so ratio_sq < 1 - 2e-12
-        ratio_sq = sp.ratio_sq
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
-                               math.sqrt(2.0 * gap / (sp.trace + gap)), angle)
+                               math.sqrt(2.0 * gap / (trace + gap)), angle)
         gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
     return MinEccResult(lam, conic, geom, gamma, alpha, ratio_sq,

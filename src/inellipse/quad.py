@@ -100,18 +100,13 @@ class Isometry2(NamedTuple):
                       s * x + c * y + self.translation.y)
 
     def inverse(self) -> "Isometry2":
-        c, s = math.cos(self.angle), math.sin(self.angle)
+        # q -> R(-angle) (q - T); reflected, F R(-angle) (q - T) = R(angle) F (q - T)
+        a = self.angle if self.reflect else -self.angle
+        c, s = math.cos(a), math.sin(a)
         tx, ty = self.translation
-        if not self.reflect:
-            # q -> R(-angle) (q - T)
-            return Isometry2(-self.angle,
-                             Point2(-(c * tx + s * ty), -(-s * tx + c * ty)),
-                             False)
-        # q -> F R(-angle) (q - T) = R(angle) F (q - T)
-        fx, fy = tx, -ty
-        return Isometry2(self.angle,
-                         Point2(-(c * fx - s * fy), -(s * fx + c * fy)),
-                         True)
+        if self.reflect:
+            ty = -ty
+        return Isometry2(a, Point2(-(c * tx - s * ty), -(s * tx + c * ty)), self.reflect)
 
 
 class _Pose(NamedTuple):
@@ -171,12 +166,6 @@ class CanonicalQuad(_Pose):
         """Sides S1..S4 as point pairs (clockwise labeling)."""
         o, a, b, c = self.vertices
         return [(o, c), (o, a), (a, b), (b, c)]
-
-    @property
-    def side_lengths(self) -> list[float]:
-        """Lengths of S1..S4."""
-        s, t, u, v, w = self.params
-        return [math.hypot(v, w), u, math.hypot(s, t - u), math.hypot(v - s, w - t)]
 
     @property
     def diameter(self) -> float:
@@ -402,7 +391,7 @@ def classify(cq: CanonicalQuad) -> QuadClass:
             is1 = False
     kind = QuadKind.MDQ_TYPE1 if is1 else QuadKind.MDQ_TYPE2 if is2 else QuadKind.GENERAL
 
-    sides = cq.side_lengths
+    sides = [math.hypot(v, w), u, math.hypot(s, t - u), math.hypot(v - s, w - t)]   # S1..S4
     pitot_rel = abs((sides[0] + sides[2]) - (sides[1] + sides[3])) / sum(sides)
     z, z_scale = _z_terms(s, t, u, v, w)
 

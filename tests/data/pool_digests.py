@@ -12,10 +12,14 @@ figures concatenated the same way, then the count of each exit code.  Two
 trees print the same lines exactly when no output byte, figure byte or
 exit code differs between them on these 1280 inputs.
 
-The last line digests the library: ``repr(solve(canonicalize(v)))``, or the
-class name of what it raises, one line per input of the ``solve_mixed``
-pools of seeds 1-10, then of the ``solve_illcond`` pools (10,240 inputs).
-It covers every root search, not only the CLI's.
+The last two lines digest the library.  ``solve`` hashes
+``repr(solve(canonicalize(v)))``, or the class name of what it raises, one
+line per input of the ``solve_mixed`` pools of seeds 1-10, then of the
+``solve_illcond`` pools (10,240 inputs): every root search, not only the
+CLI's.  ``family`` hashes ``repr(family_point(cq, h))``, or the class name
+of what it raises, one line per member of the ``family_sweep`` pools of
+seeds 1-10 at the benchmark's own abscissas (81,920 members), where the
+CLI's ``family --sweep 5`` sees 5 members per quad.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from inellipse import canonicalize, cli, solve  # noqa: E402
+from inellipse import canonicalize, cli, family_point, solve  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = range(1, 11)
@@ -39,17 +43,22 @@ COMMANDS = ("classify", "minimal", "verify", "family --sweep 5")
 SOLVE_POOLS = ("solve_mixed", "solve_illcond")
 
 
-def _solve_digest() -> str:
+def _digest(call, args) -> str:
+    """sha256 of one line per argument tuple: ``repr(call(*a))``, or the
+    class name of what it raises."""
     digest = hashlib.sha256()
-    for name in SOLVE_POOLS:
-        for seed in SEEDS:
-            for item in workloads.build(name, seed, None).items:
-                try:
-                    line = repr(solve(canonicalize(item.vertices)))
-                except Exception as exc:
-                    line = type(exc).__name__
-                digest.update(f"{line}\n".encode())
+    for a in args:
+        try:
+            line = repr(call(*a))
+        except Exception as exc:
+            line = type(exc).__name__
+        digest.update(f"{line}\n".encode())
     return digest.hexdigest()
+
+
+def _pool(name):
+    """The ``items`` of workload ``name``, seed after seed."""
+    return (item for seed in SEEDS for item in workloads.build(name, seed, None).items)
 
 
 def main() -> int:
@@ -73,7 +82,9 @@ def main() -> int:
     for name, digest in digests.items():
         print(f"{name}: {digest.hexdigest()}")
     print("exit codes:", dict(sorted(exits.items())))
-    print(f"solve: {_solve_digest()}")
+    print("solve:", _digest(lambda v: solve(canonicalize(v)),
+                            ((item.vertices,) for name in SOLVE_POOLS for item in _pool(name))))
+    print("family:", _digest(family_point, _pool("family_sweep")))
     return 0
 
 

@@ -16,7 +16,7 @@ distances that bracket ``oracle.containment``, the angle-bisector
 incircle, 50-digit references built from the
 defining coefficient formulas, the side linears that gave the tangency
 parameters before they were written in s - 2h and 2h - v, float references that the package does
-not need (the conic coefficients and spectral quantities of the member
+not need (the conic coefficients of the member
 at h, the squared axis ratio as a function of h and its central
 difference ``fd_gradient``, the general conic-to-shape route ``geometry``
 with its ``is_ellipse`` test, the tangent slope of a conic, the
@@ -686,11 +686,10 @@ def tangency_points(cq: CanonicalQuad, h: float) -> list[family.TangentPoint]:
     return list(family._tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v))
 
 
-def spectral(cq: CanonicalQuad, h: float) -> family.Spectral:
-    """Spectral quantities of the family member at h, the ratio in the
-    product form: the last four fields of ``family_point(cq, h)``."""
-    family._require_h(cq, h)
-    return family._at(cq, family._segment_coordinate(cq, h))[2]
+def spectral(cq: CanonicalQuad, h: float) -> family.FamilyPoint:
+    """The family member at h, read for its spectral quantities (trace,
+    gap_sq, ratio_sq in the product form, cubic): ``family_point(cq, h)``."""
+    return family.family_point(cq, h)
 
 
 def maximize_h(cq: CanonicalQuad, **kwargs) -> tuple[float, int]:

@@ -245,18 +245,28 @@ class TestVerifySubcommand:
 
 
 class TestJsonNumbers:
-    @pytest.mark.parametrize("vertices", [
-        [["0", False], [0, "2"], [4, 6], [2, True]],
-        [[0, 0], [0, 2], [4, 6], [2, None]],
-        [[0, 0], [0, 2], [4, 6], [2, 10**400]],
+    """A pair holding a string, boolean or null is no pair of numbers, even
+    beside an integer past the float range; an integer past it and the
+    JSON literals Infinity and NaN are numbers that are not finite."""
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([["0", False], [0, "2"], [4, 6], [2, True]], "numbers"),
+        ([[0, 0], [0, 2], [4, 6], [2, None]], "numbers"),
+        ([[0, 0], [0, 2], [4, 6], [2, 10**400]], "finite"),
+        ([[0, 0], [0, 2], [4, 6], [10**400, "x"]], "numbers"),
+        ([[0, 0], [0, 2], [4, 6], [True, 0]], "numbers"),
+        ([[0, 0], [0, 2], [4, 6], [math.inf, 1]], "finite"),
+        ([[0, 0], [0, 2], [4, 6], [2, -math.inf]], "finite"),
+        ([[0, 0], [0, 2], [4, 6], [2, math.nan]], "finite"),
     ])
-    def test_coordinates_must_be_finite_numbers(self, tmp_path, capsys, vertices):
-        # the first was solved as the README quad
+    def test_coordinates_must_be_finite_numbers(self, tmp_path, capsys, vertices, message):
+        # the first was solved as the README quad; json.dumps writes inf and
+        # nan as the literals Infinity and NaN, which json.loads reads back
         path = tmp_path / "typed.json"
         path.write_text(json.dumps({"vertices": vertices}))
         code, out = run_cli(capsys, "minimal", "--input", str(path))
         assert code == EXIT_PARSE
-        assert json.loads(out)["error"]["message"].startswith("vertex coordinates must be")
+        assert json.loads(out)["error"]["message"] == f"vertex coordinates must be {message}"
 
 
 class TestTolerance:

@@ -163,6 +163,21 @@ class TestMaximize:
         lo, hi = q5.interval
         assert lo < h < hi   # still returns the best point seen
 
+    @pytest.mark.parametrize("name", ["solve_mixed", "solve_illcond"])
+    def test_few_steps_on_the_benchmark_pools(self, name):
+        # at most 11 steps on the 10,240 pool quads of seeds 1-10, most 4 or
+        # 5: the 200-step budget is far from every benchmark input
+        workloads = bench_module("workloads")
+        for seed in (1, 2, 3):
+            for item in workloads.build(name, seed, None).items:
+                assert solve(canonicalize(item.vertices)).iterations <= 16
+
+    def test_few_steps_on_the_generators(self):
+        rng = np.random.default_rng(415)
+        for gen in (random_general, random_type1, random_type2, random_kite):
+            for _ in range(1000):
+                assert solve(gen(rng)).iterations <= 16
+
     def test_derivative_changes_sign_once_for_mdqs(self):
         rng = np.random.default_rng(409)
         for _ in range(50):
@@ -786,25 +801,33 @@ class TestTheoremOnTheModel:
                                                         self.divides.abscissa(s, v, lam)))
             assert sp.rem(e, q2, lam) == 0
 
-    def test_the_converse_fails(self):
-        # gamma = alpha does not make Q midpoint diagonal: on (4, 6, u, 2, 1)
-        # the optimum of u* = 2.3157... has gamma = alpha, to 60 digits, yet
-        # the quad is far from both MDQ loci.  So a small residual from
-        # solve does not certify an MDQ.
+    @pytest.mark.parametrize("stvw, guess, u_ref, lam_ref, floors", [
+        ((4, 6, 2, 1), ("2.3157", "0.1196"), "2.315752327320305868927279",
+         "0.11957281207953718632", {"type1": 0.1, "type2": 0.6}),
+        ((5, 7, 3, -1), ("1.6587", "0.2441"), "1.65873702868208394240153487919",
+         "0.2441017899836457705599034",
+         {"type1": 0.8, "type2": 1.1, "pitot": 0.02, "orthodiagonal": 0.2}),
+    ], ids=["near_a_kite", "far_from_kites"])
+    def test_the_converse_fails(self, stvw, guess, u_ref, lam_ref, floors):
+        # gamma = alpha does not make Q midpoint diagonal: on (s, t, u, v, w)
+        # the optimum of one u* has gamma = alpha, to 60 digits, yet the quad
+        # is far from both MDQ loci.  The first is near a kite (Pitot 0.0017),
+        # the second far from any kite and from orthodiagonal.  So a small
+        # residual from solve does not certify an MDQ.
         sp = pytest.importorskip("sympy")
         u, lam = sp.symbols("u lam")
-        s, t, v, w = (sp.Integer(x) for x in (4, 6, 2, 1))
+        s, t, v, w = (sp.Integer(x) for x in stvw)
         big_t, big_g = self.trace_and_gap(s, t, u, v, w, lam)
         p = 2 * sp.diff(big_t, lam) * big_g - big_t * sp.diff(big_g, lam)
         f = sp.lambdify((u, lam), [p, self.angle_identity(sp, s, t, u, v, w, lam)], "mpmath")
         with mpmath.workdps(60):
-            u_star, lam_star = mpmath.findroot(f, (mpmath.mpf("2.3157"), mpmath.mpf("0.1196")))
-            assert abs(u_star - mpmath.mpf("2.315752327320305868927279")) <= 1e-24
-            assert abs(lam_star - mpmath.mpf("0.11957281207953718632")) <= 1e-20
-        cq = CanonicalQuad.from_params(4, 6, float(u_star), 2, 1)
+            u_star, lam_star = mpmath.findroot(f, tuple(map(mpmath.mpf, guess)))
+            assert abs(u_star - mpmath.mpf(u_ref)) <= 1e-24
+            assert abs(lam_star - mpmath.mpf(lam_ref)) <= 1e-20
+        cq = CanonicalQuad.from_params(stvw[0], stvw[1], float(u_star), *stvw[2:])
         qc = classify(cq)
         assert qc.kind is QuadKind.GENERAL
-        assert qc.residuals["type1"] > 0.1 and qc.residuals["type2"] > 0.6
+        assert all(qc.residuals[key] > floor for key, floor in floors.items())
         res = solve(cq)
         assert res.residual <= 1e-8
         assert abs(res.lam_star - float(lam_star)) <= 1e-12

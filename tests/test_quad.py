@@ -330,7 +330,7 @@ class TestNewtonSegment:
             ns = newton_segment(cq)
             lo, hi = cq.interval
             for k in range(1, 10):
-                _, center, _ = _at(cq, _segment_coordinate(cq, lo + (hi - lo) * k / 10))
+                center = _at(cq, _segment_coordinate(cq, lo + (hi - lo) * k / 10))[1]
                 assert abs(ns.y_at(center.x) - center.y) <= 1e-12 * cq.diameter
 
 
