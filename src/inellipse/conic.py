@@ -9,9 +9,12 @@ polynomial identities used elsewhere in the package hold only at the
 defining scale.  Use :meth:`Conic.normalized` when comparing across
 scales.  The package has no general conic-to-shape route and no line
 type: the solved ellipse's :class:`EllipseGeometry` (center, semi-axes,
-eccentricity, axis angle) comes from the family model in ``minecc.solve``;
-``oracle.verify`` checks that shape by its support distances from the side
-lines, and the conic's tangency to each side line by l^T adj(M) l.
+eccentricity, axis angle) comes from the family model in ``minecc.solve``,
+which alone decides whether it is a circle (axis angle None);
+:func:`conjugate_diameter_angle` is 2 atan(b/a) of that shape, with no
+tolerance of its own.  ``oracle.verify`` checks that shape by its support
+distances from the side lines, and the conic's tangency to each side line
+by l^T adj(M) l.
 """
 
 from __future__ import annotations
@@ -34,23 +37,13 @@ class Conic(NamedTuple):
         A, B, C, D, E, F = self
         return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
-    def scaled(self, k: float) -> "Conic":
-        return Conic(*(k * c for c in self))
-
-    def oriented(self) -> "Conic":
-        """Sign-flipped if necessary so that A + C > 0 (no rescaling)."""
-        return self.scaled(-1.0) if self.A + self.C < 0 else self
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(c * c for c in self))
-
     def normalized(self) -> "Conic":
         """Unit Euclidean coefficient norm with A + C > 0."""
-        n = self.norm
+        n = math.sqrt(sum(c * c for c in self))
         if n == 0.0:
             raise ValueError("zero conic cannot be normalized")
-        return self.oriented().scaled(1.0 / n)
+        k = (-1.0 if self.A + self.C < 0 else 1.0) * (1.0 / n)
+        return Conic(*(k * c for c in self))
 
 
 class EllipseGeometry(NamedTuple):
@@ -61,31 +54,12 @@ class EllipseGeometry(NamedTuple):
     major_axis_angle: Optional[float]   # None for circles
 
 
-def _major_axis_angle(c: Conic, trace: float, gap_sq: float) -> Optional[float]:
-    """Major-axis angle of an ellipse with A + C = trace > 0 and
-    (A - C)^2 + B^2 = gap_sq.
-
-    The eigenvector of the larger eigenvalue of the quadratic form
-    [[A, B/2], [B/2, C]] makes the angle 1/2 atan2(B, A - C) with the x
-    axis; the major axis is perpendicular to it.  The two-argument
-    arctangent keeps the quadrant, so the angle is exact up to rounding
-    for every orientation.  It is reported in (-pi/2, pi/2] and is None
-    when the ellipse is a circle to machine precision.
-    """
-    if gap_sq <= 1e-24 * trace * trace:
-        return None
-    angle = 0.5 * math.atan2(c.B, c.A - c.C) + math.pi / 2.0
-    return angle - math.pi if angle > math.pi / 2.0 else angle
-
-
 def conjugate_diameter_angle(g: EllipseGeometry) -> float:
     """Smallest non-negative angle between the equal conjugate diameters.
 
     The equal pair makes angles +/- theta with the major axis where
-    tan(theta) = b/a, so the angle between them is 2 theta.  Circles get
-    exactly pi/2 (any perpendicular diameter pair is equal and conjugate).
+    tan(theta) = b/a, so the angle between them is 2 theta.  A circle,
+    b == a, gets 2 atan(1), exactly pi/2 in doubles (any perpendicular
+    diameter pair is equal and conjugate).
     """
-    ratio = g.b / g.a
-    if ratio >= 1.0 - 1e-12:
-        return math.pi / 2.0
-    return 2.0 * math.atan(ratio)
+    return 2.0 * math.atan(g.b / g.a)

@@ -34,8 +34,7 @@ import math
 from typing import NamedTuple
 
 from . import family
-from .conic import (Conic, EllipseGeometry, _major_axis_angle,
-                    conjugate_diameter_angle)
+from .conic import Conic, EllipseGeometry, conjugate_diameter_angle
 from .errors import NotAnEllipse
 from .quad import CanonicalQuad, diagonal_angle
 
@@ -118,13 +117,13 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     gap at the defining scale, a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq)
     and e^2 = 2 gap / S: no cancellation of 4AC - B^2, of the determinant
     or of 1 - (b/a)^2 on thin or near-circular members.  The major-axis
-    angle is 1/2 atan2(B, A - C) + pi/2 of that conic
-    (``conic._major_axis_angle``; trace > 0, so no sign flip).  The result
-    carries lam*; h* is ``geom.center.x``.  Where that conic is a circle to
-    machine precision (the angle is None), the optimum is the inscribed
-    circle, reported exactly: radius the center's distance to the side on
-    the y axis, its abscissa, eccentricity 0, axis ratio 1 and a
-    conjugate-diameter angle of pi/2.
+    angle is 1/2 atan2(B, A - C) + pi/2 of that conic (trace > 0, so no
+    sign flip).  The result carries lam*; h* is ``geom.center.x``.  Where
+    that conic is a circle to machine precision, gap^2 <= 1e-24 trace^2
+    (the package's one circle test), the optimum is the inscribed circle,
+    reported exactly: radius the center's distance to the side on the y
+    axis, its abscissa, eccentricity 0, axis angle None, axis ratio 1 and
+    a conjugate-diameter angle of 2 atan(1) = pi/2.
     Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
     model's certificate of a real ellipse.
     """
@@ -132,16 +131,21 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     conic, center, trace, gap_sq, ratio_sq, cubic = family._at(cq, lam)
     if not (trace > 0.0 and cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
-    gap = math.sqrt(gap_sq)
-    a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
-    angle = _major_axis_angle(conic, trace, gap_sq)
-    if angle is None:
+    if gap_sq <= 1e-24 * trace * trace:       # a circle to machine precision
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
-        gamma, ratio_sq = math.pi / 2.0, 1.0
+        ratio_sq = 1.0
     else:       # gap > 1e-12 trace, so ratio_sq < 1 - 2e-12
+        # the eigenvector of the larger eigenvalue of [[A, B/2], [B/2, C]]
+        # is at 1/2 atan2(B, A - C), the major axis perpendicular to it;
+        # atan2 keeps the quadrant, so the angle is exact up to rounding
+        angle = 0.5 * math.atan2(conic.B, conic.A - conic.C) + math.pi / 2.0
+        if angle > math.pi / 2.0:
+            angle -= math.pi                    # into (-pi/2, pi/2]
+        gap = math.sqrt(gap_sq)
+        a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (trace + gap)), angle)
-        gamma = conjugate_diameter_angle(geom)
+    gamma = conjugate_diameter_angle(geom)
     alpha = diagonal_angle(cq)
     return MinEccResult(lam, conic, geom, gamma, alpha, ratio_sq,
                         NUMERIC, iterations, abs(gamma - alpha))

@@ -1,11 +1,12 @@
 """Print digests of the CLI's output on the benchmark's ``cli_verify`` pools.
 
-    python tests/data/pool_digests.py
+    python tests/data/pool_digests.py [SEED ...]
 
 For each subcommand (``classify``, ``minimal``, ``verify`` and ``family
 --sweep 5``) every input of the ``cli_verify`` pools of seeds 1-10 (128
 each, built by ``bench/workloads.py``) runs through ``inellipse.cli.main``
-in-process, on the package under ``src/`` next to ``tests/``.  The script
+in-process, on the package under ``src/`` next to ``tests/``; seeds given
+on the command line replace seeds 1-10 here and below.  The script
 prints the sha256 of each subcommand's standard output concatenated over
 the seeds and the pool in order, then the sha256 of the ``minimal --svg``
 figures concatenated the same way, then the count of each exit code.  Two
@@ -56,17 +57,18 @@ def _digest(call, args) -> str:
     return digest.hexdigest()
 
 
-def _pool(name):
+def _pool(name, seeds):
     """The ``items`` of workload ``name``, seed after seed."""
-    return (item for seed in SEEDS for item in workloads.build(name, seed, None).items)
+    return (item for seed in seeds for item in workloads.build(name, seed, None).items)
 
 
-def main() -> int:
+def digest_lines(seeds) -> list[str]:
+    """The lines :func:`main` prints for ``seeds``."""
     digests = {name: hashlib.sha256() for name in (*COMMANDS, "svg")}
     exits = collections.Counter()
     with tempfile.TemporaryDirectory() as workdir:
         svg = str(Path(workdir) / "figure.svg")
-        for seed in SEEDS:
+        for seed in seeds:
             pool = workloads.build("cli_verify", seed, workdir)
             for path in pool.paths:
                 for name in COMMANDS:
@@ -79,14 +81,17 @@ def main() -> int:
                     digests[name].update(out.getvalue().encode())
                     if name == "minimal":
                         digests["svg"].update(Path(svg).read_bytes())
-    for name, digest in digests.items():
-        print(f"{name}: {digest.hexdigest()}")
-    print("exit codes:", dict(sorted(exits.items())))
-    print("solve:", _digest(lambda v: solve(canonicalize(v)),
-                            ((item.vertices,) for name in SOLVE_POOLS for item in _pool(name))))
-    print("family:", _digest(family_point, _pool("family_sweep")))
+    solved = ((item.vertices,) for name in SOLVE_POOLS for item in _pool(name, seeds))
+    return [*(f"{name}: {digest.hexdigest()}" for name, digest in digests.items()),
+            f"exit codes: {dict(sorted(exits.items()))}",
+            f"solve: {_digest(lambda v: solve(canonicalize(v)), solved)}",
+            f"family: {_digest(family_point, _pool('family_sweep', seeds))}"]
+
+
+def main(argv: list[str]) -> int:
+    print(*digest_lines([int(a) for a in argv] or SEEDS), sep="\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

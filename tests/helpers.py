@@ -18,8 +18,10 @@ defining coefficient formulas, the side linears that gave the tangency
 parameters before they were written in s - 2h and 2h - v, float references that the package does
 not need (the conic coefficients of the member
 at h, the squared axis ratio as a function of h and its central
-difference ``fd_gradient``, the general conic-to-shape route ``geometry``
-with its ``is_ellipse`` test, the tangent slope of a conic, the
+difference ``fd_gradient``, the conic scaling, sign orientation and
+coefficient norm that ``Conic.normalized`` folds into one step, the general
+conic-to-shape route ``geometry`` with its ``is_ellipse`` test and its copy
+of ``solve``'s axis-angle rule, the tangent slope of a conic, the
 slope-intercept ``Line2`` with the discriminant test ``line_tangency`` as
 a reference for ``oracle._line_residual``, the analytic
 derivative of the squared axis ratio, the trace, A - C and B quadratics
@@ -48,7 +50,6 @@ from inellipse import (CanonicalQuad, Conic, Degenerate, EllipseGeometry, Isomet
                        NotAnEllipse, NotConvex, NoValidLabeling, Point2,
                        QuadKind, Trapezoid, canonicalize, classify, maximize_ratio_sq)
 from inellipse import family
-from inellipse.conic import _major_axis_angle
 from inellipse.oracle import side_distance_lines
 
 LO, HI = 0.5, 10.0
@@ -550,6 +551,33 @@ def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def scaled(c, k: float) -> Conic:
+    """c with each coefficient multiplied by k."""
+    return Conic(*(k * x for x in c))
+
+
+def oriented(c) -> Conic:
+    """c sign-flipped if necessary so that A + C > 0 (no rescaling)."""
+    return scaled(c, -1.0) if c.A + c.C < 0 else c
+
+
+def norm(c) -> float:
+    """Euclidean norm of the six coefficients."""
+    return math.sqrt(sum(x * x for x in c))
+
+
+def major_axis_angle(c, trace: float, gap_sq: float):
+    """Major-axis angle of an ellipse with A + C = trace > 0 and
+    (A - C)^2 + B^2 = gap_sq, by the rule of ``minecc.solve``: the
+    eigenvector of the larger eigenvalue is at 1/2 atan2(B, A - C), the
+    major axis perpendicular to it, reported in (-pi/2, pi/2]; None when
+    the ellipse is a circle to machine precision."""
+    if gap_sq <= 1e-24 * trace * trace:
+        return None
+    angle = 0.5 * math.atan2(c.B, c.A - c.C) + math.pi / 2.0
+    return angle - math.pi if angle > math.pi / 2.0 else angle
+
+
 class EllipseCheck(NamedTuple):
     """Result of the two-part ellipse test; truthy iff both parts pass."""
 
@@ -567,7 +595,7 @@ def is_ellipse(c) -> EllipseCheck:
     Requires 4AC - B^2 > 0 (elliptic type) and a positive nondegeneracy
     quantity, both evaluated after orienting the sign so A + C > 0.
     """
-    A, B, C, D, E, F = c.oriented()
+    A, B, C, D, E, F = oriented(c)
     disc = 4.0 * A * C - B * B
     ndg = C * D * D + A * E * E - B * D * E - F * disc
     return EllipseCheck(disc > 0.0 and ndg > 0.0, disc, ndg)
@@ -581,7 +609,7 @@ def geometry(c) -> EllipseGeometry:
     check = is_ellipse(c)
     if not check:
         raise NotAnEllipse("coefficients do not describe a nondegenerate ellipse")
-    c = c.oriented()
+    c = oriented(c)
     A, B, C, D, E, F = c
     disc, ndg = check.ellipse_disc, check.nondegeneracy
     delta = 4.0 * ndg / (disc * disc)
@@ -593,7 +621,7 @@ def geometry(c) -> EllipseGeometry:
     cx = (B * E - 2.0 * C * D) / disc
     cy = (B * D - 2.0 * A * E) / disc
     return EllipseGeometry(Point2(cx, cy), math.sqrt(a_sq), math.sqrt(b_sq),
-                           ecc, _major_axis_angle(c, trace, gap * gap))
+                           ecc, major_axis_angle(c, trace, gap * gap))
 
 
 def ellipse_delta(c) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -680,3 +681,22 @@ class TestPinnedReports:
         path = write_input(tmp_path, case["vertices"])
         code, out = run_cli(capsys, *case["command"].split(), "--input", path)
         assert (code, out) == (case["exit"], case["stdout"])
+
+    def test_pool_digests_of_seed_1(self):
+        # ``python tests/data/pool_digests.py 1``: every output, figure and
+        # exit code of the seed-1 cli_verify pool, and every solve and
+        # family_point of the seed-1 library pools (about 1.5 s)
+        spec = importlib.util.spec_from_file_location(
+            "pool_digests", Path(__file__).parent / "data" / "pool_digests.py")
+        pool_digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(pool_digests)
+        assert pool_digests.digest_lines([1]) == [
+            "classify: 341ea937eaecdf3bdb57a25d9465d1d11aa88fedd397c1f1dc7e5fd2e81169ba",
+            "minimal: 5bd5bee21396f241787d1698d9f40b7d252fcf26627c4121c3c5ca398556f511",
+            "verify: d8bb23437444fc1542da864fd660756a873a029cea4555469c44f930dd0e607e",
+            "family --sweep 5: d7aec31eade97cd4ec7e7c3695544ccecdc7705ba78348a38831d9e3644abd05",
+            "svg: 785b18874b691ec962be3a019c715e2296f4ae0f2a239c1ad363dafaec210445",
+            "exit codes: {0: 512}",
+            "solve: f19cd9ee05431e40d5e2ea3eb3047c909dca016f270dd840950686e9aa9fed28",
+            "family: 09ec95f869c5a1e856867dcf9cb3b079593759e21e6c85360e7f8fed15f9cbdb",
+        ]

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry,
-                     is_ellipse, line_tangency, make_quad, random_general, random_h,
-                     tangency_points, tangent_slope)
-from inellipse import Conic, Isometry2, NotAnEllipse, Point2, conjugate_diameter_angle
+                     is_ellipse, line_tangency, make_quad, norm, oriented, random_general,
+                     random_h, scaled, tangency_points, tangent_slope)
+from inellipse import (Conic, EllipseGeometry, Isometry2, NotAnEllipse, Point2,
+                       conjugate_diameter_angle)
 
 UNIT_CIRCLE = Conic(1, 0, 1, 0, 0, -1)
 
@@ -37,7 +39,7 @@ class TestIsEllipse:
         assert check.ellipse_disc == 4.0 and check.nondegeneracy == 0.0
 
     def test_sign_flip_is_oriented_away(self):
-        assert is_ellipse(UNIT_CIRCLE.scaled(-3.0))
+        assert is_ellipse(scaled(UNIT_CIRCLE, -3.0))
 
 
 class TestGeometry:
@@ -76,13 +78,13 @@ class TestGeometry:
     def test_scaling_invariance(self, k):
         c = Conic(2.0, 0.8, 1.5, -1.0, 0.5, -3.0)
         g0 = geometry(c)
-        g1 = geometry(c.scaled(k))
+        g1 = geometry(scaled(c, k))
         assert abs(g1.a - g0.a) <= 1e-10 * g0.a
         assert abs(g1.b - g0.b) <= 1e-10 * g0.b
         assert abs(g1.eccentricity - g0.eccentricity) <= 1e-10
         assert math.hypot(g1.center.x - g0.center.x, g1.center.y - g0.center.y) <= 1e-10
         # delta is 1-homogeneous (after sign orientation), not invariant
-        d0, d1 = ellipse_delta(c), ellipse_delta(c.scaled(k))
+        d0, d1 = ellipse_delta(c), ellipse_delta(scaled(c, k))
         assert abs(d1 * abs(k) - d0) <= 1e-9 * abs(d0)
 
     def test_scaling_invariance_random_family(self):
@@ -91,7 +93,7 @@ class TestGeometry:
             cq = random_general(rng)
             c = coefficients(cq, random_h(cq, rng))
             k = float(rng.uniform(0.1, 10.0)) * (1 if rng.integers(0, 2) else -1)
-            g0, g1 = geometry(c), geometry(c.scaled(k))
+            g0, g1 = geometry(c), geometry(scaled(c, k))
             assert abs(g1.a - g0.a) <= 1e-10 * g0.a
             assert abs(g1.b - g0.b) <= 1e-10 * g0.b
             assert abs(g1.eccentricity - g0.eccentricity) <= 1e-10
@@ -155,6 +157,56 @@ class TestConjugateDiameterAngle:
         gamma = conjugate_diameter_angle(geometry(golden_minimal_conic()))
         assert abs(math.tan(gamma) ** 2 - 64.0) <= 1e-9
 
+    def test_near_circle_is_not_a_right_angle(self):
+        # no snap to pi/2 below the circle: b/a = 1 - 1e-13 keeps its angle
+        g = EllipseGeometry(Point2(0.0, 0.0), 1.0, 1.0 - 1e-13, 0.0, 0.0)
+        gamma = conjugate_diameter_angle(g)
+        assert gamma == 2 * math.atan(g.b / g.a) < math.pi / 2
+
+    def test_equal_axes_give_exactly_a_right_angle(self):
+        # b/a = 1 exactly, and 2 atan(1) is pi/2 in doubles
+        for radius in (1.0, 0.3, 7.25, 2.0 ** -300, 2.0 ** 300):
+            g = EllipseGeometry(Point2(0.0, 0.0), radius, radius, 0.0, None)
+            assert conjugate_diameter_angle(g) == math.pi / 2
+
+
+class TestNormalized:
+    @staticmethod
+    def random_conics(rng, count):
+        """Conics with magnitudes from 2^-300 to 2^300 (every fifth at one
+        of the two ends), every third with A + C = 0, every third of the
+        rest with A + C < 0, and each coefficient +0.0 or -0.0 with
+        probability 1/5."""
+        for i in range(count):
+            exponent = int(rng.choice([-300, 300]) if i % 5 == 0 else rng.integers(-300, 301))
+            c = [float(x) * 2.0 ** (exponent + int(rng.integers(-3, 4)))
+                 for x in rng.standard_normal(6)]
+            c = [(-0.0 if rng.integers(0, 2) else 0.0) if rng.random() < 0.2 else x
+                 for x in c]
+            if i % 3 == 0:
+                c[2] = -c[0]
+            elif i % 3 == 1:
+                c[0], c[2] = -abs(c[0]) - 2.0 ** exponent, -abs(c[2])
+            yield Conic(*c)
+
+    def test_bits_of_the_oriented_conic_over_its_norm(self):
+        edges = [Conic(1.0, -0.0, -1.0, 0.0, -0.0, 2.0), Conic(-1.0, 0.0, -0.0, -0.0, 0.0, 0.0),
+                 Conic(2.0 ** 300, 0.0, 2.0 ** 300, 0.0, 0.0, -(2.0 ** 300)),
+                 Conic(-(2.0 ** -300), -0.0, 0.0, 2.0 ** -300, 0.0, 0.0)]
+        signs = set()
+        for c in [*edges, *self.random_conics(np.random.default_rng(209), 3000)]:
+            if not any(c):
+                continue
+            ref = scaled(oriented(c), 1.0 / norm(c))
+            assert struct.pack("6d", *c.normalized()) == struct.pack("6d", *ref), c
+            signs.add((c.A + c.C > 0) - (c.A + c.C < 0))
+        assert signs == {-1, 0, 1}
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_conic_raises(self, zero):
+        with pytest.raises(ValueError):
+            Conic(zero, -zero, zero, zero, -zero, zero).normalized()
+
 
 class TestTangentSlope:
     def test_circle_top_is_horizontal(self):
@@ -215,7 +267,7 @@ class TestPullback:
         moved = numpy_pullback(c, iso.inverse())
         for th in np.linspace(0, 2 * math.pi, 16, endpoint=False):
             p = iso.apply((math.cos(th), math.sin(th)))
-            assert abs(moved(p.x, p.y)) <= 1e-12 * moved.norm
+            assert abs(moved(p.x, p.y)) <= 1e-12 * norm(moved)
 
 
 def numpy_pullback(c, iso):
@@ -237,7 +289,7 @@ def numpy_pullback(c, iso):
 
 def numpy_major_axis_angle(c):
     """Reference axis angle: eigenvector of the smaller eigenvalue, in (-pi/2, pi/2]."""
-    A, B, C = c.oriented()[:3]
+    A, B, C = oriented(c)[:3]
     _, vecs = np.linalg.eigh(np.array([[A, B / 2.0], [B / 2.0, C]]))
     angle = math.atan2(vecs[1, 0], vecs[0, 0])
     if angle <= -math.pi / 2.0:

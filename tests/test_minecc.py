@@ -566,7 +566,18 @@ class TestOneRootPath:
         # not the circle of the kite next to it (e = 0)
         tol_l = bench_module("checks").TOL_L
         quads = near_tangential_kites(3000, seed=1)
-        assert min(solve(cq).geom.eccentricity for cq in quads) > 1e-6
+        ellipses = [solve(cq) for cq in quads]
+        assert min(res.geom.eccentricity for res in ellipses) > 1e-6
+        # solve's one circle test splits them from the kites (s, s, v, v, 0)
+        # they were drawn next to; gamma is 2 atan(b/a) on either side of it
+        kites = [solve(make_quad(cq.s, cq.s, cq.v, cq.v, 0.0)) for cq in quads]
+        for res in ellipses:
+            assert res.geom.major_axis_angle is not None
+            assert res.gamma < math.pi / 2 and res.gamma == 2 * math.atan(res.geom.b / res.geom.a)
+        for res in kites:
+            g = res.geom
+            assert g.major_axis_angle is None and g.a == g.b and res.ratio_sq == 1.0
+            assert res.gamma == math.pi / 2
         for cq in quads[:40]:
             res = solve(cq)
             h, y = mp_argmax(cq)

@@ -11,7 +11,7 @@ from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
                      incircle, make_quad, mp_family, mp_support_distances, near_parallel_poses,
                      near_mdqs, near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
                      line_tangency, random_kite, random_type1, random_type2, ratio_sq_function,
-                     ratio_sq_prime, spectral_quadratics, support_rounding, sv_pool)
+                     ratio_sq_prime, scaled, spectral_quadratics, support_rounding, sv_pool)
 from inellipse import (CanonicalQuad, Conic, Point2, QuadKind, canonicalize,
                        classify, containment, solve, verify)
 from inellipse import family, minecc, quad
@@ -613,7 +613,7 @@ class TestVerify:
         # normalized() of that conic is all zeros, which every line touches
         cq = canonicalize(Q5_VERTICES)
         res = solve(cq)
-        bad = res._replace(conic=res.conic._replace(A=-res.conic.A).scaled(2.0 ** 600))
+        bad = res._replace(conic=scaled(res.conic._replace(A=-res.conic.A), 2.0 ** 600))
         assert not any(bad.conic.normalized())
         reports = {r.name: r for r in verify(cq, bad)}
         assert not reports["side_tangency"].passed
