@@ -83,13 +83,6 @@ def _model(s, t, u, v, w) -> tuple:
             ((u * v) ** 2, 0, 0))
 
 
-def _l5(cq: CanonicalQuad, lam):
-    """l5, the linear factor of ``cubic``, at segment coordinate lam: the
-    convex combination of its end values v P and s Q, both positive by (R1)."""
-    p, q = _r1(*cq.params)
-    return (1.0 - lam) * (cq.v * p) + lam * (cq.s * q)
-
-
 def _abscissa(cq: CanonicalQuad, lam: float) -> float:
     """Center abscissa h of the member at segment coordinate lam."""
     return (cq.v + (cq.s - cq.v) * lam) / 2.0
@@ -99,14 +92,16 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, flo
     """The member at segment coordinate lam as (conic, center, trace, gap_sq,
     ratio_sq, cubic): its conic at the defining scale, the model times
     (s-v)^2, its center M1 + lam (M2 - M1) and its spectral quantities,
-    cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5."""
+    cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5, l5 = (1-lam) v P +
+    lam s Q with P, Q > 0 the (R1) forms of ``quad._r1``."""
     s, t, u, v, w = cq.params
     sv2 = (s - v) ** 2
     mu = 1.0 - lam
     m2, lm, l2 = sv2 * mu * mu, 2.0 * sv2 * lam * mu, sv2 * lam * lam
     m = Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(s, t, u, v, w)])
     trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
-    cubic = sv2 * lam * mu * _l5(cq, lam)
+    p, q = _r1(s, t, u, v, w)
+    cubic = sv2 * lam * mu * (mu * (v * p) + lam * (s * q))
     return (m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0),
             trace, gap * gap, 16.0 * u * sv2 * cubic / (trace + gap) ** 2, cubic)
 
@@ -125,10 +120,12 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
     G = T^2 - 16 K, K = u lam (1-lam) l5, p = 16 (T K' - 2 T' K): no terms
     of size T^3 T' that cancel down to T K' on thin members.
     """
-    model = _model(*cq.params)
-    x0, x1, x2 = [a + c for a, c in zip(model[0], model[2])]     # trace = A + C
+    s, t, u, v, w = cq.params
+    (a0, a1, a2), _, (c0, c1, c2), *_ = _model(s, t, u, v, w)
+    x0, x1, x2 = a0 + c0, a1 + c1, a2 + c2                      # trace = A + C
     t2, t1, t0 = x0 - 2.0 * x1 + x2, 2.0 * (x1 - x0), x0
-    e0, e1 = [16.0 * cq.u * _l5(cq, x) for x in (0.0, 1.0)]
+    r1p, r1q = _r1(s, t, u, v, w)
+    e0, e1 = 16.0 * u * (v * r1p), 16.0 * u * (s * r1q)        # 16 u l5 at 0 and 1
     slope = e1 - e0
 
     def p(lam: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ converts back from h*.  Plain ``math`` and ``int``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import family
 from .conic import Conic, EllipseGeometry
@@ -107,26 +107,33 @@ def side_tangency(cq: CanonicalQuad, res: MinEccResult) -> OracleReport:
     return OracleReport("side_tangency", passed, worst, where, TANGENCY_TOL)
 
 
-def _slope_sign(cq: CanonicalQuad, lam: float) -> int:
-    """The sign (-1, 0 or 1) of d(b/a)^2/dlam at lam for the float pose, exact.
+def _slope_sign(cq: CanonicalQuad) -> Callable[[float], int]:
+    """lam -> the sign (-1, 0 or 1) of d(b/a)^2/dlam at lam for the float pose, exact.
 
-    Floats are dyadic: s, t, u, v, w are integers over one power of two,
-    and lam = m/q with q > 0 a power of two, n = q - m.  A triple (x0, x1,
-    x2) of ``family._model`` on the integer pose gives q^2 X = x0 n^2 + 2 x1
-    m n + x2 m^2 and q X'/2 = (x1 - x0) n + (x2 - x1) m (X = A, B, C; ' =
-    d/dlam).  So q^5 p/4, p = 2 T' G - T G' (T = A + C, G = (A - C)^2 + B^2)
-    of sign d(b/a)^2/dlam, is an ``int`` of the sign of p, as q > 0.
+    Floats are dyadic: s, t, u, v, w are integers over one power of two, so
+    the triples (x0, x1, x2) of ``family._model`` on the integer pose are
+    taken once.  With lam = m/q, q > 0 a power of two, and n = q - m, a
+    triple gives q^2 X = x0 n^2 + 2 x1 m n + x2 m^2 and q X'/2 = (x1 - x0) n
+    + (x2 - x1) m (X = A, B, C; ' = d/dlam).  So q^5 p/4, p = 2 T' G - T G'
+    (T = A + C, G = (A - C)^2 + B^2) of sign d(b/a)^2/dlam, is an ``int``
+    of the sign of p, as q > 0.
     """
     ratios = [x.as_integer_ratio() for x in cq.params]
     e = max(d.bit_length() for _, d in ratios)
     s, t, u, v, w = [k << e - d.bit_length() for k, d in ratios]
-    m, q = lam.as_integer_ratio()
-    n = q - m
-    nn, mn, mm = n * n, m * n, m * m
-    (a, da), (b, db), (c, dc) = [(x0 * nn + 2 * x1 * mn + x2 * mm, (x1 - x0) * n + (x2 - x1) * m)
-                                 for x0, x1, x2 in family._model(s, t, u, v, w)[:3]]
-    p = (da + dc) * ((a - c) ** 2 + b * b) - (a + c) * ((a - c) * (da - dc) + b * db)
-    return (p > 0) - (p < 0)
+    triples = [(x0, 2 * x1, x2, x1 - x0, x2 - x1)
+               for x0, x1, x2 in family._model(s, t, u, v, w)[:3]]
+
+    def sign(lam: float) -> int:
+        m, q = lam.as_integer_ratio()
+        n = q - m
+        nn, mn, mm = n * n, m * n, m * m
+        (a, da), (b, db), (c, dc) = [(x0 * nn + x1 * mn + x2 * mm, d0 * n + d1 * m)
+                                     for x0, x1, x2, d0, d1 in triples]
+        p = (da + dc) * ((a - c) ** 2 + b * b) - (a + c) * ((a - c) * (da - dc) + b * db)
+        return (p > 0) - (p < 0)
+
+    return sign
 
 
 def optimum(cq: CanonicalQuad, lam: float) -> OracleReport:
@@ -141,12 +148,13 @@ def optimum(cq: CanonicalQuad, lam: float) -> OracleReport:
     the two probes.
     """
     limit = 1e-9
+    slope_sign = _slope_sign(cq)
     probes = []
     for side in (1, -1):
         d = 2.0 ** -52
         while True:
             x = lam - side * d
-            holds = side * _slope_sign(cq, x) >= 0
+            holds = side * slope_sign(x) >= 0
             if holds or d > limit:
                 break
             d *= 2.0

@@ -246,17 +246,17 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise Degenerate("non-finite vertex coordinate")
         pts.append(Point2(x, y))
-    x0, y0 = pts[0]
-    rel = [(0.0, 0.0)] + [(p.x - x0, p.y - y0) for p in pts[1:]]
-    dist2 = [(bx - ax) ** 2 + (by - ay) ** 2
-             for i, (ax, ay) in enumerate(rel) for bx, by in rel[i + 1:]]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
+    x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
+    dist2 = (x1 ** 2 + y1 ** 2, x2 ** 2 + y2 ** 2, x3 ** 2 + y3 ** 2,
+             (x2 - x1) ** 2 + (y2 - y1) ** 2, (x3 - x1) ** 2 + (y3 - y1) ** 2,
+             (x3 - x2) ** 2 + (y3 - y2) ** 2)
     diam2 = max(dist2)
     if diam2 == 0.0:
         raise Degenerate("all vertices coincide")
     _check_diameter(diam2)
     if min(dist2) <= 1e-24 * diam2:
         raise Degenerate("repeated vertex")
-    _, (x1, y1), (x2, y2), (x3, y3) = rel
     o012 = x1 * y2 - y1 * x2
     o013 = x1 * y3 - y1 * x3
     o023 = x2 * y3 - y2 * x3
@@ -277,22 +277,25 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     return [pts[i] for i in order]
 
 
-def _labeling(points: Sequence[PointLike], start: int, reflect: bool
+def _labeling(points: list[Point2], start: int, reflect: bool, u: float
               ) -> tuple[tuple[float, float, float, float, float], Isometry2]:
-    """Pose parameters for one dihedral labeling of a clockwise 4-cycle.
+    """Pose parameters for one dihedral labeling of a clockwise 4-cycle of
+    ``validate``'s points.  u is the length of its first side: hypot of
+    that edge has the same bits whichever way the edge is walked.
 
     ``reflect`` walks the cycle backwards and mirrors the plane, so the
     mapped cycle is clockwise again.
     """
-    step, f = (-1, -1.0) if reflect else (1, 1.0)
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = (
-        (float(p[0]), f * float(p[1])) for p in (points[(start + step * i) % 4] for i in range(4)))
-    dx, dy = x1 - x0, y1 - y0
-    theta = 0.5 * math.pi - math.atan2(dy, dx)
+    if reflect:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points[start::-1] + points[:start:-1]
+        y0, y1, y2, y3 = -y0, -y1, -y2, -y3
+    else:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = points[start:] + points[:start]
+    theta = 0.5 * math.pi - math.atan2(y1 - y0, x1 - x0)
     c, sn = math.cos(theta), math.sin(theta)
     # + 0.0 normalizes a signed zero from negating an origin coordinate
     tx, ty = -(c * x0 - sn * y0) + 0.0, -(sn * x0 + c * y0) + 0.0
-    return ((c * x2 - sn * y2 + tx, sn * x2 + c * y2 + ty, math.hypot(dx, dy),
+    return ((c * x2 - sn * y2 + tx, sn * x2 + c * y2 + ty, u,
              c * x3 - sn * y3 + tx, sn * x3 + c * y3 + ty),
             Isometry2(theta, Point2(tx, ty), reflect))
 
@@ -322,7 +325,8 @@ def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
     the canonical pose.
     """
     cw = validate(vertices)
-    edges = [(q.x - p.x, q.y - p.y) for p, q in zip(cw, cw[1:] + cw[:1])]
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = cw
+    edges = ((x1 - x0, y1 - y0), (x2 - x1, y2 - y1), (x3 - x2, y3 - y2), (x0 - x3, y0 - y3))
     lengths = [math.hypot(ex, ey) for ex, ey in edges]
     for i in (0, 1):
         (ax, ay), (bx, by) = edges[i], edges[i + 2]
@@ -330,16 +334,17 @@ def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
             raise Trapezoid("opposite sides are parallel within tolerance; "
                             "trapezoids and parallelograms are unsupported")
     for length in sorted(set(lengths)):
-        keyed = []
+        best = None
         for k in range(4):
             if lengths[k] == length:
                 for start, reflect in ((k, False), ((k + 1) % 4, True)):
-                    params, iso = _labeling(cw, start, reflect)
+                    params, iso = _labeling(cw, start, reflect, length)
                     if _pose_ok(*params):
-                        keyed.append(((params[0], params[1] - params[4], -start, -reflect),
-                                      params, iso))
-        if keyed:
-            _, params, iso = max(keyed, key=lambda item: item[0])
+                        key = (params[0], params[1] - params[4], -start, -reflect)
+                        if best is None or key > best[0]:
+                            best = key, params, iso
+        if best:
+            _, params, iso = best
             break
     else:
         raise NoValidLabeling("no dihedral labeling satisfies the pose constraints")

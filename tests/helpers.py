@@ -25,7 +25,9 @@ of ``solve``'s axis-angle rule, the tangent slope of a conic, the
 slope-intercept ``Line2`` with the discriminant test ``line_tangency`` as
 a reference for ``oracle._line_residual``, the analytic
 derivative of the squared axis ratio, the trace, A - C and B quadratics
-of the model, the numeric root as a center abscissa), the paper's closed
+of the model, the end values of its factor l5, the numeric root as a
+center abscissa), the sign of the slope of (b/a)^2 in exact rationals
+from the defining formulas (``exact_slope_sign``), the paper's closed
 forms (the type-1 center quadratic, the type-1 and type-2 roots and the
 type-1 ratio), which ``solve`` no longer takes and is checked against,
 seeded quads next to the MDQ locus and next to kites, named quads shared
@@ -41,6 +43,7 @@ import math
 import os
 import random
 import sys
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
@@ -51,6 +54,7 @@ from inellipse import (CanonicalQuad, Conic, Degenerate, EllipseGeometry, Isomet
                        QuadKind, Trapezoid, canonicalize, classify, maximize_ratio_sq)
 from inellipse import family
 from inellipse.oracle import side_distance_lines
+from inellipse.quad import _r1
 
 LO, HI = 0.5, 10.0
 SV_MARGIN = 0.05
@@ -230,11 +234,12 @@ def random_h(cq: CanonicalQuad, rng, trim: float = 0.05) -> float:
     return float(lo + (hi - lo) * rng.uniform(trim, 1.0 - trim))
 
 
-def mp_conic(cq: CanonicalQuad):
+def mp_conic(cq: CanonicalQuad, num=mpmath.mpf):
     """mpmath callable h -> the six coefficients (A, B, C, D, E, F) of the
     family member at h, by the defining formulas in the pose parameters
-    (at the defining scale).  Evaluate it inside ``mpmath.workdps``."""
-    s, t, u, v, w = (mpmath.mpf(x) for x in cq.params)
+    (at the defining scale).  Evaluate it inside ``mpmath.workdps``; with
+    ``num=Fraction`` it is exact in rationals."""
+    s, t, u, v, w = (num(x) for x in cq.params)
     sv = s - v
 
     def conic(h):
@@ -267,6 +272,27 @@ def mp_family(cq: CanonicalQuad):
         return (a + c - gap) / (a + c + gap)
 
     return ratio, y
+
+
+def exact_slope_sign(cq: CanonicalQuad):
+    """Callable lam -> the sign (-1, 0 or 1) of d(b/a)^2/dlam at lam, in
+    ``Fraction``s from the defining formulas (:func:`mp_conic`): the sign
+    of p = 2 T' G - T G' (T = A + C, G = (A - C)^2 + B^2).  A, B and C are
+    quadratics in lam (h = (v + (s - v) lam) / 2), each interpolated
+    exactly from its values at lam = -1, 0 and 1."""
+    conic = mp_conic(cq, Fraction)
+    s, v = Fraction(cq.s), Fraction(cq.v)
+    ends = [conic((v + (s - v) * y) / 2)[:3] for y in (-1, 0, 1)]
+    quadratics = [(f0, (f1 - fm) / 2, (f1 - 2 * f0 + fm) / 2) for fm, f0, f1 in zip(*ends)]
+
+    def sign(lam: float) -> int:
+        x = Fraction(lam)
+        (a, da), (b, db), (c, dc) = [(c0 + (c1 + c2 * x) * x, c1 + 2 * c2 * x)
+                                     for c0, c1, c2 in quadratics]
+        p = 2 * (da + dc) * ((a - c) ** 2 + b * b) - (a + c) * 2 * ((a - c) * (da - dc) + b * db)
+        return (p > 0) - (p < 0)
+
+    return sign
 
 
 class SideLinears(NamedTuple):
@@ -337,6 +363,13 @@ def grid_argmax(f, interval: tuple[float, float], n: int = 100_000
     return float(hs[i]), float(vals[i])
 
 
+def l5_ends(cq: CanonicalQuad) -> tuple[float, float]:
+    """The end values v P and s Q of l5, the linear factor of the family's
+    ``cubic``, with the (R1) forms P and Q of ``quad._r1``."""
+    p, q = _r1(*cq.params)
+    return cq.v * p, cq.s * q
+
+
 def ratio_sq_function(cq: CanonicalQuad):
     """Callable h -> squared axis ratio (b/a)^2 of the member at h.
 
@@ -348,7 +381,7 @@ def ratio_sq_function(cq: CanonicalQuad):
     is ``math.sqrt``, correctly rounded.  No interval validation.
     """
     (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = spectral_quadratics(cq)
-    e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
+    e0, e1 = l5_ends(cq)
     v, sv, k, sqrt = cq.v, cq.s - cq.v, 16.0 * cq.u, math.sqrt
 
     def ratio_sq(h: float) -> float:
@@ -373,7 +406,7 @@ def numpy_ratio_sq(cq: CanonicalQuad):
     each entry has the scalar function's bits.  The brute force
     (:func:`grid_argmax`) runs on it."""
     (t2, t1, t0), (d2, d1, d0), (b2, b1, b0) = spectral_quadratics(cq)
-    e0, e1 = family._l5(cq, 0.0), family._l5(cq, 1.0)
+    e0, e1 = l5_ends(cq)
     v, sv, k = cq.v, cq.s - cq.v, 16.0 * cq.u
 
     def ratio_sq(h):

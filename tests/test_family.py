@@ -11,7 +11,7 @@ from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry
                      spectral, tangency_points, tangent_slope, type1_factored_quartic)
 from inellipse import Conic, HOutOfRange, containment, family_point
 from inellipse import canonicalize, newton_segment
-from inellipse.family import _l5, _side_parameters, stationarity
+from inellipse.family import _at, _side_parameters, stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import _r1
 
@@ -266,7 +266,8 @@ class TestSideLinears:
 
     def test_golden_quad_value(self, q5):
         assert _r1(*q5.params) == (12.0, 8.0)
-        assert side_linears(q5.params, 1.5).l5 == 28.0 == _l5(q5, 0.5)
+        # cubic = (s - 2h)(2h - v) l5 = 1 * 1 * l5 at h = 1.5, lam = 0.5
+        assert side_linears(q5.params, 1.5).l5 == 28.0 == _at(q5, 0.5)[5]
 
     def test_l3_vanishes_at_upper_midpoint(self):
         rng = np.random.default_rng(312)

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (KITE_VERTICES, NEAR_TRAPEZOIDS, Q5_VERTICES, THIN_OPTIMA,
-                     Line2, bench_module, cli_verify_pool, closed_form_h, coefficients, fd_gradient, geometry, grid_argmax,
+                     Line2, bench_module, cli_verify_pool, closed_form_h, coefficients,
+                     exact_slope_sign, fd_gradient, geometry, grid_argmax,
                      incircle, make_quad, mp_family, mp_support_distances, near_parallel_poses,
                      near_mdqs, near_tangential_kites, numpy_containment, numpy_ratio_sq, random_general,
                      line_tangency, random_kite, random_type1, random_type2, ratio_sq_function,
@@ -442,12 +444,24 @@ class TestOptimum:
         quads = sv_pool() + near_parallel_poses(8, 14, seed=2601)
         assert {cq.s > cq.v for cq in quads} == {True, False}
         for cq in quads:
-            lam = solve(cq).lam_star
+            lam, sign = solve(cq).lam_star, _slope_sign(cq)
             points = [lam + k for k in (-1e-2, -1e-4, -2e-6, 2e-6, 1e-4, 1e-2)]
             points += [x for x in (0.14, 0.32, 0.5, 0.68, 0.86) if abs(x - lam) >= 2e-6]
             for x in points:
                 slope = mp_slope(cq, x)
-                assert _slope_sign(cq, x) == (slope > 0) - (slope < 0)
+                assert sign(x) == (slope > 0) - (slope < 0)
+
+    def test_slope_sign_matches_exact_rationals_next_to_the_optimum(self):
+        # at lam* and lam* +- k 2^-52 (k = 1, 2, 4), where the sign is
+        # hardest to get, on the seed-1 cli_verify pool: the same signs as
+        # the defining formulas in Fractions, and both signs occur
+        signs = collections.Counter()
+        for cq in cli_verify_pool(1):
+            lam, sign, exact = solve(cq).lam_star, _slope_sign(cq), exact_slope_sign(cq)
+            for x in [lam + k * 2.0 ** -52 for k in (-4, -2, -1, 0, 1, 2, 4)]:
+                signs[sign(x)] += 1
+                assert sign(x) == exact(x)
+        assert signs[1] > 0 and signs[-1] > 0
 
     @pytest.mark.parametrize("shift", [1e-8, -1e-8])
     @pytest.mark.parametrize("kind", ["type1", "type2", "general", "kite"])

@@ -204,20 +204,23 @@ class TestAgainstBruteForce:
     def test_integer_grid(self, rotated):
         # perpendicular opposite sides (t = w in some labeling) and equal
         # side lengths are common on a small grid; rotated, they are equal
-        # or perpendicular only up to rounding
+        # or perpendicular only up to rounding.  Each input also runs with
+        # its zero coordinates written as -0.0, and the poses are compared
+        # by repr, so a signed zero in a pose or translation shows
         rng = np.random.default_rng(142)
         for _ in range(3000):
             raw = [tuple(int(c) for c in rng.integers(-3, 4, 2)) for _ in range(4)]
             if rotated:
                 iso = random_isometry(rng)
                 raw = [iso.apply(p) for p in raw]
-            try:
-                expected = canonicalize_oracle(raw)
-            except Exception as exc:
-                with pytest.raises(type(exc)):
-                    canonicalize(raw)
-                continue
-            assert canonicalize(raw) == expected
+            for vertices in (raw, [tuple(c or -0.0 for c in p) for p in raw]):
+                try:
+                    expected = canonicalize_oracle(vertices)
+                except Exception as exc:
+                    with pytest.raises(type(exc)):
+                        canonicalize(vertices)
+                    continue
+                assert repr(canonicalize(vertices)) == repr(expected)
 
     @pytest.mark.parametrize("raw, error", REJECTED)
     def test_rejections(self, raw, error):
