@@ -17,9 +17,10 @@ quad and picks nothing.  The "classification", "canonical" and "newton"
 blocks are the ``_asdict()`` of ``QuadClass``, ``CanonicalQuad`` (its
 ``iso`` too) and ``NewtonSegment``, and points and conics print as the
 tuples they are: a field added to one of those records is a report
-change.  Reports print through a ``%`` template per
-shape built from ``to_json``, floats at 17 significant digits, so they
-re-parse losslessly and identical inputs give identical bytes.
+change.  Reports print by ``to_json``: one ``%`` template per shape, laid
+out on the first report of that shape, filled with floats at 17
+significant digits, so they re-parse losslessly and identical inputs
+give identical bytes.
 
 Exit codes: 0 ok, 2 parse error (unreadable input included, and an
 unwritable --svg path), 3 geometry rejection, 4 verification failure.
@@ -79,25 +80,9 @@ def _scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x)!r}")
 
 
-def to_json(obj, indent: int = 0, pretty: bool = True) -> str:
-    if isinstance(obj, dict):
-        items = [f"{_quote(str(k))}: {to_json(v, indent + 1, pretty)}" for k, v in obj.items()]
-    elif not isinstance(obj, (list, tuple)):
-        return _scalar(obj)
-    elif all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
-        return "[" + ", ".join(map(_scalar, obj)) + "]"
-    else:
-        items = [to_json(v, indent + 1, pretty) for v in obj]
-    ends = "{}" if isinstance(obj, dict) else "[]"
-    if not (items and pretty):
-        return ends[0] + ", ".join(items) + ends[1]
-    pad = "\n" + "  " * indent
-    return ends[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + ends[1]
-
-
 def _flatten(nodes, leaves: list, shape: list) -> None:
-    """Append the leaves under ``nodes`` to ``leaves`` as ``to_json`` prints them, and
-    a token per node, in pre-order, to ``shape``: dict keys, list length or None."""
+    """Append the leaves under ``nodes`` to ``leaves`` as they print, and a token
+    per node, in pre-order, to ``shape``: dict keys, list length or None."""
     for v in nodes:
         if type(v) is float or not isinstance(v, (dict, list, tuple)):   # most leaves are floats
             shape.append(None)
@@ -112,24 +97,37 @@ def _flatten(nodes, leaves: list, shape: list) -> None:
 
 @functools.cache
 def _template(shape: tuple, pretty: bool) -> str:
-    """``to_json`` of the skeleton ``shape`` describes, every leaf one marker,
-    with ``%`` escaped and each quoted marker made ``%s``."""
+    """The layout of the document ``shape`` describes, each leaf ``%s`` and each
+    ``%`` in a key doubled.  A list of leaves goes on one line; pretty, every
+    other non-empty container puts each item on its own line, two spaces deeper."""
     tokens = iter(shape)
 
-    def skeleton(tok):
+    def layout(tok, pad: str) -> str:
+        if tok is None:
+            return "%s"
+        inner = pad + "  "
         if isinstance(tok, tuple):
-            return {k: skeleton(next(tokens)) for k in tok}
-        return "\0" if tok is None else [skeleton(next(tokens)) for _ in range(tok)]
+            items = [_quote(str(k)).replace("%", "%%") + ": " + layout(next(tokens), inner)
+                     for k in tok]
+        else:
+            items = [layout(next(tokens), inner) for _ in range(tok)]
+        ends = "{}" if isinstance(tok, tuple) else "[]"
+        if pretty and items.count("%s") < len(items):      # a dict item is never a bare leaf
+            return ends[0] + inner + ("," + inner).join(items) + pad + ends[1]
+        return ends[0] + ", ".join(items) + ends[1]
 
-    text = to_json(skeleton(next(tokens)), pretty=pretty).replace("%", "%%")
-    return text.replace(_quote("\0"), "%s") + "\n"
+    return layout(next(tokens), "\n")
+
+
+def to_json(obj, pretty: bool = True) -> str:
+    """``obj`` as JSON through the template of its shape."""
+    leaves, shape = [], []
+    _flatten((obj,), leaves, shape)
+    return _template(tuple(shape), pretty) % tuple(leaves)
 
 
 def _emit(obj, pretty: bool = True) -> None:
-    """Print ``to_json(obj, pretty=pretty)`` through the template of its shape."""
-    leaves, shape = [], []
-    _flatten((obj,), leaves, shape)
-    sys.stdout.write(_template(tuple(shape), pretty) % tuple(leaves))
+    sys.stdout.write(to_json(obj, pretty) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +331,9 @@ def _cmd_minimal(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use; parse_args returns a fresh namespace per call
     parser = argparse.ArgumentParser(
         prog="inellipse",
         description="Inscribed ellipses of a convex quadrilateral and the "
@@ -365,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write an SVG figure")
         p.set_defaults(func=_cmd_minimal, verify=name == "verify")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use; parse_args returns a fresh namespace per call
-    return build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

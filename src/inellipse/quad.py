@@ -133,7 +133,8 @@ class CanonicalQuad(_Pose):
                 iso: Isometry2) -> "CanonicalQuad":
         if not _pose_ok(s, t, u, v, w):
             raise ValueError("canonical parameters violate the pose constraints")
-        if not _convex(s, t, u, v, w):
+        p, q = _r1(s, t, u, v, w)
+        if not (p > 0 and q > 0):
             raise ValueError("canonical parameters describe a non-convex cycle")
         if s == v or w * s - v * (t - u) == 0:
             raise ValueError("parallel side pair: quadrilateral unsupported")
@@ -310,12 +311,6 @@ def _r1(s: float, t: float, u: float, v: float, w: float) -> tuple[float, float]
     return v * (t - u) + (u - w) * s, v * t - w * s
 
 
-def _convex(s: float, t: float, u: float, v: float, w: float) -> bool:
-    """(R1) holds: the posed cycle is convex."""
-    p, q = _r1(s, t, u, v, w)
-    return p > 0 and q > 0
-
-
 def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
     """Move a convex quadrilateral into canonical pose by an isometry.
 
@@ -348,9 +343,10 @@ def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
             break
     else:
         raise NoValidLabeling("no dihedral labeling satisfies the pose constraints")
-    if not _convex(*params):
-        raise NoValidLabeling("convexity constraints fail in the selected pose")
-    return CanonicalQuad(*params, iso)
+    try:        # rounding can break (R1) or (R2) in the pose picked
+        return CanonicalQuad(*params, iso)
+    except ValueError as exc:
+        raise NoValidLabeling(f"the selected pose fails: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import KITE_VERTICES, Q5_VERTICES, THIN_OPTIMA, bench_module, cli_verify_inputs
+from helpers import (KITE_VERTICES, PARALLEL_BY_ROUNDING, Q5_VERTICES, THIN_OPTIMA,
+                     bench_module, cli_verify_inputs, to_json_reference)
 from inellipse import cli
 from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, main, to_json)
 
@@ -54,6 +55,11 @@ class TestClassify:
         err = json.loads(out)["error"]
         assert err["code"] == "Trapezoid"
         assert "parallel" in err["message"]
+        # parallel only after rounding in the pose picked: rejected as typed
+        code, out = run_cli(capsys, "verify", "--input",
+                            write_input(tmp_path, PARALLEL_BY_ROUNDING))
+        assert code == EXIT_GEOMETRY
+        assert json.loads(out)["error"]["code"] == "NoValidLabeling"
 
     def test_parse_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -415,26 +421,26 @@ class TestJsonEmitter:
 
 
 class TestTemplateEmitter:
-    """Every report prints through the ``%`` template of its shape, built
-    once from ``to_json``: the bytes are ``to_json``'s, and a report of
-    another shape never prints under a cached layout."""
+    """Every report prints through the ``%`` template of its shape, laid out
+    once: the bytes are those of the recursive ``to_json_reference``, and a
+    report of another shape never prints under a cached layout."""
 
     @pytest.fixture
     def expected(self, monkeypatch):
-        """``to_json`` of each report the CLI emits, as it emits it."""
+        """``to_json_reference`` of each report the CLI emits, as it emits it."""
         texts = []
         emit = cli._emit
 
         def recording(obj, pretty=True):
-            texts.append(to_json(obj, pretty=pretty) + "\n")
+            texts.append(to_json_reference(obj, pretty=pretty) + "\n")
             emit(obj, pretty)
         monkeypatch.setattr(cli, "_emit", recording)
         return texts
 
-    def emits_to_json(self, capsys, report):
+    def emits_reference(self, capsys, report):
         for pretty in (True, False):
             cli._emit(report, pretty)
-            assert capsys.readouterr().out == to_json(report, pretty=pretty) + "\n"
+            assert capsys.readouterr().out == to_json_reference(report, pretty=pretty) + "\n"
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_pool_reports_are_to_json_bytes(self, tmp_path, capsys, expected, seed):
@@ -458,7 +464,7 @@ class TestTemplateEmitter:
         vertices = [(-0.0, 0.0), (0.0, 2.0), (4.0, 6.0), (2.0, 1.0)]
         code, out = run_cli(capsys, "classify", "--input", write_input(tmp_path, vertices))
         assert code == EXIT_OK and out == expected[0] and "[-0.0, 0.0]," in out
-        self.emits_to_json(capsys, {"x": -0.0, "xs": [-0.0, 0], "n": [[-0.0]]})
+        self.emits_reference(capsys, {"x": -0.0, "xs": [-0.0, 0], "n": [[-0.0]]})
 
     def test_error_message_holding_nan(self, tmp_path, capsys, expected):
         path = write_input(tmp_path, Q5_VERTICES)
@@ -471,16 +477,12 @@ class TestTemplateEmitter:
                                       "tab\tnl\ncr\r\x00\x1f\x7f",
                                       "Ünïcödé π ≈ 3.14 \U0001f600", "", "\x01"])
     def test_string_leaves_and_keys(self, capsys, text):
-        self.emits_to_json(capsys, {"error": {"code": text, "message": text}})
-        self.emits_to_json(capsys, {text: [text, {text: [text, 1.5]}], "b": [True, None, 7]})
+        self.emits_reference(capsys, {"error": {"code": text, "message": text}})
+        self.emits_reference(capsys, {text: [text, {text: [text, 1.5]}], "b": [True, None, 7]})
 
-    def test_a_key_equal_to_the_leaf_marker_raises(self, capsys):
-        # the template marks every leaf "\0"; a key "\0" would be one more
-        # slot than there are leaves, which ``%`` refuses
-        self.emits_to_json(capsys, {"message": "\0", "x": ["\0"]})
-        with pytest.raises(TypeError, match="not enough arguments"):
-            cli._emit({"\0": 1.0})
-        assert capsys.readouterr().out == ""
+    def test_a_nul_key_prints_like_any_other(self, capsys):
+        self.emits_reference(capsys, {"message": "\0", "x": ["\0"]})
+        self.emits_reference(capsys, {"\0": 1.0, "%s": {"\0": ["\0", 2.0]}})
 
     @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
     def test_non_finite_leaf_raises_and_prints_nothing(self, capsys, x):
@@ -519,10 +521,10 @@ class TestTemplateEmitter:
             {**base, "oracles": [oracles[0], oracles[1], [oracles[2]]]},
         ]
         for report in [base, *drifted, base]:
-            self.emits_to_json(capsys, report)
+            self.emits_reference(capsys, report)
         before = cli._template.cache_info().currsize
         for report in drifted:
-            self.emits_to_json(capsys, report)
+            self.emits_reference(capsys, report)
         assert cli._template.cache_info().currsize == before
 
     def test_a_wrong_leaf_count_does_not_fill_a_template(self):
@@ -530,7 +532,7 @@ class TestTemplateEmitter:
         leaves, shape = [], []
         cli._flatten((report,), leaves, shape)
         template = cli._template(tuple(shape), True)
-        assert template % tuple(leaves) == to_json(report) + "\n"
+        assert template % tuple(leaves) == to_json_reference(report)
         for wrong in (leaves[:-1], leaves + ["3.0"], []):
             with pytest.raises(TypeError):
                 template % tuple(wrong)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (Q5_VERTICES, bench_module, canonical_vertices, canonicalize_oracle,
+from helpers import (PARALLEL_BY_ROUNDING, Q5_VERTICES, bench_module, canonical_vertices, canonicalize_oracle,
                      diagonal_swaps_oracle, make_quad, moved_vertices, placed,
                      random_general, random_isometry, random_kite, random_type1,
                      random_type2, validate_oracle)
-from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex,
+from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex, NoValidLabeling,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
                        diagonal_angle, newton_segment, solve, validate)
 from inellipse.family import _at, _segment_coordinate
@@ -28,6 +28,7 @@ REJECTED = [
     ([(0, 0), (1, 0), (1, 1), (0, 1)], Trapezoid),
     ([(0, 0), (1, 2), (4, 3), (3, 1)], Trapezoid),
     ([(0, 0), (4, 0), (3, 2), (1, 2)], Trapezoid),
+    (PARALLEL_BY_ROUNDING, NoValidLabeling),
 ]
 
 
