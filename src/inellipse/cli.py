@@ -186,9 +186,8 @@ def _quad_report(vertices: list, cq: CanonicalQuad) -> dict:
 
 
 def _result_block(res: MinEccResult) -> dict:
-    tan_sq = None
-    if abs(res.gamma - math.pi / 2.0) > 1e-9:
-        tan_sq = math.tan(res.gamma) ** 2
+    tan = math.tan(res.gamma)
+    tan_sq = tan * tan if abs(res.gamma - math.pi / 2.0) > 1e-9 else None
     return {
         "h_star": res.geom.center.x,
         "method": res.method,

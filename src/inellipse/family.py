@@ -75,12 +75,12 @@ def _model(s, t, u, v, w) -> tuple:
     quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F.  Integer
     literals only, so float poses give the same bits and ``int`` poses
     (``oracle._slope_sign``) stay exact."""
-    return (((u - w) ** 2, t * (u + w) - 2 * u * w, t * t),
+    return (((u - w) * (u - w), t * (u + w) - 2 * u * w, t * t),
             (2 * v * (u - w), 2 * u * v - s * (u + w) - t * v, -2 * s * t),
             (v * v, v * s, s * s),
             (2 * u * v * (w - u), u * (2 * s * w - t * v), 0),
             (-2 * u * v * v, -u * v * s, 0),
-            ((u * v) ** 2, 0, 0))
+            (u * v * (u * v), 0, 0))
 
 
 def _abscissa(cq: CanonicalQuad, lam: float) -> float:
@@ -95,7 +95,7 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, flo
     cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5, l5 = (1-lam) v P +
     lam s Q with P, Q > 0 the (R1) forms of ``quad._r1``."""
     s, t, u, v, w = cq.params
-    sv2 = (s - v) ** 2
+    sv2 = (s - v) * (s - v)
     mu = 1.0 - lam
     m2, lm, l2 = sv2 * mu * mu, 2.0 * sv2 * lam * mu, sv2 * lam * lam
     m = Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(s, t, u, v, w)])
@@ -103,7 +103,7 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, flo
     p, q = _r1(s, t, u, v, w)
     cubic = sv2 * lam * mu * (mu * (v * p) + lam * (s * q))
     return (m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0),
-            trace, gap * gap, 16.0 * u * sv2 * cubic / (trace + gap) ** 2, cubic)
+            trace, gap * gap, 16.0 * u * sv2 * cubic / ((trace + gap) * (trace + gap)), cubic)
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):

@@ -142,7 +142,7 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
         if angle > math.pi / 2.0:
             angle -= math.pi                    # into (-pi/2, pi/2]
         gap = math.sqrt(gap_sq)
-        a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) ** 2))
+        a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) * (cq.s - cq.v)))
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (trace + gap)), angle)
     gamma = conjugate_diameter_angle(geom)

@@ -130,7 +130,8 @@ def _slope_sign(cq: CanonicalQuad) -> Callable[[float], int]:
         nn, mn, mm = n * n, m * n, m * m
         (a, da), (b, db), (c, dc) = [(x0 * nn + x1 * mn + x2 * mm, d0 * n + d1 * m)
                                      for x0, x1, x2, d0, d1 in triples]
-        p = (da + dc) * ((a - c) ** 2 + b * b) - (a + c) * ((a - c) * (da - dc) + b * db)
+        ac = a - c
+        p = (da + dc) * (ac * ac + b * b) - (a + c) * (ac * (da - dc) + b * db)
         return (p > 0) - (p < 0)
 
     return sign

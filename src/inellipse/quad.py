@@ -149,7 +149,8 @@ class CanonicalQuad(_Pose):
         """Canonical quad whose raw frame *is* the canonical frame.  Raises
         :class:`Degenerate` for a diameter outside ``DIAMETER_RANGE``."""
         cq = cls(float(s), float(t), float(u), float(v), float(w), Isometry2.identity())
-        _check_diameter(cq.diameter ** 2)
+        d = cq.diameter
+        _check_diameter(d * d)
         return cq
 
     @property
@@ -249,9 +250,9 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
         pts.append(Point2(x, y))
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = pts
     x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
-    dist2 = (x1 ** 2 + y1 ** 2, x2 ** 2 + y2 ** 2, x3 ** 2 + y3 ** 2,
-             (x2 - x1) ** 2 + (y2 - y1) ** 2, (x3 - x1) ** 2 + (y3 - y1) ** 2,
-             (x3 - x2) ** 2 + (y3 - y2) ** 2)
+    x21, y21, x31, y31, x32, y32 = x2 - x1, y2 - y1, x3 - x1, y3 - y1, x3 - x2, y3 - y2
+    dist2 = (x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3,
+             x21 * x21 + y21 * y21, x31 * x31 + y31 * y31, x32 * x32 + y32 * y32)
     diam2 = max(dist2)
     if diam2 == 0.0:
         raise Degenerate("all vertices coincide")
@@ -261,7 +262,7 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     o012 = x1 * y2 - y1 * x2
     o013 = x1 * y3 - y1 * x3
     o023 = x2 * y3 - y2 * x3
-    o123 = (x2 - x1) * (y3 - y1) - (y2 - y1) * (x3 - x1)
+    o123 = x21 * y31 - y21 * x31
     if min(abs(o012), abs(o013), abs(o023), abs(o123)) <= 1e-12 * diam2:
         raise Degenerate("three vertices are collinear")
     a, b, c, d = o012 > 0.0, o013 > 0.0, o023 > 0.0, o123 > 0.0
@@ -358,11 +359,11 @@ def _z_terms(s: float, t: float, u: float, v: float, w: float) -> tuple[float, f
     """The polynomial tangentiality quantity z = t1^2 - t2 and its magnitude
     scale (the addends of t1 can cancel exactly, e.g. on kites, so the term
     value itself is no scale)."""
-    a1 = (v * v + w * w) * (s * s + (t - u) ** 2)
-    a2 = (t * u - v * s - w * t) ** 2
-    a3 = u * u * ((s - v) ** 2 + (t - w) ** 2)
+    m, d2 = t * u - v * s - w * t, (s - v) * (s - v) + (t - w) * (t - w)
+    a1 = (v * v + w * w) * (s * s + (t - u) * (t - u))
+    a2, a3 = m * m, u * u * d2
     t1, scale = a1 - a2 - a3, a1 + a2 + a3
-    t2 = 4.0 * (u * (t * u - v * s - w * t)) ** 2 * ((s - v) ** 2 + (t - w) ** 2)
+    t2 = 4.0 * (u * m) * (u * m) * d2
     return t1 * t1 - t2, scale * scale + abs(t2)
 
 

@@ -202,7 +202,7 @@ class TestFamily:
         # data/reports.json, n = 2000 by digest
         sweep9 = next(c["stdout"] for c in PINNED if c["command"] == "family --sweep 9")
         for n, digest in ((9, hashlib.sha256(sweep9.encode()).hexdigest()),
-                          (2000, "414e1bbf418da542e489bbddc06a4b9a17e0c1d8a53f612b5b5c26e77800ed51")):
+                          (2000, "9b3b14ab5c497841e2a76420584f977537565ae85114dd67c57c3c0d41d9f7eb")):
             code, out = run_cli(capsys, "family", "--sweep", str(n), "--input", path)
             assert code == EXIT_OK
             records = [json.loads(line) for line in out.strip().splitlines()]
@@ -694,11 +694,11 @@ class TestPinnedReports:
         spec.loader.exec_module(pool_digests)
         assert pool_digests.digest_lines([1]) == [
             "classify: 341ea937eaecdf3bdb57a25d9465d1d11aa88fedd397c1f1dc7e5fd2e81169ba",
-            "minimal: 5bd5bee21396f241787d1698d9f40b7d252fcf26627c4121c3c5ca398556f511",
-            "verify: d8bb23437444fc1542da864fd660756a873a029cea4555469c44f930dd0e607e",
-            "family --sweep 5: d7aec31eade97cd4ec7e7c3695544ccecdc7705ba78348a38831d9e3644abd05",
+            "minimal: ca7f0113023463b29219367d8352842b437d539f38958bbf63cf3d2c7bfb8889",
+            "verify: bce77ad6ea13c61e4be049064114055d29e5f930130eaedec4941ead4010122e",
+            "family --sweep 5: b6091b9b36188a9d8ae87c4ae67c0b789768abf7c0707cf0b7f3a32e27875e28",
             "svg: 785b18874b691ec962be3a019c715e2296f4ae0f2a239c1ad363dafaec210445",
             "exit codes: {0: 512}",
-            "solve: f19cd9ee05431e40d5e2ea3eb3047c909dca016f270dd840950686e9aa9fed28",
-            "family: 09ec95f869c5a1e856867dcf9cb3b079593759e21e6c85360e7f8fed15f9cbdb",
+            "solve: 8290004c639e4c66d7366e13198dc5e4a8ad513b17ff2ffaed0f930ab99af0de",
+            "family: 2351b7be5f09fbb5d828adb330af12631ae6d21f607277d50f4ac94fa2fb468d",
         ]

@@ -191,3 +191,19 @@ def unreferenced_definitions(package_dir):
 
 def test_no_unreferenced_public_definitions():
     assert unreferenced_definitions(pathlib.Path(inellipse.__file__).parent) == []
+
+
+def squares_by_pow(path):
+    """Lines of a module that square by ``x ** 2``.  CPython sends a float
+    power to libm ``pow``, which does not always round as the product
+    ``x * x`` does; one spelling keeps the output per IEEE, not per libm,
+    and ``solve`` exactly scale-equivariant."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2]
+
+
+def test_every_square_is_a_product():
+    modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    assert {p.name: found for p in modules if (found := squares_by_pow(p))} == {}

@@ -347,6 +347,38 @@ def tangential_general_quad(normals=(0.3, 1.9, 3.2, 4.6)):
     return canonicalize(pts)
 
 
+class TestScaleEquivariance:
+    """The result is scale-free, and so are its bits: with every step a
+    correctly rounded operation, scaling the input by 2^k scales each
+    intermediate exactly and leaves every rounding as it was.  A square
+    through libm ``pow``, which need not round as ``x * x`` does, breaks
+    this on 1-2 of the 512 seed-1 quads at each k below."""
+
+    @staticmethod
+    def rescaled(res, k):
+        """``res`` as the exact solution of the quad scaled by 2^k: lengths
+        times 2^k, conic coefficients by their degree (the model carries
+        (s-v)^2 along), angles and ratios as they are."""
+        g = res.geom
+        degrees = (4, 4, 4, 5, 5, 6)
+        conic = res.conic._make(math.ldexp(c, e * k) for c, e in zip(res.conic, degrees))
+        center = g.center._replace(x=math.ldexp(g.center.x, k), y=math.ldexp(g.center.y, k))
+        return res._replace(conic=conic, geom=g._replace(center=center, a=math.ldexp(g.a, k),
+                                                         b=math.ldexp(g.b, k)))
+
+    def test_solve_of_the_scaled_pool_is_the_scaled_solve(self):
+        workloads = bench_module("workloads")
+        pool = [item.vertices for item in workloads.build("solve_mixed", 1, None).items]
+        for v in pool:
+            cq = canonicalize(v)
+            res, residuals = solve(cq), classify(cq).residuals
+            for k in (-50, -13, -1, 1, 7, 29, 45):
+                scaled = canonicalize([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in v])
+                assert scaled.params == tuple(math.ldexp(x, k) for x in cq.params)
+                assert repr(solve(scaled)) == repr(self.rescaled(res, k)), (v, k)
+                assert classify(scaled).residuals == residuals, (v, k)
+
+
 class TestStationarityRoot:
     def test_matches_closed_form_on_type1(self):
         rng = np.random.default_rng(420)
