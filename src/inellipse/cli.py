@@ -20,7 +20,8 @@ tuples they are: a field added to one of those records is a report
 change.  Reports print by ``to_json``: one ``%`` template per shape, laid
 out on the first report of that shape, filled with floats at 17
 significant digits, so they re-parse losslessly and identical inputs
-give identical bytes.
+give identical bytes.  "tan_sq_gamma" is 4 r / e^4 (r = (b/a)^2 =
+tan^2(gamma/2), e the eccentricity), null exactly for a circle.
 
 Exit codes: 0 ok, 2 parse error (unreadable input included, and an
 unwritable --svg path), 3 geometry rejection, 4 verification failure.
@@ -82,13 +83,13 @@ def _scalar(x) -> str:
 
 def _flatten(nodes, leaves: list, shape: list) -> None:
     """Append the leaves under ``nodes`` to ``leaves`` as they print, and a token
-    per node, in pre-order, to ``shape``: dict keys, list length or None."""
+    per node, in pre-order, to ``shape``: dict keys as they print, list length or None."""
     for v in nodes:
         if type(v) is float or not isinstance(v, (dict, list, tuple)):   # most leaves are floats
             shape.append(None)
             leaves.append(_fmt_float(v) if type(v) is float else _scalar(v))
         elif isinstance(v, dict):
-            shape.append(tuple(v))
+            shape.append(tuple(map(str, v)))
             _flatten(v.values(), leaves, shape)
         else:
             shape.append(len(v))
@@ -107,7 +108,7 @@ def _template(shape: tuple, pretty: bool) -> str:
             return "%s"
         inner = pad + "  "
         if isinstance(tok, tuple):
-            items = [_quote(str(k)).replace("%", "%%") + ": " + layout(next(tokens), inner)
+            items = [_quote(k).replace("%", "%%") + ": " + layout(next(tokens), inner)
                      for k in tok]
         else:
             items = [layout(next(tokens), inner) for _ in range(tok)]
@@ -186,8 +187,8 @@ def _quad_report(vertices: list, cq: CanonicalQuad) -> dict:
 
 
 def _result_block(res: MinEccResult) -> dict:
-    tan = math.tan(res.gamma)
-    tan_sq = tan * tan if abs(res.gamma - math.pi / 2.0) > 1e-9 else None
+    e2 = res.geom.eccentricity * res.geom.eccentricity     # 1 - (b/a)^2
+    tan_sq = None if res.geom.major_axis_angle is None else 4.0 * res.ratio_sq / (e2 * e2)
     return {
         "h_star": res.geom.center.x,
         "method": res.method,

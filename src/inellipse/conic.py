@@ -11,7 +11,7 @@ scales.  The package has no general conic-to-shape route and no line
 type: the solved ellipse's :class:`EllipseGeometry` (center, semi-axes,
 eccentricity, axis angle) comes from the family model in ``minecc.solve``,
 which alone decides whether it is a circle (axis angle None);
-:func:`conjugate_diameter_angle` is 2 atan(b/a) of that shape, with no
+:func:`conjugate_diameter_angle` is 2 atan2(b, a) of that shape, with no
 tolerance of its own.  ``oracle.verify`` checks that shape by its support
 distances from the side lines, and the conic's tangency to each side line
 by l^T adj(M) l.
@@ -38,12 +38,12 @@ class Conic(NamedTuple):
         return A * x * x + B * x * y + C * y * y + D * x + E * y + F
 
     def normalized(self) -> "Conic":
-        """Unit Euclidean coefficient norm with A + C > 0."""
-        n = math.sqrt(sum(c * c for c in self))
+        """Unit Euclidean coefficient norm with A + C > 0: each coefficient
+        divided once by ``hypot`` of all six, finite wherever the norm is."""
+        n = math.hypot(*self) * (-1.0 if self.A + self.C < 0 else 1.0)
         if n == 0.0:
             raise ValueError("zero conic cannot be normalized")
-        k = (-1.0 if self.A + self.C < 0 else 1.0) * (1.0 / n)
-        return Conic(*(k * c for c in self))
+        return Conic(*(c / n for c in self))
 
 
 class EllipseGeometry(NamedTuple):
@@ -58,8 +58,8 @@ def conjugate_diameter_angle(g: EllipseGeometry) -> float:
     """Smallest non-negative angle between the equal conjugate diameters.
 
     The equal pair makes angles +/- theta with the major axis where
-    tan(theta) = b/a, so the angle between them is 2 theta.  A circle,
-    b == a, gets 2 atan(1), exactly pi/2 in doubles (any perpendicular
-    diameter pair is equal and conjugate).
+    tan(theta) = b/a, so the angle between them is 2 theta = 2 atan2(b, a).
+    A circle, b == a, gets 2 atan2(a, a), exactly pi/2 in doubles (any
+    perpendicular diameter pair is equal and conjugate).
     """
-    return 2.0 * math.atan(g.b / g.a)
+    return 2.0 * math.atan2(g.b, g.a)

@@ -89,7 +89,7 @@ def _abscissa(cq: CanonicalQuad, lam: float) -> float:
 
 
 def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, float, float]:
-    """The member at segment coordinate lam as (conic, center, trace, gap_sq,
+    """The member at segment coordinate lam as (conic, center, trace, gap,
     ratio_sq, cubic): its conic at the defining scale, the model times
     (s-v)^2, its center M1 + lam (M2 - M1) and its spectral quantities,
     cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5, l5 = (1-lam) v P +
@@ -103,7 +103,7 @@ def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, flo
     p, q = _r1(s, t, u, v, w)
     cubic = sv2 * lam * mu * (mu * (v * p) + lam * (s * q))
     return (m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0),
-            trace, gap * gap, 16.0 * u * sv2 * cubic / ((trace + gap) * (trace + gap)), cubic)
+            trace, gap, 16.0 * u * sv2 * cubic / ((trace + gap) * (trace + gap)), cubic)
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):
@@ -170,5 +170,6 @@ def _tangency(cq: CanonicalQuad, n, m) -> tuple[TangentPoint, ...]:
 def family_point(cq: CanonicalQuad, h: float) -> FamilyPoint:
     """Assemble the full record of the family member at h."""
     _require_h(cq, h)
-    conic, _, *spectral = _at(cq, _segment_coordinate(cq, h))
-    return FamilyPoint(h, conic, _tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v), *spectral)
+    conic, _, trace, gap, *rest = _at(cq, _segment_coordinate(cq, h))
+    return FamilyPoint(h, conic, _tangency(cq, cq.s - 2.0 * h, 2.0 * h - cq.v),
+                       trace, gap * gap, *rest)

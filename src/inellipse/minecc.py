@@ -123,15 +123,15 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     (the package's one circle test), the optimum is the inscribed circle,
     reported exactly: radius the center's distance to the side on the y
     axis, its abscissa, eccentricity 0, axis angle None, axis ratio 1 and
-    a conjugate-diameter angle of 2 atan(1) = pi/2.
-    Raises :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the
-    model's certificate of a real ellipse.
+    a conjugate-diameter angle of 2 atan2(a, a) = pi/2.  Raises
+    :class:`NotAnEllipse` unless trace > 0 and cubic > 0, the model's
+    certificate of a real ellipse.
     """
     lam, iterations = maximize_ratio_sq(cq)
-    conic, center, trace, gap_sq, ratio_sq, cubic = family._at(cq, lam)
+    conic, center, trace, gap, ratio_sq, cubic = family._at(cq, lam)
     if not (trace > 0.0 and cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
-    if gap_sq <= 1e-24 * trace * trace:       # a circle to machine precision
+    if gap * gap <= 1e-24 * trace * trace:    # a circle to machine precision
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
         ratio_sq = 1.0
     else:       # gap > 1e-12 trace, so ratio_sq < 1 - 2e-12
@@ -141,7 +141,6 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
         angle = 0.5 * math.atan2(conic.B, conic.A - conic.C) + math.pi / 2.0
         if angle > math.pi / 2.0:
             angle -= math.pi                    # into (-pi/2, pi/2]
-        gap = math.sqrt(gap_sq)
         a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) * (cq.s - cq.v)))
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (trace + gap)), angle)

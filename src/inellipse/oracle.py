@@ -62,7 +62,7 @@ def containment(g: EllipseGeometry, cq: CanonicalQuad) -> OracleReport:
     x0, y0, a, b = g.center.x, g.center.y, g.a, g.b
     dists = [nx * x0 + ny * y0 + c - math.hypot(a * (nx * ca + ny * sa), b * (ny * ca - nx * sa))
              for nx, ny, c in side_distance_lines(cq)]
-    j = max(range(4), key=lambda k: math.inf if math.isnan(dists[k]) else abs(dists[k]))
+    j = max(range(4), key=lambda k: abs(dists[k]) if math.isfinite(dists[k]) else math.inf)
     d, tol_abs = dists[j], 1e-9 * cq.diameter
     return OracleReport("containment", abs(d) <= tol_abs, abs(d),
                         f"support distance {d:.3e} from side S{j + 1}", tol_abs)

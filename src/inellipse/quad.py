@@ -62,9 +62,9 @@ DEFAULT_TOL = 1e-9
 
 # Accepted diameters, 2^-56 to 2^56.  ``solve`` and ``verify`` hold far
 # wider: built without this check, [(0,0),(0,3),(4,6),(2,1)] scaled by 2^k
-# passes every oracle for k in [-131, 84]: beyond, the conic's norm
-# (degree 16 in the diameter) overflows or the family model (degree 8)
-# goes subnormal.  Widening the accepted range is a behaviour change.
+# passes every oracle for k in [-132, 127]: below, the family model
+# (degree 8) goes subnormal; above, the numerator of ratio_sq overflows.
+# Widening the accepted range is a behaviour change.
 DIAMETER_RANGE = (2.0 ** -56, 2.0 ** 56)
 
 PointLike = Sequence[float]
@@ -356,9 +356,11 @@ def canonicalize(vertices: Sequence[PointLike]) -> CanonicalQuad:
 
 
 def _z_terms(s: float, t: float, u: float, v: float, w: float) -> tuple[float, float]:
-    """The polynomial tangentiality quantity z = t1^2 - t2 and its magnitude
-    scale (the addends of t1 can cancel exactly, e.g. on kites, so the term
-    value itself is no scale)."""
+    """z = t1^2 - t2, the polynomial tangentiality quantity, and a magnitude scale
+    for it (t1's addends can cancel exactly, e.g. on kites), on the pose scaled by a
+    power of two into [-1, 1]: z (degree 8) stays finite, and z / scale keeps its bits."""
+    k = math.ldexp(1.0, -math.frexp(max(abs(s), abs(t), u, abs(v), abs(w)))[1])
+    s, t, u, v, w = s * k, t * k, u * k, v * k, w * k
     m, d2 = t * u - v * s - w * t, (s - v) * (s - v) + (t - w) * (t - w)
     a1 = (v * v + w * w) * (s * s + (t - u) * (t - u))
     a2, a3 = m * m, u * u * d2

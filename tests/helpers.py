@@ -605,8 +605,8 @@ def oriented(c) -> Conic:
 
 
 def norm(c) -> float:
-    """Euclidean norm of the six coefficients."""
-    return math.sqrt(sum(x * x for x in c))
+    """Euclidean norm of the six coefficients, finite wherever it is in floats."""
+    return math.hypot(*c)
 
 
 def major_axis_angle(c, trace: float, gap_sq: float):

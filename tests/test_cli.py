@@ -276,6 +276,52 @@ class TestJsonNumbers:
         assert json.loads(out)["error"]["message"] == f"vertex coordinates must be {message}"
 
 
+class TestInputShape:
+    """The two input-shape messages, pinned exactly."""
+
+    @pytest.mark.parametrize("document, message", [
+        ([[0, 0], [0, 2], [4, 6], [2, 1]], 'input must be an object with a "vertices" array'),
+        ({"vertices": [[0, 0], [0, 2], [4, 6, 1], [2, 1]]}, "each vertex must be an [x, y] pair"),
+    ], ids=["top_level_array", "three_element_vertex"])
+    def test_message(self, tmp_path, capsys, document, message):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(document))
+        code, out = run_cli(capsys, "verify", "--input", str(path))
+        assert code == EXIT_PARSE
+        assert json.loads(out) == {"error": {"code": "parse", "message": message}}
+
+
+class TestUnreachableRejections:
+    """Typed rejections that no accepted input reaches, forced by a
+    monkeypatch: each still exits 3 with its error object, pinned exactly."""
+
+    def run(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "verify", "--input", write_input(tmp_path, Q5_VERTICES))
+        assert code == EXIT_GEOMETRY
+        return json.loads(out)
+
+    def test_no_dihedral_labeling(self, tmp_path, capsys, monkeypatch):
+        # no real input reaches it: a convex quad has a pair of opposite
+        # sides whose directions turn by more than pi/2 and less than 3 pi/2,
+        # and both labelings of either side of that pair satisfy (R0)
+        from inellipse import quad
+        monkeypatch.setattr(quad, "_pose_ok", lambda *params: False)
+        assert self.run(tmp_path, capsys) == {"error": {
+            "code": "NoValidLabeling",
+            "message": "no dihedral labeling satisfies the pose constraints"}}
+
+    def test_not_an_ellipse(self, tmp_path, capsys, monkeypatch):
+        # no accepted input reaches it: under (R0)-(R1) every member on (0, 1)
+        # is a real ellipse, cubic = (s-v)^2 lam (1-lam) l5 with l5 > 0, so
+        # only a member forced to cubic = 0 fails its certificate
+        from inellipse import family
+        at = family._at
+        monkeypatch.setattr(family, "_at", lambda cq, lam: (*at(cq, lam)[:5], 0.0))
+        assert self.run(tmp_path, capsys) == {"error": {
+            "code": "NotAnEllipse",
+            "message": "the optimal member is not a nondegenerate ellipse"}}
+
+
 class TestTolerance:
     """The classification tolerance is the package's one: no flag sets
     another, and a JSON "tol" is ignored like any other extra key."""
@@ -480,6 +526,15 @@ class TestTemplateEmitter:
         self.emits_reference(capsys, {"error": {"code": text, "message": text}})
         self.emits_reference(capsys, {text: [text, {text: [text, 1.5]}], "b": [True, None, 7]})
 
+    def test_keys_that_compare_equal_print_as_themselves(self):
+        # 1, 1.0 and True are one dict key, but each prints its own text: a
+        # layout cached for one must not print another
+        for key in (1, True, 1.0, "1", 1, True):
+            assert to_json({key: 0.5}) == to_json_reference({key: 0.5})
+            assert to_json({key: 0.5}, pretty=False) == to_json_reference({key: 0.5},
+                                                                          pretty=False)
+        assert to_json({True: 0.5}, pretty=False) == '{"True": 0.5}'
+
     def test_a_nul_key_prints_like_any_other(self, capsys):
         self.emits_reference(capsys, {"message": "\0", "x": ["\0"]})
         self.emits_reference(capsys, {"\0": 1.0, "%s": {"\0": ["\0", 2.0]}})
@@ -491,15 +546,29 @@ class TestTemplateEmitter:
                 cli._emit(report)
         assert capsys.readouterr().out == ""
 
-    def test_non_finite_report_past_the_accepted_range(self, tmp_path, capsys, monkeypatch):
-        # with the range check bypassed, a diameter of 2^127 gives a NaN in
-        # the report (ROADMAP's Known defect); the CLI raises, printing nothing
+    def test_verify_passes_at_2_127_past_the_accepted_range(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # with the range check bypassed, the quad scaled by 2^127 prints a
+        # finite report: classify takes z on the pose scaled into [-1, 1]
+        # (it was NaN, and the CLI raised on it) and the conic is normalized
+        # by hypot (it was all zeros).  The scale-free fields keep their
+        # bits, and lengths scale by exactly 2^127
         from inellipse import quad
         monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
-        vertices = [(math.ldexp(x, 127), math.ldexp(y, 127)) for x, y in TestScaleRange.GENERAL]
-        with pytest.raises(ValueError, match=r"^non-finite value in report: "):
-            main(["verify", "--input", write_input(tmp_path, vertices)])
-        assert capsys.readouterr().out == ""
+        docs = []
+        for k in (0, 127):
+            vertices = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in TestScaleRange.GENERAL]
+            code, out = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
+            assert code == EXIT_OK
+            docs.append(json.loads(out))
+        unit, big = docs
+        assert all(r["passed"] for r in big["oracles"])
+        assert big["classification"] == unit["classification"]
+        for key in ("eccentricity", "axis_ratio_sq", "gamma_rad", "tan_sq_gamma", "residual"):
+            assert big["result"][key] == unit["result"][key], key
+        for key in ("h_star", "a", "b"):
+            assert big["result"][key] == math.ldexp(unit["result"][key], 127), key
+        assert big["result"]["conic"][5] == 1.0
 
     def test_a_drifted_shape_never_prints_under_a_cached_layout(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -651,12 +720,15 @@ class TestScaleRange:
                                           iso["translation"], iso["reflect"])
         assert reference.center_error(reference.reference(vertices), center) <= checks.TOL_L
 
-    @pytest.mark.parametrize("k, failing", [(-132, ["containment"]), (-131, []), (84, []),
-                                            (85, ["side_tangency"])])
+    @pytest.mark.parametrize("k, failing", [(-132, []), (-131, []), (84, []), (85, []),
+                                            (-133, ["containment"]), (127, []),
+                                            (128, ["containment"])])
     def test_verify_edges_beyond_the_accepted_range(self, monkeypatch, k, failing):
-        # built without the range check: from 2^-132 the degree-8 model goes
+        # built without the range check: from 2^-133 the degree-8 model goes
         # subnormal and the reported b = a sqrt(ratio_sq) no longer touches
-        # its sides; from 2^85 the conic's norm (degree 16) overflows
+        # its sides; at 2^128 ratio_sq = 16 u (s-v)^2 cubic / (trace + gap)^2
+        # is inf / inf.  From 2^85 side_tangency failed while the conic's norm
+        # (degree 16) was the sqrt of a sum of squares, which overflowed
         from inellipse import canonicalize, quad, solve, verify
         monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
         cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in self.GENERAL])
@@ -694,11 +766,11 @@ class TestPinnedReports:
         spec.loader.exec_module(pool_digests)
         assert pool_digests.digest_lines([1]) == [
             "classify: 341ea937eaecdf3bdb57a25d9465d1d11aa88fedd397c1f1dc7e5fd2e81169ba",
-            "minimal: ca7f0113023463b29219367d8352842b437d539f38958bbf63cf3d2c7bfb8889",
-            "verify: bce77ad6ea13c61e4be049064114055d29e5f930130eaedec4941ead4010122e",
+            "minimal: e627c7842c2f9a4f73b24faf02f2cf3f7afd14d77f966a1d5a646c2f6e880258",
+            "verify: 4aadb819c462022b0a580670bff2eaa7c23ae34ded59bc18afb036721f1a15db",
             "family --sweep 5: b6091b9b36188a9d8ae87c4ae67c0b789768abf7c0707cf0b7f3a32e27875e28",
             "svg: 785b18874b691ec962be3a019c715e2296f4ae0f2a239c1ad363dafaec210445",
             "exit codes: {0: 512}",
-            "solve: 8290004c639e4c66d7366e13198dc5e4a8ad513b17ff2ffaed0f930ab99af0de",
+            "solve: 3b0c6bf32c7e204b1942c21e2bebfb3d87aca5723b6ba909989aaba0be58a9eb",
             "family: 2351b7be5f09fbb5d828adb330af12631ae6d21f607277d50f4ac94fa2fb468d",
         ]

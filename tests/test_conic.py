@@ -161,10 +161,10 @@ class TestConjugateDiameterAngle:
         # no snap to pi/2 below the circle: b/a = 1 - 1e-13 keeps its angle
         g = EllipseGeometry(Point2(0.0, 0.0), 1.0, 1.0 - 1e-13, 0.0, 0.0)
         gamma = conjugate_diameter_angle(g)
-        assert gamma == 2 * math.atan(g.b / g.a) < math.pi / 2
+        assert gamma == 2 * math.atan2(g.b, g.a) < math.pi / 2
 
     def test_equal_axes_give_exactly_a_right_angle(self):
-        # b/a = 1 exactly, and 2 atan(1) is pi/2 in doubles
+        # b = a, and 2 atan2(a, a) is pi/2 in doubles at every scale
         for radius in (1.0, 0.3, 7.25, 2.0 ** -300, 2.0 ** 300):
             g = EllipseGeometry(Point2(0.0, 0.0), radius, radius, 0.0, None)
             assert conjugate_diameter_angle(g) == math.pi / 2
@@ -190,17 +190,23 @@ class TestNormalized:
             yield Conic(*c)
 
     def test_bits_of_the_oriented_conic_over_its_norm(self):
+        # each coefficient divided once by the hypot of all six; the conic at
+        # 2^600, whose sum of squares overflows, is no exception
         edges = [Conic(1.0, -0.0, -1.0, 0.0, -0.0, 2.0), Conic(-1.0, 0.0, -0.0, -0.0, 0.0, 0.0),
                  Conic(2.0 ** 300, 0.0, 2.0 ** 300, 0.0, 0.0, -(2.0 ** 300)),
-                 Conic(-(2.0 ** -300), -0.0, 0.0, 2.0 ** -300, 0.0, 0.0)]
+                 Conic(-(2.0 ** -300), -0.0, 0.0, 2.0 ** -300, 0.0, 0.0),
+                 scaled(Conic(3.0, -1.0, 2.0, -5.0, 7.0, 11.0), 2.0 ** 600)]
         signs = set()
         for c in [*edges, *self.random_conics(np.random.default_rng(209), 3000)]:
             if not any(c):
                 continue
-            ref = scaled(oriented(c), 1.0 / norm(c))
+            ref = Conic(*(x / norm(c) for x in oriented(c)))
             assert struct.pack("6d", *c.normalized()) == struct.pack("6d", *ref), c
+            assert abs(math.hypot(*ref) - 1.0) <= 4e-16 and ref.A + ref.C >= 0, c
             signs.add((c.A + c.C > 0) - (c.A + c.C < 0))
         assert signs == {-1, 0, 1}
+        big = edges[-1].normalized()
+        assert big == Conic(*(x / math.sqrt(209.0) for x in (3.0, -1.0, 2.0, -5.0, 7.0, 11.0)))
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_zero_conic_raises(self, zero):

@@ -207,3 +207,28 @@ def test_every_square_is_a_product():
     modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
     assert len(modules) > 1
     assert {p.name: found for p in modules if (found := squares_by_pow(p))} == {}
+
+
+# the ``math`` names the package may use: one primitive per job, and libm
+# only through atan2, cos and sin (sqrt is correctly rounded by IEEE 754,
+# hypot is CPython's own, the rest are exact)
+MATH_ALLOWLIST = {"atan2", "cos", "sin", "sqrt", "hypot", "degrees", "frexp", "ldexp",
+                  "isfinite", "pi", "inf"}
+
+
+def math_names(path):
+    """The ``math.<name>`` attributes a module reads, and the names it imports
+    from ``math``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "math"}
+    return names | {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "math"
+                    for alias in node.names}
+
+
+def test_math_names_are_on_the_allowlist():
+    modules = sorted(pathlib.Path(inellipse.__file__).parent.glob("*.py"))
+    used = set().union(*map(math_names, modules))
+    assert {"atan2", "cos", "sin", "hypot"} <= used
+    assert used - MATH_ALLOWLIST == set()

@@ -15,7 +15,7 @@ from helpers import (NEAR_TRAPEZOIDS, bench_module, bench_pool, canonical_vertic
 from inellipse import (CanonicalQuad, QuadKind, canonicalize, classify, diagonal_angle,
                        family, newton_segment, quad, solve)
 from inellipse.family import RELATIVE_ENDPOINT_GUARD, _abscissa, stationarity
-from inellipse.minecc import NUMERIC
+from inellipse.minecc import NUMERIC, STEP_TOL, maximize_ratio_sq
 
 SQRT61 = math.sqrt(61.0)
 SQRT65 = math.sqrt(65.0)
@@ -162,6 +162,14 @@ class TestMaximize:
         assert any("did not converge" in rec.message for rec in caplog.records)
         lo, hi = q5.interval
         assert lo < h < hi   # still returns the best point seen
+
+    def test_a_bisection_step_below_step_tol_ends_the_search(self, q5, monkeypatch):
+        # a slope with p' = 0 refuses every Newton step, so the search
+        # bisects until the bisection step itself is below STEP_TOL; no quad
+        # of the test suite ends its search this way
+        monkeypatch.setattr(family, "stationarity", lambda cq: lambda lam: (0.3 - lam, 0.0))
+        lam, steps = maximize_ratio_sq(q5)
+        assert abs(lam - 0.3) <= STEP_TOL and steps == 39
 
     @pytest.mark.parametrize("name", ["solve_mixed", "solve_illcond"])
     def test_few_steps_on_the_benchmark_pools(self, name):
@@ -601,11 +609,11 @@ class TestOneRootPath:
         ellipses = [solve(cq) for cq in quads]
         assert min(res.geom.eccentricity for res in ellipses) > 1e-6
         # solve's one circle test splits them from the kites (s, s, v, v, 0)
-        # they were drawn next to; gamma is 2 atan(b/a) on either side of it
+        # they were drawn next to; gamma is 2 atan2(b, a) on either side of it
         kites = [solve(make_quad(cq.s, cq.s, cq.v, cq.v, 0.0)) for cq in quads]
         for res in ellipses:
             assert res.geom.major_axis_angle is not None
-            assert res.gamma < math.pi / 2 and res.gamma == 2 * math.atan(res.geom.b / res.geom.a)
+            assert res.gamma < math.pi / 2 and res.gamma == 2 * math.atan2(res.geom.b, res.geom.a)
         for res in kites:
             g = res.geom
             assert g.major_axis_angle is None and g.a == g.b and res.ratio_sq == 1.0

@@ -373,7 +373,7 @@ class TestSideTangency:
     def test_honest_at_the_scale_edges(self, monkeypatch):
         # the range of TestScaleRange::test_verify_edges_beyond_the_accepted_range
         monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
-        for k in range(-131, 85):
+        for k in range(-132, 128):
             cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k))
                                for x, y in [(0, 0), (0, 3), (4, 6), (2, 1)]])
             rep = side_tangency(cq, solve(cq))
@@ -401,8 +401,9 @@ class TestSideTangency:
     # per rel: cases flagged by line_tangency's 1e-9 discriminant band (the
     # old line test) and by _line_residual at TANGENCY_TOL, of 1536; taken
     # on the conics of the one root path (the MDQ closed forms gave 1217
-    # old at 1e-9 and 1356 new at 1e-11)
-    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1222, 1468),
+    # old at 1e-9 and 1356 new at 1e-11; the conic normalized by the product
+    # with 1 / sqrt of the sum of squares gave 1222 old at 1e-9)
+    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1214, 1468),
                       1e-10: (202, 1454), 1e-11: (22, 1355)}
 
     @pytest.mark.parametrize("rel", sorted(MUTATION_TABLE, reverse=True))
@@ -624,16 +625,22 @@ class TestVerify:
         assert type1 == general == kite == ["containment", "side_tangency", "optimum"]
 
     def test_side_tangency_fails_on_a_conic_whose_norm_overflows(self):
-        # normalized() of that conic is all zeros, which every line touches
+        # a 2^600 scale is normalized away (hypot does not overflow before the
+        # coefficients do); a coefficient that overflows to inf leaves a NaN
+        # in the normalized conic, and a NaN coefficient stays one
         cq = canonicalize(Q5_VERTICES)
         res = solve(cq)
-        bad = res._replace(conic=scaled(res.conic._replace(A=-res.conic.A), 2.0 ** 600))
-        assert not any(bad.conic.normalized())
-        reports = {r.name: r for r in verify(cq, bad)}
-        assert not reports["side_tangency"].passed
-        assert reports["side_tangency"].location == "normalized conic is zero or not finite"
+        big = res._replace(conic=scaled(res.conic, 2.0 ** 600))
+        assert big.conic.normalized() == res.conic.normalized()
+        assert {r.name: r for r in verify(cq, big)}["side_tangency"].passed
+        flipped = res.conic._replace(A=-res.conic.A)
+        bad = res._replace(conic=scaled(scaled(flipped, 2.0 ** 600), 2.0 ** 600))
+        assert math.isinf(bad.conic.A) and math.isnan(bad.conic.normalized().A)
         nan = res._replace(conic=res.conic._replace(B=math.nan))
-        assert not {r.name: r for r in verify(cq, nan)}["side_tangency"].passed
+        for wrong in (bad, nan):
+            report = {r.name: r for r in verify(cq, wrong)}["side_tangency"]
+            assert not report.passed
+            assert report.location == "normalized conic is zero or not finite"
 
     @pytest.mark.parametrize("vertices", [Q5_VERTICES, [(0, 0), (0, 3), (4, 6), (2, 1)],
                                           KITE_VERTICES], ids=["type1", "general", "kite"])
