@@ -4,9 +4,9 @@ A conic is stored as the six coefficients of
 
     A x^2 + B x y + C y^2 + D x + E y + F = 0.
 
-Coefficients are kept at whatever scale the caller supplies; several
-polynomial identities used elsewhere in the package hold only at the
-defining scale.  Use :meth:`Conic.normalized` when comparing across
+Coefficients are kept at whatever scale the caller supplies; the
+family's are at its model's own scale, where its identities hold
+(``family``).  Use :meth:`Conic.normalized` when comparing across
 scales.  The package has no general conic-to-shape route and no line
 type: the solved ellipse's :class:`EllipseGeometry` (center, semi-axes,
 eccentricity, axis angle) comes from the family model in ``minecc.solve``,

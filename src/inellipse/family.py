@@ -2,9 +2,8 @@
 
 The centers of the inscribed ellipses fill the open segment from the
 diagonal midpoint M1 = (v/2, (u+w)/2) to M2 = (s/2, t/2).  The member
-centered at M1 + lam (M2 - M1), lam in (0, 1), is (s-v)^2 times a conic
-whose coefficients are quadratics in lam with no division (``_model``);
-with mu = 1 - lam,
+centered at M1 + lam (M2 - M1), lam in (0, 1), has the coefficients
+below, quadratics in lam with no division (``_model``); mu = 1 - lam:
 
     A = (u-w)^2 mu^2 + 2 (t(u+w) - 2uw) lam mu + t^2 lam^2
     B = 2v(u-w) mu^2 + 2 (2uv - s(u+w) - tv) lam mu - 2st lam^2
@@ -20,13 +19,13 @@ no division by s - v either) and the spectral quantities of the form:
     trace    = A + C                  (> 0 on the interval)
     gap_sq   = (A - C)^2 + B^2        (squared eigenvalue gap)
     ratio_sq = (trace - gap) / (trace + gap) = (b/a)^2
-             = 16 u (s-v)^2 cubic / (trace + gap)^2
-    cubic    = (s - 2h)(2h - v) l5(h) (> 0 on the interval; certifies
+             = 16 u cubic / (trace + gap)^2
+    cubic    = lam (1 - lam) l5       (> 0 on the interval; certifies
                                        the conic is a real ellipse)
 
-Coefficients are returned unnormalized, at the defining scale, because
-the polynomial identities among them (for example trace^2 - gap_sq =
-16 u (s-v)^2 cubic) hold only there.  The solver stays in lam:
+All of it is at the model's own scale, unnormalized: trace^2 - gap_sq =
+4AC - B^2 = 16 u cubic, 4 nondegeneracy / (4AC - B^2)^2 = 1/4 and
+a^2 = (trace + gap) / 8 for every member.  The solver stays in lam:
 ``stationarity`` is the quartic whose root lam* is the optimum, ``_at``
 the member, its center and its spectral quantities at a given lam, and
 ``_tangency`` at (1 - lam*, lam*) its tangency points.
@@ -71,7 +70,7 @@ def _require_h(cq: CanonicalQuad, h: float) -> None:
 
 
 def _model(s, t, u, v, w) -> tuple:
-    """The family over (s-v)^2: the Bernstein triples (b0, b1, b2) of its
+    """The family: the Bernstein triples (b0, b1, b2) of its
     quadratics b0 mu^2 + 2 b1 lam mu + b2 lam^2, in the order A..F.  Integer
     literals only, so float poses give the same bits and ``int`` poses
     (``oracle._slope_sign``) stay exact."""
@@ -90,20 +89,18 @@ def _abscissa(cq: CanonicalQuad, lam: float) -> float:
 
 def _at(cq: CanonicalQuad, lam: float) -> tuple[Conic, Point2, float, float, float, float]:
     """The member at segment coordinate lam as (conic, center, trace, gap,
-    ratio_sq, cubic): its conic at the defining scale, the model times
-    (s-v)^2, its center M1 + lam (M2 - M1) and its spectral quantities,
-    cubic = (s-v)^2 lam (1-lam) l5 = (s-2h)(2h-v) l5, l5 = (1-lam) v P +
+    ratio_sq, cubic): the model's conic, its center M1 + lam (M2 - M1) and
+    its spectral quantities, cubic = lam (1-lam) l5, l5 = (1-lam) v P +
     lam s Q with P, Q > 0 the (R1) forms of ``quad._r1``."""
     s, t, u, v, w = cq.params
-    sv2 = (s - v) * (s - v)
     mu = 1.0 - lam
-    m2, lm, l2 = sv2 * mu * mu, 2.0 * sv2 * lam * mu, sv2 * lam * lam
+    m2, lm, l2 = mu * mu, 2.0 * lam * mu, lam * lam
     m = Conic._make([b0 * m2 + b1 * lm + b2 * l2 for b0, b1, b2 in _model(s, t, u, v, w)])
     trace, gap = m.A + m.C, math.hypot(m.A - m.C, m.B)
     p, q = _r1(s, t, u, v, w)
-    cubic = sv2 * lam * mu * (mu * (v * p) + lam * (s * q))
+    cubic = lam * mu * (mu * (v * p) + lam * (s * q))
     return (m, Point2(_abscissa(cq, lam), (u + w + (t - u - w) * lam) / 2.0),
-            trace, gap, 16.0 * u * sv2 * cubic / ((trace + gap) * (trace + gap)), cubic)
+            trace, gap, 16.0 * u * cubic / ((trace + gap) * (trace + gap)), cubic)
 
 
 def _segment_coordinate(cq: CanonicalQuad, h):
@@ -141,23 +138,18 @@ def stationarity(cq: CanonicalQuad) -> Callable[[float], tuple[float, float]]:
     return p
 
 
-def _side_parameters(s, t, u, v, w, n, m) -> tuple:
-    """lam1..lam4 on S1..S4 from center weights (n, m) = c (1 - lam, lam),
-    c != 0, and the (R1) forms: uv n / (uv n + Q m), v n / (v n + s m),
-    su m / (P n + su m) and P n / (P n + Q m).  n and m share a sign, so
-    every term does by (R0) and (R1): no sum cancels, nothing divides by
-    s - v, and each lam is homogeneous of degree 0 in (n, m)."""
-    p, q = _r1(s, t, u, v, w)
-    a1, a2, a3, a4, qm = u * v * n, v * n, s * u * m, p * n, q * m
-    return a1 / (a1 + qm), a2 / (a2 + s * m), a3 / (a4 + a3), a4 / (a4 + qm)
-
-
 def _tangency(cq: CanonicalQuad, n, m) -> tuple[TangentPoint, ...]:
     """Tangency points with sides S1..S4, with their barycentric parameters,
-    of the member of center weights (n, m) (``_side_parameters``).  Each
-    point divides its side as lam * far_end + (1 - lam) * near_end."""
+    of the member of center weights (n, m) = c (1 - lam, lam), c != 0.  Each
+    point divides its side as lam * far_end + (1 - lam) * near_end, where
+    lam1..lam4 are uv n / (uv n + Q m), v n / (v n + s m), su m / (P n +
+    su m) and P n / (P n + Q m) in the (R1) forms P, Q.  n and m share a
+    sign, so every term does by (R0) and (R1): no sum cancels, nothing
+    divides by s - v, and each lam is homogeneous of degree 0 in (n, m)."""
     s, t, u, v, w = cq.params
-    lam1, lam2, lam3, lam4 = _side_parameters(s, t, u, v, w, n, m)
+    p, q = _r1(s, t, u, v, w)
+    a1, a2, a3, a4, qm = u * v * n, v * n, s * u * m, p * n, q * m
+    lam1, lam2, lam3, lam4 = a1 / (a1 + qm), a2 / (a2 + s * m), a3 / (a4 + a3), a4 / (a4 + qm)
     return (
         TangentPoint(Point2(lam1 * v, lam1 * w), lam1),
         TangentPoint(Point2(0.0, lam2 * u), lam2),

@@ -114,8 +114,8 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     (:func:`maximize_ratio_sq`), and the conic, the center and the
     spectral quantities are evaluated there (``family._at``).  No
     classification and no tolerance picks the answer.  With S = trace +
-    gap at the defining scale, a^2 = S / (8 (s-v)^2), b = a sqrt(ratio_sq)
-    and e^2 = 2 gap / S: no cancellation of 4AC - B^2, of the determinant
+    gap of the model, a^2 = S / 8, b = a sqrt(ratio_sq) and
+    e^2 = 2 gap / S: no cancellation of 4AC - B^2, of the determinant
     or of 1 - (b/a)^2 on thin or near-circular members.  The major-axis
     angle is 1/2 atan2(B, A - C) + pi/2 of that conic (trace > 0, so no
     sign flip).  The result carries lam*; h* is ``geom.center.x``.  Where
@@ -129,7 +129,7 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
     """
     lam, iterations = maximize_ratio_sq(cq)
     conic, center, trace, gap, ratio_sq, cubic = family._at(cq, lam)
-    if not (trace > 0.0 and cubic > 0.0):     # 4AC - B^2 = 16 u (s-v)^2 cubic
+    if not (trace > 0.0 and cubic > 0.0):     # 4AC - B^2 = 16 u cubic
         raise NotAnEllipse("the optimal member is not a nondegenerate ellipse")
     if gap * gap <= 1e-24 * trace * trace:    # a circle to machine precision
         geom = EllipseGeometry(center, center.x, center.x, 0.0, None)
@@ -141,7 +141,7 @@ def solve(cq: CanonicalQuad) -> MinEccResult:
         angle = 0.5 * math.atan2(conic.B, conic.A - conic.C) + math.pi / 2.0
         if angle > math.pi / 2.0:
             angle -= math.pi                    # into (-pi/2, pi/2]
-        a = math.sqrt((trace + gap) / (8.0 * (cq.s - cq.v) * (cq.s - cq.v)))
+        a = math.sqrt((trace + gap) / 8.0)
         geom = EllipseGeometry(center, a, a * math.sqrt(ratio_sq),
                                math.sqrt(2.0 * gap / (trace + gap)), angle)
     gamma = conjugate_diameter_angle(geom)

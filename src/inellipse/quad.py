@@ -14,10 +14,10 @@ runs clockwise.  The five pose parameters must satisfy
     (R2)  w s - v(t - u) != 0       and  s != v             (no parallel sides)
 
 Quadrilaterals with a parallel side pair (including parallelograms) are
-rejected outright.  The family's model and its tangency points divide by
-no s - v, and the solved member is named by its segment coordinate lam*;
-but the conic is reported at the scale (s - v)^2, and ``family_point``
-takes the center abscissa h, whose interval is a point when s = v.
+rejected outright.  The family's model, its tangency points and the
+solved conic (at the model's scale) divide by no s - v, and the solved
+member is named by lam*; but ``family_point`` takes the center abscissa
+h, whose interval is a point when s = v.
 
 Side and diagonal conventions, in clockwise order from the origin:
 
@@ -62,9 +62,8 @@ DEFAULT_TOL = 1e-9
 
 # Accepted diameters, 2^-56 to 2^56.  ``solve`` and ``verify`` hold far
 # wider: built without this check, [(0,0),(0,3),(4,6),(2,1)] scaled by 2^k
-# passes every oracle for k in [-132, 127]: below, the family model
-# (degree 8) goes subnormal; above, the numerator of ratio_sq overflows.
-# Widening the accepted range is a behaviour change.
+# passes every oracle for k in [-176, 167], where the degree-6 stationarity
+# quartic under- or overflows.  Widening the range is a behaviour change.
 DIAMETER_RANGE = (2.0 ** -56, 2.0 ** 56)
 
 PointLike = Sequence[float]
@@ -147,11 +146,11 @@ class CanonicalQuad(_Pose):
     @classmethod
     def from_params(cls, s: float, t: float, u: float, v: float, w: float) -> "CanonicalQuad":
         """Canonical quad whose raw frame *is* the canonical frame.  Raises
-        :class:`Degenerate` for a diameter outside ``DIAMETER_RANGE``."""
-        cq = cls(float(s), float(t), float(u), float(v), float(w), Isometry2.identity())
-        d = cq.diameter
-        _check_diameter(d * d)
-        return cq
+        :class:`Degenerate` first for a diameter outside ``DIAMETER_RANGE``."""
+        pts = [(0.0, 0.0), (0.0, float(u)), (float(s), float(t)), (float(v), float(w))]
+        d = _diameter(pts)
+        _check_diameter(d * d, pts)
+        return cls(float(s), float(t), float(u), float(v), float(w), Isometry2.identity())
 
     @property
     def params(self) -> tuple[float, float, float, float, float]:
@@ -171,9 +170,7 @@ class CanonicalQuad(_Pose):
 
     @property
     def diameter(self) -> float:
-        pts = self.vertices
-        return max(math.hypot(q.x - p.x, q.y - p.y)
-                   for i, p in enumerate(pts) for q in pts[i + 1:])
+        return _diameter(self.vertices)
 
     @property
     def interval(self) -> tuple[float, float]:
@@ -219,13 +216,20 @@ class NewtonSegment(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _check_diameter(diam2: float) -> None:
-    """Raise :class:`Degenerate` unless the squared diameter diam2 lies in
-    the square of ``DIAMETER_RANGE``."""
+def _diameter(p: Sequence[PointLike]) -> float:
+    """Largest distance between two of the points p, each by ``hypot``."""
+    return max(math.hypot(c - a, d - b) for i, (a, b) in enumerate(p) for c, d in p[i + 1:])
+
+
+def _check_diameter(diam2: float, pts: Sequence[PointLike]) -> None:
+    """Raise :class:`Degenerate` unless diam2, the squared diameter of pts,
+    lies in the square of ``DIAMETER_RANGE``; the message takes the diameter
+    by :func:`_diameter`, which does not over- or underflow where diam2 does."""
     lo, hi = DIAMETER_RANGE
     if not lo * lo <= diam2 <= hi * hi:
-        raise Degenerate(f"diameter {math.sqrt(diam2):.3e} outside the accepted range "
-                         f"[2^-56, 2^56] = [{lo:.3e}, {hi:.3e}]")
+        raise Degenerate(f"diameter {_diameter(pts):.3e} outside the accepted range "
+                         f"[2^{math.frexp(lo)[1] - 1}, 2^{math.frexp(hi)[1] - 1}] = "
+                         f"[{lo:.3e}, {hi:.3e}]")
 
 
 def validate(vertices: Sequence[PointLike]) -> list[Point2]:
@@ -253,10 +257,10 @@ def validate(vertices: Sequence[PointLike]) -> list[Point2]:
     x21, y21, x31, y31, x32, y32 = x2 - x1, y2 - y1, x3 - x1, y3 - y1, x3 - x2, y3 - y2
     dist2 = (x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3,
              x21 * x21 + y21 * y21, x31 * x31 + y31 * y31, x32 * x32 + y32 * y32)
-    diam2 = max(dist2)
-    if diam2 == 0.0:
+    if not (x1 or y1 or x2 or y2 or x3 or y3):
         raise Degenerate("all vertices coincide")
-    _check_diameter(diam2)
+    diam2 = max(dist2)
+    _check_diameter(diam2, pts)
     if min(dist2) <= 1e-24 * diam2:
         raise Degenerate("repeated vertex")
     o012 = x1 * y2 - y1 * x2

@@ -10,10 +10,13 @@ every byte of standard output outside the blocks named by ``--allow``
 stay as pinned.  A name is an oracle, whose
 ``"oracles"`` entries may move (e.g. ``--allow side_tangency``),
 ``result``, the solution block, a key of that block, whose value alone may
-move (e.g. ``--allow axis_ratio_sq``), or ``tangency``, the
-``"tangency"`` array of each ``family`` line.  Otherwise the moved cases are listed,
-nothing is written and the exit code is 1.  Without ``--allow`` the script
-only checks that the pinned reports are current.
+move (e.g. ``--allow axis_ratio_sq``), ``tangency``, the
+``"tangency"`` array of each ``family`` line, or a key of the ``family``
+lines among ``conic``, ``trace``, ``gap_sq``, ``cubic`` and
+``axis_ratio_sq``, whose value alone may move in those lines.  Otherwise
+the moved cases are listed, nothing is written and the exit code is 1.
+Without ``--allow`` the script only checks that the pinned reports are
+current.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 PINNED = HERE / "reports.json"
+FAMILY_KEYS = ("conic", "trace", "gap_sq", "cubic", "axis_ratio_sq")
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
 from inellipse import cli  # noqa: E402
@@ -46,12 +50,19 @@ def run(command: str, vertices, workdir: str) -> tuple[int, str]:
 def masked(stdout: str, names: list[str]) -> str:
     """``stdout`` with each oracle entry named in ``names`` cut to ``{}``,
     the value of each key of the ``"result"`` block named in ``names`` to
-    ``_``, that whole block to ``{}`` if ``names`` holds ``result``, and
-    each ``"tangency"`` array to ``[]`` if it holds ``tangency``."""
+    ``_``, that whole block to ``{}`` if ``names`` holds ``result``, each
+    ``"tangency"`` array to ``[]`` if it holds ``tangency``, and in each
+    ``family`` line the value of each key of ``FAMILY_KEYS`` it holds to
+    ``_``."""
     if "tangency" in names:
         stdout = re.sub(r'"tangency": \[.*\]', '"tangency": []', stdout)
     if "result" in names:
         stdout = re.sub(r'"result": \{[^{}]*\}', '"result": {}', stdout)
+    family = [name for name in names if name in FAMILY_KEYS]
+    if family:
+        key = r'("(?:%s)": )(?:\[[^\]]*\]|[^,\n}]*)' % "|".join(family)
+        stdout = re.sub(r'^\{"h": .*$', lambda m: re.sub(key, r"\1_", m[0]), stdout,
+                        flags=re.M)
     if names:
         alternatives = "|".join(map(re.escape, names))
         key = r'("(?:%s)": )(?:\[[^\]]*\]|[^,\n}]*)' % alternatives
@@ -64,8 +75,9 @@ def masked(stdout: str, names: list[str]) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--allow", action="append", default=[], metavar="NAME",
-                        help="an oracle, result, a key of the result block, or "
-                             "tangency, whose report entries may move (repeatable)")
+                        help="an oracle, result, a key of the result block, "
+                             "tangency, or a key of the family lines, whose "
+                             "report entries may move (repeatable)")
     args = parser.parse_args(argv)
     doc = json.loads(PINNED.read_text())
     moved, refused = [], []

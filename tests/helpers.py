@@ -246,9 +246,9 @@ def random_h(cq: CanonicalQuad, rng, trim: float = 0.05) -> float:
 
 def mp_conic(cq: CanonicalQuad, num=mpmath.mpf):
     """mpmath callable h -> the six coefficients (A, B, C, D, E, F) of the
-    family member at h, by the defining formulas in the pose parameters
-    (at the defining scale).  Evaluate it inside ``mpmath.workdps``; with
-    ``num=Fraction`` it is exact in rationals."""
+    family member at h, by the defining formulas in the pose parameters:
+    the model of ``family`` times (s-v)^2.  Evaluate it inside
+    ``mpmath.workdps``; with ``num=Fraction`` it is exact in rationals."""
     s, t, u, v, w = (num(x) for x in cq.params)
     sv = s - v
 
@@ -307,7 +307,7 @@ def exact_slope_sign(cq: CanonicalQuad):
 
 class SideLinears(NamedTuple):
     """Linear functions of h that gave the tangency parameters before they
-    were written in n = s - 2h and m = 2h - v (``family._side_parameters``).
+    were written in n = s - 2h and m = 2h - v (``family._tangency``).
 
     (s - v) * l1..l3 > 0 and l4, l5 > 0 everywhere on the center interval.
     """
@@ -335,7 +335,7 @@ def side_linears(params, h) -> SideLinears:
 def side_linear_parameters(params, h) -> tuple:
     """lam1..lam4 of the tangency points from the side linears; lam2 and
     lam4 divide by s - v.  Evaluated in 50 digits, the reference for
-    ``family._side_parameters``."""
+    ``family._tangency``'s parameters."""
     s, t, u, v, w = params
     lin = side_linears(params, h)
     return ((s - 2 * h) * u * v / lin.l1, (s - 2 * h) * v / (2 * h * (s - v)),
@@ -581,7 +581,8 @@ def type1_factored_quartic(cq: CanonicalQuad, lam: float) -> float:
     """The type-1 factorization of the stationarity quartic,
     256 h ((s-v)/s)^4 (vt - ws)^2 (s - h) o(h) in the abscissa h, taken to
     the segment coordinate lam and to the scale of ``family.stationarity``:
-    d/dh = (2/(s-v)) d/dlam and the model is the family over (s-v)^2, so
+    d/dh = (2/(s-v)) d/dlam and the model is the defining formulas over
+    (s-v)^2, so
     p_h = 2 (s-v)^5 p_lam."""
     s, t, u, v, w = cq.params
     h = (v + (s - v) * lam) / 2.0
@@ -743,7 +744,7 @@ def line_tangency(c, line: Line2) -> tuple[str, float]:
 
 def coefficients(cq: CanonicalQuad, h: float) -> Conic:
     """Unnormalized conic coefficients of the family member at h, at the
-    defining scale: ``family_point(cq, h).conic`` without its tangency
+    model's own scale: ``family_point(cq, h).conic`` without its tangency
     points."""
     family._require_h(cq, h)
     return family._at(cq, family._segment_coordinate(cq, h))[0]

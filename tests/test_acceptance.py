@@ -86,8 +86,7 @@ def test_criterion_3_discriminant_identities():
         h = float(lo + (hi - lo) * rng.uniform(0.05, 0.95))
         c = coefficients(cq, h)
         sp = spectral(cq, h)
-        s, _, u, v, _ = cq.params
-        rhs = 16.0 * u * (s - v) ** 2 * sp.cubic
+        rhs = 16.0 * cq.u * sp.cubic
 
         disc = 4.0 * c.A * c.C - c.B ** 2
         scale = max(abs(4.0 * c.A * c.C), c.B ** 2, abs(rhs))
@@ -97,7 +96,7 @@ def test_criterion_3_discriminant_identities():
         assert abs(sp.trace ** 2 - sp.gap_sq - rhs) <= 1e-9 * scale2
 
         delta = ellipse_delta(c)
-        want = 1.0 / (4.0 * (s - v) ** 2)
+        want = 0.25
         assert abs(delta - want) <= 1e-10 * want
     report(3, f"discriminant identities on {n} pairs")
 

@@ -11,7 +11,7 @@ import pytest
 from helpers import (KITE_VERTICES, PARALLEL_BY_ROUNDING, Q5_VERTICES, THIN_OPTIMA,
                      bench_module, cli_verify_inputs, to_json_reference)
 from inellipse import cli
-from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, main, to_json)
+from inellipse.cli import (EXIT_GEOMETRY, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main, to_json)
 
 PINNED = json.loads((Path(__file__).parent / "data" / "reports.json").read_text())["cases"]
 
@@ -202,7 +202,7 @@ class TestFamily:
         # data/reports.json, n = 2000 by digest
         sweep9 = next(c["stdout"] for c in PINNED if c["command"] == "family --sweep 9")
         for n, digest in ((9, hashlib.sha256(sweep9.encode()).hexdigest()),
-                          (2000, "9b3b14ab5c497841e2a76420584f977537565ae85114dd67c57c3c0d41d9f7eb")):
+                          (2000, "c549afda066cf0dc57d3cf9124b2ddc2723ea10f19d9eb77cd3acab8e89c49e8")):
             code, out = run_cli(capsys, "family", "--sweep", str(n), "--input", path)
             assert code == EXIT_OK
             records = [json.loads(line) for line in out.strip().splitlines()]
@@ -312,7 +312,7 @@ class TestUnreachableRejections:
 
     def test_not_an_ellipse(self, tmp_path, capsys, monkeypatch):
         # no accepted input reaches it: under (R0)-(R1) every member on (0, 1)
-        # is a real ellipse, cubic = (s-v)^2 lam (1-lam) l5 with l5 > 0, so
+        # is a real ellipse, cubic = lam (1-lam) l5 with l5 > 0, so
         # only a member forced to cubic = 0 fails its certificate
         from inellipse import family
         at = family._at
@@ -554,7 +554,7 @@ class TestTemplateEmitter:
         # by hypot (it was all zeros).  The scale-free fields keep their
         # bits, and lengths scale by exactly 2^127
         from inellipse import quad
-        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2, pts: None)
         docs = []
         for k in (0, 127):
             vertices = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in TestScaleRange.GENERAL]
@@ -721,18 +721,37 @@ class TestScaleRange:
         assert reference.center_error(reference.reference(vertices), center) <= checks.TOL_L
 
     @pytest.mark.parametrize("k, failing", [(-132, []), (-131, []), (84, []), (85, []),
-                                            (-133, ["containment"]), (127, []),
-                                            (128, ["containment"])])
+                                            (-133, []), (127, []), (128, []),
+                                            (-177, ["optimum"]), (-176, []), (167, []),
+                                            (168, ["optimum"])])
     def test_verify_edges_beyond_the_accepted_range(self, monkeypatch, k, failing):
-        # built without the range check: from 2^-133 the degree-8 model goes
-        # subnormal and the reported b = a sqrt(ratio_sq) no longer touches
-        # its sides; at 2^128 ratio_sq = 16 u (s-v)^2 cubic / (trace + gap)^2
-        # is inf / inf.  From 2^85 side_tangency failed while the conic's norm
-        # (degree 16) was the sqrt of a sum of squares, which overflowed
+        # built without the range check: beyond -176 and 167 the degree-6
+        # terms of the stationarity quartic under- or overflow, and optimum
+        # no longer certifies the root.  -133 and 128 were the edges while
+        # the conic carried the scale (s-v)^2, and 85 while its norm was the
+        # sqrt of a sum of squares
         from inellipse import canonicalize, quad, solve, verify
-        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2, pts: None)
         cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in self.GENERAL])
         assert [r.name for r in verify(cq, solve(cq)) if not r.passed] == failing
+
+    def test_every_outcome_is_typed_beyond_the_accepted_range(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # built without the range check, the library's verify passes from
+        # 2^-176 to 2^167 and fails with named oracles out to 2^-271 and
+        # 2^253, never raising; the CLI, run at the four edges (each input
+        # file costs a write), exits 0 inside and 4 outside.  Beyond them
+        # solve divides by zero (2^-272) and the report holds a NaN (2^254)
+        from inellipse import canonicalize, quad, solve, verify
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2, pts: None)
+        for k in range(-271, 254):
+            cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k)) for x, y in self.GENERAL])
+            failing = [r.name for r in verify(cq, solve(cq)) if not r.passed]
+            assert bool(failing) == (not -176 <= k <= 167), (k, failing)
+        for k, want in ((-271, EXIT_VERIFY), (-176, EXIT_OK), (167, EXIT_OK), (253, EXIT_VERIFY)):
+            vertices = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in self.GENERAL]
+            code, _ = run_cli(capsys, "verify", "--input", write_input(tmp_path, vertices))
+            assert code == want, k
 
     def test_unit_quad_far_away(self, tmp_path, capsys):
         # at offset 1e200 the float vertices of a diameter-1 quad coincide
@@ -766,11 +785,11 @@ class TestPinnedReports:
         spec.loader.exec_module(pool_digests)
         assert pool_digests.digest_lines([1]) == [
             "classify: 341ea937eaecdf3bdb57a25d9465d1d11aa88fedd397c1f1dc7e5fd2e81169ba",
-            "minimal: e627c7842c2f9a4f73b24faf02f2cf3f7afd14d77f966a1d5a646c2f6e880258",
-            "verify: 4aadb819c462022b0a580670bff2eaa7c23ae34ded59bc18afb036721f1a15db",
-            "family --sweep 5: b6091b9b36188a9d8ae87c4ae67c0b789768abf7c0707cf0b7f3a32e27875e28",
+            "minimal: 21ffa361ed02f51d9affed2e32480e52ed7a8ed5b3bfce1d02b1f2056b860df5",
+            "verify: b60c2360a49f89f1e77d62b5c99989e9ebbc52fa39c803a839f127ed389bbd8a",
+            "family --sweep 5: 0365d7627863814bd6a0ea3aa331a5abdfa3d35c824c8ad26e47377cd0174f57",
             "svg: 785b18874b691ec962be3a019c715e2296f4ae0f2a239c1ad363dafaec210445",
             "exit codes: {0: 512}",
-            "solve: 3b0c6bf32c7e204b1942c21e2bebfb3d87aca5723b6ba909989aaba0be58a9eb",
-            "family: 2351b7be5f09fbb5d828adb330af12631ae6d21f607277d50f4ac94fa2fb468d",
+            "solve: 02cbf095c9ec2eda86747ce936cac38f9f961a3eecbcde9f646d0298258b52a9",
+            "family: ab14fa4521de7ae6b05bcdbdc60963aff50267ef0d91fc1438ee345e04efda58",
         ]

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from helpers import (Line2, closed_form_h, coefficients, ellipse_delta, geometry
                      spectral, tangency_points, tangent_slope, type1_factored_quartic)
 from inellipse import Conic, HOutOfRange, containment, family_point
 from inellipse import canonicalize, newton_segment
-from inellipse.family import _at, _side_parameters, stationarity
+from inellipse.family import _at, _tangency, stationarity
 from inellipse.oracle import TANGENCY_TOL, _line_residual
 from inellipse.quad import _r1
 
@@ -29,7 +30,7 @@ def kite():
 class TestCoefficients:
     def test_golden_quad_at_midpointish(self, q5):
         c = coefficients(q5, 1.5)
-        assert c == Conic(65.0, -76.0, 36.0, -24.0, -48.0, 16.0)
+        assert c == Conic(16.25, -19.0, 9.0, -6.0, -12.0, 4.0)
 
     def test_endpoint_rejected(self, q5):
         with pytest.raises(HOutOfRange):
@@ -66,9 +67,9 @@ class TestCoefficients:
 
     @pytest.mark.parametrize("sv_margin", [0.05, 1e-8])
     def test_model_matches_the_defining_formulas(self, sv_margin):
-        # the lam model, scaled back by (s-v)^2, against the defining
-        # formulas in h at 50 digits, also on near-trapezoids where the
-        # formulas divide by a tiny s - v
+        # the lam model, scaled by (s-v)^2 in 50 digits, against the
+        # defining formulas in h at 50 digits, also on near-trapezoids where
+        # the formulas divide by a tiny s - v
         rng = np.random.default_rng(303)
         for _ in range(100):
             cq = random_general(rng)
@@ -78,9 +79,10 @@ class TestCoefficients:
             c = coefficients(cq, h)
             with mpmath.workdps(50):
                 exact = mp_conic(cq)(mpmath.mpf(h))
-            scale = max(abs(x) for x in exact)
-            for got, want in zip(c, exact):
-                assert abs(got - want) <= 1e-14 * scale
+                sv2 = (mpmath.mpf(cq.s) - mpmath.mpf(cq.v)) ** 2
+                scale = max(abs(x) for x in exact)
+                for got, want in zip(c, exact):
+                    assert abs(got * sv2 - want) <= 1e-14 * scale
 
 
 class TestTangencyPoints:
@@ -142,8 +144,8 @@ class TestTangencyPoints:
 class TestSpectral:
     def test_golden_quad_values(self, q5):
         sp = spectral(q5, 1.5)
-        assert sp.cubic == 28.0
-        assert abs(sp.trace ** 2 - sp.gap_sq - 3584.0) <= 1e-9
+        assert sp.cubic == 7.0
+        assert abs(sp.trace ** 2 - sp.gap_sq - 224.0) <= 1e-9
 
     def test_cubic_identity(self):
         rng = np.random.default_rng(306)
@@ -152,8 +154,7 @@ class TestSpectral:
             h = random_h(cq, rng)
             sp = spectral(cq, h)
             c = coefficients(cq, h)
-            s, _, u, v, _ = cq.params
-            rhs = 16.0 * u * (s - v) ** 2 * sp.cubic
+            rhs = 16.0 * cq.u * sp.cubic
             disc = 4.0 * c.A * c.C - c.B ** 2
             scale = max(abs(4 * c.A * c.C), c.B ** 2, abs(rhs))
             assert abs(disc - rhs) <= 1e-11 * scale
@@ -166,10 +167,9 @@ class TestSpectral:
             h = random_h(cq, rng)
             c = coefficients(cq, h)
             sp = spectral(cq, h)
-            s, _, u, v, _ = cq.params
             ndg = (c.C * c.D ** 2 + c.A * c.E ** 2 - c.B * c.D * c.E
                    - c.F * (4 * c.A * c.C - c.B ** 2))
-            rhs = 16.0 * (s - v) ** 2 * u ** 2 * sp.cubic ** 2
+            rhs = 16.0 * cq.u ** 2 * sp.cubic ** 2
             scale = max(abs(c.C * c.D ** 2), abs(c.A * c.E ** 2),
                         abs(c.B * c.D * c.E), abs(rhs))
             assert abs(ndg - rhs) <= 1e-10 * scale
@@ -179,7 +179,7 @@ class TestSpectral:
         for _ in range(200):
             cq = random_general(rng)
             delta = ellipse_delta(coefficients(cq, random_h(cq, rng)))
-            expected = 1.0 / (4.0 * (cq.s - cq.v) ** 2)
+            expected = 0.25
             assert abs(delta - expected) <= 1e-10 * expected
 
     def test_ratio_vanishes_toward_endpoints(self, q5):
@@ -266,8 +266,9 @@ class TestSideLinears:
 
     def test_golden_quad_value(self, q5):
         assert _r1(*q5.params) == (12.0, 8.0)
-        # cubic = (s - 2h)(2h - v) l5 = 1 * 1 * l5 at h = 1.5, lam = 0.5
-        assert side_linears(q5.params, 1.5).l5 == 28.0 == _at(q5, 0.5)[5]
+        # cubic = lam (1 - lam) l5 = l5 / 4 at h = 1.5, lam = 0.5
+        assert side_linears(q5.params, 1.5).l5 == 28.0
+        assert _at(q5, 0.5)[5] == 7.0
 
     def test_l3_vanishes_at_upper_midpoint(self):
         rng = np.random.default_rng(312)
@@ -277,8 +278,8 @@ class TestSideLinears:
             assert abs(lin.l3) <= 1e-12 * (1 + abs(lin.l1))
             # the members close down to the doubled diagonals D1 (n = 0)
             # and D2 (m = 0), touching each side at an end
-            assert _side_parameters(*cq.params, 0.0, cq.s - cq.v) == (0.0, 0.0, 1.0, 0.0)
-            assert _side_parameters(*cq.params, cq.s - cq.v, 0.0) == (1.0, 1.0, 0.0, 1.0)
+            assert [tp.lam for tp in _tangency(cq, 0.0, cq.s - cq.v)] == [0.0, 0.0, 1.0, 0.0]
+            assert [tp.lam for tp in _tangency(cq, cq.s - cq.v, 0.0)] == [1.0, 1.0, 0.0, 1.0]
 
     def test_sign_constraints(self):
         rng = np.random.default_rng(313)
@@ -292,7 +293,8 @@ class TestSideLinears:
     def test_forms_equal_side_linear_forms(self):
         sp = pytest.importorskip("sympy")
         s, t, u, v, w, h = sp.symbols("s t u v w h")
-        new = _side_parameters(s, t, u, v, w, s - 2 * h, 2 * h - v)
+        new = [tp.lam for tp in _tangency(SimpleNamespace(params=(s, t, u, v, w)),
+                                          s - 2 * h, 2 * h - v)]
         old = side_linear_parameters((s, t, u, v, w), h)
         assert [sp.simplify(a - b) for a, b in zip(new, old)] == [0, 0, 0, 0]
 
@@ -324,7 +326,7 @@ class TestFamilyPoint:
         fp = family_point(q5, 1.5)
         assert fp.h == 1.5
         assert fp.conic == coefficients(q5, 1.5)
-        assert fp.cubic == 28.0
+        assert fp.cubic == 7.0
         assert len(fp.tangency) == 4
 
     def test_contained_in_quad(self):

@@ -365,10 +365,10 @@ class TestScaleEquivariance:
     @staticmethod
     def rescaled(res, k):
         """``res`` as the exact solution of the quad scaled by 2^k: lengths
-        times 2^k, conic coefficients by their degree (the model carries
-        (s-v)^2 along), angles and ratios as they are."""
+        times 2^k, conic coefficients by their degree in the pose, angles
+        and ratios as they are."""
         g = res.geom
-        degrees = (4, 4, 4, 5, 5, 6)
+        degrees = (2, 2, 2, 3, 3, 4)
         conic = res.conic._make(math.ldexp(c, e * k) for c, e in zip(res.conic, degrees))
         center = g.center._replace(x=math.ldexp(g.center.x, k), y=math.ldexp(g.center.y, k))
         return res._replace(conic=conic, geom=g._replace(center=center, a=math.ldexp(g.a, k),
@@ -647,7 +647,8 @@ class TestCenterQuadraticDividesStationarity:
 
     @staticmethod
     def quartic(sp, s, t, u, v, w, lam):
-        # A, B, C of the family over (s-v)^2, in monomials of lam
+        # A, B, C of the model (the defining formulas over (s-v)^2), in
+        # monomials of lam
         d, k = s - v, t - u - w
         a = (u + w + k * lam) ** 2 - 4 * u * w * (1 - lam)
         b = (-2 * d * k * lam**2 + (4 * v * w - 2 * s * (u + w) - 2 * t * v) * lam
@@ -882,3 +883,38 @@ class TestTheoremOnTheModel:
         res = solve(cq)
         assert res.residual <= 1e-8
         assert abs(res.lam_star - float(lam_star)) <= 1e-12
+
+
+class TestModelScaleIdentities:
+    """The family's identities at the model's own scale, exactly: with
+    A..F of ``family._model`` symbolic in (s, t, u, v, w, lam) and
+    cubic = lam (1 - lam) l5, l5 = (1 - lam) v P + lam s Q (P, Q the (R1)
+    forms), 4AC - B^2 = 16 u cubic and delta = 4 nondegeneracy /
+    (4AC - B^2)^2 = 1/4 for every member, and ``family._at`` evaluates
+    that cubic."""
+
+    @staticmethod
+    def model_and_cubic(sp):
+        s, t, u, v, w, lam = pose = sp.symbols("s t u v w lam")
+        mu = 1 - lam
+        conic = [b0 * mu**2 + 2 * b1 * lam * mu + b2 * lam**2
+                 for b0, b1, b2 in family._model(s, t, u, v, w)]
+        p, q = quad._r1(s, t, u, v, w)
+        return pose, conic, lam * mu * (mu * v * p + lam * s * q)
+
+    def test_discriminant_and_delta(self):
+        sp = pytest.importorskip("sympy")
+        (_, _, u, *_), (a, b, c, d, e, f), cubic = self.model_and_cubic(sp)
+        disc = 4 * a * c - b**2
+        assert sp.expand(disc - 16 * u * cubic) == 0
+        nondegeneracy = c * d**2 + a * e**2 - b * d * e - f * disc
+        # delta = 1/4: 16 nondegeneracy = disc^2, with disc = 16 u cubic
+        assert sp.expand(16 * nondegeneracy - (16 * u * cubic) ** 2) == 0
+
+    def test_at_evaluates_the_cubic(self, monkeypatch):
+        sp = pytest.importorskip("sympy")
+        (s, t, u, v, w, lam), _, cubic = self.model_and_cubic(sp)
+        monkeypatch.setattr(family, "math",
+                            SimpleNamespace(hypot=lambda x, y: sp.sqrt(x * x + y * y)))
+        at = family._at(SimpleNamespace(params=(s, t, u, v, w), s=s, v=v), lam)
+        assert sp.expand(sp.nsimplify(at[5], rational=True) - cubic) == 0

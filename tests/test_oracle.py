@@ -372,7 +372,7 @@ class TestSideTangency:
 
     def test_honest_at_the_scale_edges(self, monkeypatch):
         # the range of TestScaleRange::test_verify_edges_beyond_the_accepted_range
-        monkeypatch.setattr(quad, "_check_diameter", lambda diam2: None)
+        monkeypatch.setattr(quad, "_check_diameter", lambda diam2, pts: None)
         for k in range(-132, 128):
             cq = canonicalize([(math.ldexp(x, k), math.ldexp(y, k))
                                for x, y in [(0, 0), (0, 3), (4, 6), (2, 1)]])
@@ -402,8 +402,9 @@ class TestSideTangency:
     # old line test) and by _line_residual at TANGENCY_TOL, of 1536; taken
     # on the conics of the one root path (the MDQ closed forms gave 1217
     # old at 1e-9 and 1356 new at 1e-11; the conic normalized by the product
-    # with 1 / sqrt of the sum of squares gave 1222 old at 1e-9)
-    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1214, 1468),
+    # with 1 / sqrt of the sum of squares gave 1222 old at 1e-9, and the
+    # conic at the scale (s-v)^2 gave 1214 old at 1e-9)
+    MUTATION_TABLE = {1e-8: (1448, 1470), 1e-9: (1218, 1468),
                       1e-10: (202, 1454), 1e-11: (22, 1355)}
 
     @pytest.mark.parametrize("rel", sorted(MUTATION_TABLE, reverse=True))

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import json
 import math
 import random
 
@@ -12,6 +13,7 @@ from helpers import (PARALLEL_BY_ROUNDING, Q5_VERTICES, bench_module, canonical_
                      diagonal_swaps_oracle, make_quad, moved_vertices, placed,
                      random_general, random_isometry, random_kite, random_type1,
                      random_type2, validate_oracle)
+from inellipse import cli
 from inellipse import (CanonicalQuad, Degenerate, Isometry2, NotConvex, NoValidLabeling,
                        Point2, QuadKind, Trapezoid, canonicalize, classify,
                        diagonal_angle, newton_segment, solve, validate)
@@ -428,6 +430,33 @@ class TestCanonicalQuadValidation:
         assert abs(res.ratio_sq - unit.ratio_sq) <= 1e-12
         with pytest.raises(Degenerate, match="accepted range"):
             CanonicalQuad.from_params(*(outside * x for x in params))
+
+    @pytest.mark.parametrize("exponent, diameter", [("e160", "7.211e+160"),
+                                                    ("e-170", "7.211e-170")])
+    def test_far_out_of_range_messages(self, tmp_path, capsys, exponent, diameter):
+        # the general quad (4, 6, 3, 2, 1) far outside the range, where the
+        # squared vertex distances and the (R1) products over- or underflow:
+        # validate said "diameter inf" and "all vertices coincide", and
+        # from_params raised ValueError for a non-convex cycle
+        message = (f"diameter {diameter} outside the accepted range [2^-56, 2^56] = "
+                   f"[1.388e-17, 7.206e+16]")
+        s, t, u, v, w = (float(f"{x}{exponent}") for x in (4, 6, 3, 2, 1))
+        vertices = [(0.0, 0.0), (0.0, u), (s, t), (v, w)]
+        for build in (lambda: canonicalize(vertices),
+                      lambda: CanonicalQuad.from_params(s, t, u, v, w)):
+            with pytest.raises(Degenerate) as exc:
+                build()
+            assert str(exc.value) == message
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"vertices": vertices}))
+        assert cli.main(["verify", "--input", str(path)]) == cli.EXIT_GEOMETRY == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {"code": "Degenerate", "message": message}}
+
+    def test_coincident_vertices_message(self):
+        with pytest.raises(Degenerate) as exc:
+            validate([(1e-300, 2.0)] * 4)
+        assert str(exc.value) == "all vertices coincide"
 
     def test_interval_orientation(self):
         assert make_quad(2, 5, 3.25, 3, 1).interval == (1.0, 1.5)
